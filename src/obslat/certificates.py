@@ -29,7 +29,7 @@ import scipy.sparse.linalg as spla
 from .energies import QuadraticEnergy
 from .errors import CertificateError, DimensionMismatch, PreconditionError
 from .lattice import OrderInterval, as_vector
-from .solvers import Solution
+from .solvers import ACTIVE_RTOL, Solution
 
 
 @dataclass(frozen=True)
@@ -89,13 +89,6 @@ def ls_certificate(energy, box: OrderInterval, solution: Solution, tol: float) -
     lo_pos = np.zeros(box.n) if g_lo is None else np.maximum(g_lo, 0.0)
     lower_slack = g_u - hi_neg
     upper_slack = lo_pos - g_u
-    # Laplacian-form consistency: with L = -grad E the same slacks must come
-    # out of L(lo) ∧ 0 <= L(u) <= L(hi) ∨ 0 under the role exchange.
-    l_u = -g_u
-    l_hi_pos = np.maximum(-g_hi, 0.0) if g_hi is not None else np.zeros(box.n)
-    l_lo_neg = np.minimum(-g_lo, 0.0) if g_lo is not None else np.zeros(box.n)
-    if np.any(l_hi_pos - l_u != lower_slack) or np.any(l_u - l_lo_neg != upper_slack):
-        raise CertificateError("sign-convention mismatch between gradient and Laplacian forms")
     passed = bool(np.min(lower_slack) >= -tol and np.min(upper_slack) >= -tol)
     return LSCertificate(
         g_u=g_u, g_lo=g_lo, g_hi=g_hi,
@@ -117,12 +110,12 @@ def free_set_harmonicity(energy, box: OrderInterval, solution,
 
     Returns (passed, worst_index, worst_value); the index is None when no
     component is strictly free (vacuous pass).  Strictly free means the value
-    clears both obstacles by more than 1e-9 * (1 + |u_i|).  ``solution`` may
-    be a Solution or the minimizer vector itself.
+    clears both obstacles by more than ``solvers.ACTIVE_RTOL * (1 + |u_i|)``.
+    ``solution`` may be a Solution or the minimizer vector itself.
     """
     u = solution.u if isinstance(solution, Solution) else as_vector(solution, "u")
     g = np.asarray(energy.gradient(u))
-    margin = 1e-9 * (1.0 + np.abs(u))
+    margin = ACTIVE_RTOL * (1.0 + np.abs(u))
     strict = (u > box.lo + margin) & (u < box.hi - margin)
     if not np.any(strict):
         return True, None, 0.0

@@ -39,6 +39,10 @@ where <energy> is one of::
 and a box side spec is a number (constant), a list, or null for an absent
 side (encoded at +-1e30).
 
+Graph edges [i, j, w] are undirected ([j, i, w] is the same pair), each
+pair listed at most once (a repeat exits 2), with w > 0: a conductance in
+energies, and in cutoff/kantorovich also the shortest-path edge length.
+
 cutoff::
 
     {"graph": {"nodes": int, "edges": [[i, j, w], ...]},

@@ -10,6 +10,10 @@ Two families are provided:
   + sum_i d_i |u_i|^p ], the discrete analogue of a (fractional) Gagliardo
   p-energy with a truncated zero-extension collar carried by the d_i.
 
+A is certified PSD at construction by Gershgorin's theorem (diagonal
+dominance, O(nnz), true of every graph Laplacian) or, failing that, by its
+smallest eigenvalue.
+
 Both expose ``value`` and ``gradient``; the module-level checks
 (:func:`submodularity_check`, :func:`t_monotonicity_check`,
 :func:`z_matrix_violation`, :func:`scalar_submodularity_inequality`)
@@ -32,6 +36,9 @@ Z_TOL = 1e-12
 #: Allowed asymmetry |A_ij - A_ji| in stored matrices.
 SYMMETRY_TOL = 1e-12
 
+#: Eigenvalues down to -PSD_TOL * max(1, max |A_ii|) count as zero.
+PSD_TOL = 1e-10
+
 
 class CheckResult(NamedTuple):
     """Outcome of a pass/fail check together with the measured quantity."""
@@ -40,33 +47,27 @@ class CheckResult(NamedTuple):
     value: float
 
 
-def _pivoted_cholesky_psd(a: np.ndarray, pivot_tol: float = 1e-10) -> bool:
-    """Certify positive semidefiniteness by pivoted Cholesky elimination.
+def validate_edges(nodes: int, edges) -> list:
+    """Checked (i, j, w) tuples of an undirected weighted edge list.
 
-    Runs a right-looking factorization with diagonal pivoting.  A pivot below
-    ``-pivot_tol * scale`` rejects.  Once all remaining pivots are at noise
-    level, the whole trailing block must be at noise level too (a tiny
-    diagonal with large off-diagonal entries is indefinite).
+    (i, j) and (j, i) are one pair, which may be listed once; i != j must
+    both lie in range(nodes) and the weight must be positive.
     """
-    s = np.array(a, dtype=float, copy=True)
-    n = s.shape[0]
-    scale = max(1.0, float(np.max(np.abs(np.diag(s)))) if n else 1.0)
-    tol = pivot_tol * scale
-    order = np.arange(n)
-    for k in range(n):
-        d = np.diag(s)[k:]
-        p = k + int(np.argmax(d))
-        if p != k:
-            s[[k, p], :] = s[[p, k], :]
-            s[:, [k, p]] = s[:, [p, k]]
-            order[[k, p]] = order[[p, k]]
-        pivot = s[k, k]
-        if pivot < -tol:
-            return False
-        if pivot <= tol:
-            return bool(np.max(np.abs(s[k:, k:])) <= tol)
-        s[k + 1:, k + 1:] -= np.outer(s[k + 1:, k], s[k, k + 1:]) / pivot
-    return True
+    clean, seen = [], set()
+    for i, j, w in edges:
+        i, j, w = int(i), int(j), float(w)
+        if i == j:
+            raise ConstructionError(f"self-loop at node {i}")
+        if not (0 <= i < nodes and 0 <= j < nodes):
+            raise ConstructionError(f"edge ({i},{j}) out of range for {nodes} nodes")
+        if not w > 0:
+            raise ConstructionError(f"edge ({i},{j}) has nonpositive weight {w}")
+        pair = (min(i, j), max(i, j))
+        if pair in seen:
+            raise ConstructionError(f"edge ({i},{j}) repeats the pair {pair}")
+        seen.add(pair)
+        clean.append((i, j, w))
+    return clean
 
 
 class QuadraticEnergy:
@@ -77,7 +78,7 @@ class QuadraticEnergy:
     the energy is ``laplacian(u) = -(Au + b) = -gradient(u)``.
     """
 
-    def __init__(self, a, b=None, *, check_psd: bool = True):
+    def __init__(self, a, b=None):
         a = sp.csr_matrix(a, dtype=float)
         if a.shape[0] != a.shape[1]:
             raise ConstructionError(f"matrix must be square, got {a.shape}")
@@ -89,9 +90,13 @@ class QuadraticEnergy:
             )
         if not np.all(np.isfinite(a.data)):
             raise ConstructionError("matrix entries must be finite")
-        if check_psd and not _pivoted_cholesky_psd(a.toarray()):
+        diag = a.diagonal()
+        offdiag = a - sp.diags(diag)
+        tol = PSD_TOL * max(1.0, float(np.max(np.abs(diag), initial=0.0)))
+        radius = np.asarray(abs(offdiag).sum(axis=1)).ravel()
+        # Gershgorin: a weakly diagonally dominant symmetric matrix is PSD.
+        if not np.all(diag - radius >= -tol) and np.linalg.eigvalsh(a.toarray())[0] < -tol:
             raise ConstructionError("matrix failed the positive-semidefiniteness check")
-        offdiag = a - sp.diags(a.diagonal())
         self.submodular = bool(offdiag.nnz == 0 or offdiag.data.max() <= Z_TOL)
         if b is None:
             b = np.zeros(self.n)
@@ -107,7 +112,7 @@ class QuadraticEnergy:
         self.dirichlet_nodes: np.ndarray | None = None
 
     @classmethod
-    def from_triplets(cls, n: int, triplets, b=None, *, check_psd: bool = True):
+    def from_triplets(cls, n: int, triplets, b=None):
         """Build from (i, j, value) entries; duplicate positions are summed."""
         rows, cols, vals = [], [], []
         for i, j, v in triplets:
@@ -118,7 +123,7 @@ class QuadraticEnergy:
             cols.append(j)
             vals.append(float(v))
         a = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        return cls(a, b, check_psd=check_psd)
+        return cls(a, b)
 
     def value(self, u) -> float:
         u = as_vector(u, "u")
@@ -152,7 +157,7 @@ class QuadraticEnergy:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_triplet_text(cls, text: str, b=None, *, check_psd: bool = True):
+    def from_triplet_text(cls, text: str, b=None):
         rows = [ln for ln in text.splitlines() if ln.strip()]
         if not rows:
             raise ConstructionError("empty triplet text")
@@ -168,7 +173,7 @@ class QuadraticEnergy:
             if len(parts) != 3:
                 raise ConstructionError(f"bad triplet line {ln!r}")
             triplets.append((int(parts[0]), int(parts[1]), float(parts[2])))
-        return cls.from_triplets(n, triplets, b, check_psd=check_psd)
+        return cls.from_triplets(n, triplets, b)
 
 
 def graph_dirichlet(nodes: int, edges, dirichlet_set=()) -> QuadraticEnergy:
@@ -184,14 +189,7 @@ def graph_dirichlet(nodes: int, edges, dirichlet_set=()) -> QuadraticEnergy:
         if not 0 <= i < nodes:
             raise ConstructionError(f"dirichlet node {i} out of range")
     rows, cols, vals = [], [], []
-    for i, j, w in edges:
-        i, j, w = int(i), int(j), float(w)
-        if i == j:
-            raise ConstructionError(f"self-loop at node {i}")
-        if not (0 <= i < nodes and 0 <= j < nodes):
-            raise ConstructionError(f"edge ({i},{j}) out of range for {nodes} nodes")
-        if w <= 0:
-            raise ConstructionError(f"edge ({i},{j}) has nonpositive weight {w}")
+    for i, j, w in validate_edges(nodes, edges):
         rows += [i, j, i, j]
         cols += [i, j, j, i]
         vals += [w, w, -w, -w]

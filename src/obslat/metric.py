@@ -1,5 +1,9 @@
 """Finite metric spaces, the Hopf-Lax operator, and obstacle constructions.
 
+``FiniteMetricSpace(D)`` checks the metric axioms on a given matrix.
+``GraphSpace.from_graph`` does not: shortest paths over positive edge
+lengths in a connected graph are a metric by construction.
+
 The Hopf-Lax operator on a finite metric space (X, d),
 
     (Q_t psi)_x = min_y  d(x, y)^2 / (2 t) + psi_y,
@@ -28,7 +32,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
 from .certificates import ls_certificate
-from .energies import CheckResult, QuadraticEnergy, graph_dirichlet
+from .energies import CheckResult, QuadraticEnergy, graph_dirichlet, validate_edges
 from .errors import (
     CertificateError,
     ConstructionError,
@@ -39,9 +43,9 @@ from .errors import (
 from .lattice import OrderInterval, as_vector
 from .solvers import solve_psor
 
-#: Entries of distance matrices may violate the triangle inequality by at
+#: Distance matrices may violate symmetry and the triangle inequality by at
 #: most this relative amount (accumulated rounding in shortest paths).
-TRIANGLE_RTOL = 1e-10
+METRIC_RTOL = 1e-10
 
 #: Exhaustive triangle check up to this size; deterministic sampling above.
 TRIANGLE_EXHAUSTIVE_N = 200
@@ -63,7 +67,8 @@ class FiniteMetricSpace:
         n = d.shape[0]
         if not np.all(np.isfinite(d)):
             raise ConstructionError("distances must be finite")
-        if np.max(np.abs(d - d.T)) > 1e-12:
+        tol = METRIC_RTOL * (1.0 + float(np.max(np.abs(d))))
+        if np.max(np.abs(d - d.T)) > tol:
             raise ConstructionError("distance matrix is not symmetric")
         d = 0.5 * (d + d.T)
         if np.any(np.diag(d) != 0.0):
@@ -71,7 +76,6 @@ class FiniteMetricSpace:
         off = ~np.eye(n, dtype=bool)
         if n > 1 and np.min(d[off]) <= 0.0:
             raise ConstructionError("off-diagonal distances must be positive")
-        tol = TRIANGLE_RTOL * (1.0 + float(np.max(d)))
         if n <= TRIANGLE_EXHAUSTIVE_N:
             mids = range(n)
         else:
@@ -113,17 +117,9 @@ class GraphSpace(FiniteMetricSpace):
 
     @classmethod
     def from_graph(cls, nodes: int, edges) -> "GraphSpace":
-        clean = []
+        clean = validate_edges(nodes, edges)
         rows, cols, vals = [], [], []
-        for i, j, w in edges:
-            i, j, w = int(i), int(j), float(w)
-            if i == j:
-                raise ConstructionError(f"self-loop at node {i}")
-            if not (0 <= i < nodes and 0 <= j < nodes):
-                raise ConstructionError(f"edge ({i},{j}) out of range for {nodes} nodes")
-            if w <= 0:
-                raise ConstructionError(f"edge ({i},{j}) has nonpositive weight {w}")
-            clean.append((i, j, w))
+        for i, j, w in clean:
             rows += [i, j]
             cols += [j, i]
             vals += [w, w]
@@ -131,7 +127,12 @@ class GraphSpace(FiniteMetricSpace):
         d = dijkstra(adj, directed=False)
         if not np.all(np.isfinite(d)):
             raise ConstructionError("graph is not connected; metric undefined")
-        return cls(D=d, edges=tuple(clean))
+        d = 0.5 * (d + d.T)
+        d.setflags(write=False)
+        space = object.__new__(cls)  # a metric by construction: skip the axiom checks
+        object.__setattr__(space, "D", d)
+        object.__setattr__(space, "edges", tuple(clean))
+        return space
 
     @cached_property
     def dirichlet_energy(self) -> QuadraticEnergy:

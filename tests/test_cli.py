@@ -56,6 +56,12 @@ def test_solve_bad_schema(tmp_path):
                    "triplets": [[0, 0, 1.0], [1, 1, 1.0], [0, 1, 0.7]]},
     }, "asym.json")
     assert main(["solve", "--config", cfg2, "--out", str(tmp_path)]) == 2
+    cfg3 = write_config(tmp_path, {
+        "energy": {"kind": "graph", "nodes": 3, "dirichlet": [0],
+                   "edges": [[0, 1, 1.0], [1, 2, 1.0], [2, 1, 1.0]]},
+        "box": {"lo": 0.0, "hi": 1.0},
+    }, "repeated_edge.json")
+    assert main(["solve", "--config", cfg3, "--out", str(tmp_path)]) == 2
 
 
 def test_solve_forced_nonconvergence(tmp_path):

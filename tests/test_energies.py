@@ -17,7 +17,11 @@ from obslat.errors import (
     NondifferentiableError,
     PreconditionError,
 )
-from obslat.instances import random_kernel_pair, random_submodular_quadratic
+from obslat.instances import (
+    random_connected_edges,
+    random_kernel_pair,
+    random_submodular_quadratic,
+)
 
 TRIDIAG = [(0, 0, 2.0), (1, 1, 2.0), (2, 2, 2.0),
            (0, 1, -1.0), (1, 0, -1.0), (1, 2, -1.0), (2, 1, -1.0)]
@@ -64,6 +68,8 @@ def test_graph_dirichlet_rejects_bad_edges():
         graph_dirichlet(3, [(0, 1, -2.0)])
     with pytest.raises(ConstructionError):
         graph_dirichlet(3, [(0, 5, 1.0)])
+    with pytest.raises(ConstructionError):
+        graph_dirichlet(3, [(0, 1, 1.0), (1, 0, 1.0)])  # one pair listed twice
 
 
 def test_quadratic_rejects_asymmetry_and_indefinite():
@@ -73,12 +79,30 @@ def test_quadratic_rejects_asymmetry_and_indefinite():
         QuadraticEnergy(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
     with pytest.raises(ConstructionError):
         QuadraticEnergy(np.array([[-1.0]]))
+    with pytest.raises(ConstructionError):
+        # noise-level diagonal, large off-diagonal: eigenvalues near +-1
+        QuadraticEnergy(np.array([[1e-12, 1.0], [1.0, 1e-12]]))
 
 
-def test_quadratic_accepts_singular_psd():
+def test_quadratic_accepts_singular_psd(monkeypatch):
+    # PSD but not diagonally dominant: only the eigenvalue test accepts it
+    ones = QuadraticEnergy(np.ones((3, 3)))
+    assert not ones.submodular
+
+    def no_eigvalsh(a):
+        raise AssertionError("diagonally dominant input reached eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
     energy = QuadraticEnergy(lap)
     assert energy.submodular
+    dominant = QuadraticEnergy(np.array([[3.0, 1.0, -1.0],
+                                         [1.0, 3.0, 2.0],
+                                         [-1.0, 2.0, 3.0]]))
+    assert not dominant.submodular
+    edges = [(i, j, 1e3 * w) for i, j, w in
+             random_connected_edges(np.random.default_rng(4), 150)]
+    assert graph_dirichlet(150, edges).submodular
 
 
 def test_value_gradient_example():

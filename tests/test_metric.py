@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 from obslat.certificates import lipschitz_ratio
 from obslat.errors import (
@@ -11,7 +13,13 @@ from obslat.errors import (
     ObstacleOrderError,
     PreconditionError,
 )
-from obslat.instances import grid_space, path_space, random_c_concave, random_planar_metric
+from obslat.instances import (
+    grid_space,
+    path_space,
+    random_c_concave,
+    random_connected_edges,
+    random_planar_metric,
+)
 from obslat.lattice import OrderInterval
 from obslat.metric import (
     FiniteMetricSpace,
@@ -52,11 +60,28 @@ def test_metric_validation():
                                     [5.0, 1.0, 0.0]]))
 
 
+def test_metric_symmetry_tolerance_is_relative():
+    # Shortest paths with lengths near 1e3 differ from their transpose by
+    # rounding far above 1e-12; that is not an asymmetric input.
+    rng = np.random.default_rng(7)
+    edges = [(i, j, 1e3 * w) for i, j, w in random_connected_edges(rng, 150)]
+    i, j, w = (np.array(col) for col in zip(*edges))
+    adj = sp.coo_matrix((w, (i, j)), shape=(150, 150)).tocsr()
+    d = dijkstra(adj, directed=False)
+    assert FiniteMetricSpace(d).n == 150
+    space = GraphSpace.from_graph(150, edges)
+    assert np.array_equal(space.D, space.D.T)
+    assert not space.D.flags.writeable
+
+
 def test_graph_space_shortest_paths():
     space = path_space(4, weight=2.0)
     assert space.D[0, 3] == 6.0
     with pytest.raises(ConstructionError):
         GraphSpace.from_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])  # disconnected
+    for repeated in ([(0, 1, 1.0), (1, 0, 1.0)], [(0, 1, 1.0), (0, 1, 2.0)]):
+        with pytest.raises(ConstructionError):
+            GraphSpace.from_graph(2, repeated)
 
 
 def test_metric_json_roundtrip():
