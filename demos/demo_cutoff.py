@@ -18,7 +18,8 @@ core = [i * side + j for i in range(6, 9) for j in range(6, 9)]
 region = [i * side + j for i in range(3, 12) for j in range(3, 12)]
 
 phi, psi, r2 = cutoff_obstacles(space, core, region)
-omega, cert = build_cutoff(space, core, region)
+cut = build_cutoff(space, core, region)
+omega, cert = cut.solution.u, cut.certificate
 energy = space.dirichlet_energy
 
 print(f"grid {side}x{side}, core 3x3, region 9x9, r^2 = {r2}")

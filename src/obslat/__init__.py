@@ -51,6 +51,7 @@ from .lattice import (
     rk_meet,
 )
 from .metric import (
+    Cutoff,
     FiniteMetricSpace,
     GraphSpace,
     PotentialPair,
@@ -80,6 +81,7 @@ __all__ = [
     "CertificateError",
     "CheckResult",
     "ConstructionError",
+    "Cutoff",
     "DimensionMismatch",
     "FiniteMetricSpace",
     "GraphSpace",

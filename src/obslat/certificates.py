@@ -32,7 +32,7 @@ from .lattice import OrderInterval, as_vector
 from .solvers import ACTIVE_RTOL, Solution
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LSCertificate:
     """Slack vectors of the Lewy-Stampacchia inequality at a minimizer.
 
@@ -60,6 +60,13 @@ class LSCertificate:
     @property
     def upper_slack_min(self) -> float:
         return float(np.min(self.upper_slack))
+
+    @property
+    def obstacle_bound(self) -> float:
+        """max(|L(lo) ∧ 0|, |L(hi) ∨ 0|), absent sides 0: bounds sup|L(u)| up to tol."""
+        lo = 0.0 if self.g_lo is None else float(np.max(np.abs(np.minimum(-self.g_lo, 0.0))))
+        hi = 0.0 if self.g_hi is None else float(np.max(np.abs(np.maximum(-self.g_hi, 0.0))))
+        return max(lo, hi)
 
     def to_json_dict(self) -> dict:
         return {

@@ -89,7 +89,6 @@ from .metric import (
     GraphSpace,
     build_cutoff,
     coincidence_cc_report,
-    cutoff_obstacles,
     kantorovich_regularize,
 )
 from .solvers import brute_force_active_set, solve_projected_gradient, solve_psor
@@ -181,48 +180,59 @@ def _build_box(cfg: dict, n: int) -> OrderInterval:
         raise ConfigError(f"bad box specification: {err}") from err
 
 
-def _solver_params(cfg: dict, args, default_tol: float) -> dict:
-    params = dict(cfg.get("solver", {}))
-    if args.tol is not None:
-        params["tol"] = args.tol
-    params.setdefault("tol", default_tol)
-    return params
+def _solver_params(cfg: dict, args, method: str = "psor") -> dict:
+    """Solver settings parsed once (bad values are config errors).
+
+    ``method`` is the default; ``certificate_tol`` is None when absent.
+    """
+    try:
+        solver = cfg.get("solver", {})
+        if solver.get("method") is not None:
+            method = solver["method"]
+        cert_tol = cfg.get("certificate_tol")
+        return {
+            "method": method,
+            "tol": float(args.tol if args.tol is not None else solver.get("tol", 1e-9)),
+            "max_iter": int(solver.get(
+                "max_iter", 50000 if method == "projected_gradient" else 20000)),
+            "omega": float(solver.get("omega", 1.5)),
+            "certificate_tol": None if cert_tol is None else float(cert_tol),
+        }
+    except (AttributeError, TypeError, ValueError) as err:
+        raise ConfigError(f"bad solver settings: {err}") from err
 
 
 def _run_solver(energy, box, params: dict, oracle: bool):
     if oracle:
         return brute_force_active_set(energy, box)
-    method = params.get("method")
-    if method is None:
-        method = "psor" if isinstance(energy, QuadraticEnergy) else "projected_gradient"
-    if method == "psor":
-        return solve_psor(energy, box, tol=params["tol"],
-                          max_iter=int(params.get("max_iter", 20000)),
-                          omega=float(params.get("omega", 1.5)))
-    if method == "projected_gradient":
+    if params["method"] == "psor":
+        return solve_psor(energy, box, tol=params["tol"], max_iter=params["max_iter"],
+                          omega=params["omega"])
+    if params["method"] == "projected_gradient":
         return solve_projected_gradient(energy, box, tol=params["tol"],
-                                        max_iter=int(params.get("max_iter", 50000)))
-    raise ConfigError(f"unknown solver method {method!r}")
+                                        max_iter=params["max_iter"])
+    raise ConfigError(f"unknown solver method {params['method']!r}")
 
 
 def _cmd_solve(args, oracle: bool = False) -> int:
     cfg = _load_config(args)
     energy = _build_energy(cfg)
     box = _build_box(cfg, energy.n)
-    params = _solver_params(cfg, args, default_tol=1e-9)
+    params = _solver_params(cfg, args, "psor" if isinstance(energy, QuadraticEnergy)
+                            else "projected_gradient")
     out = _out_dir(args)
     solution = _run_solver(energy, box, params, oracle)
     payload = solution.to_json_dict()
-    payload["method"] = "oracle" if oracle else params.get(
-        "method", "psor" if isinstance(energy, QuadraticEnergy) else "projected_gradient")
+    payload["method"] = "oracle" if oracle else params["method"]
     payload["tol"] = params["tol"]
     _write_json(out / "solution.json", payload)
     if not solution.converged:
         print(f"solver did not converge within budget (kkt residual "
               f"{solution.kkt_residual:.3e})", file=sys.stderr)
         return EXIT_SOLVER
-    cert_tol = float(cfg.get("certificate_tol", 10.0 * params["tol"]))
-    cert = ls_certificate(energy, box, solution, cert_tol)
+    cert_tol = params["certificate_tol"]
+    cert = ls_certificate(energy, box, solution,
+                          10.0 * params["tol"] if cert_tol is None else cert_tol)
     _write_json(out / "certificate.json", certificate_report(energy, box, solution, cert))
     return EXIT_OK if cert.passed else EXIT_CERTIFICATE
 
@@ -247,25 +257,23 @@ def cmd_cutoff(args) -> int:
     cfg = _load_config(args)
     space = _build_space(cfg)
     paper_radius = bool(args.paper_radius or cfg.get("paper_radius", False))
-    params = _solver_params(cfg, args, default_tol=1e-9)
+    params = _solver_params(cfg, args)
     try:
         core, region = cfg["core"], cfg["region"]
     except KeyError as err:
         raise ConfigError(f"missing config key: {err}") from err
     out = _out_dir(args)
-    phi, psi, r2 = cutoff_obstacles(space, core, region, paper_radius=paper_radius)
-    omega, cert = build_cutoff(space, core, region, tol=params["tol"],
-                               max_iter=int(params.get("max_iter", 20000)),
-                               relaxation=float(params.get("omega", 1.5)),
-                               paper_radius=paper_radius,
-                               cert_tol=cfg.get("certificate_tol"))
-    box = OrderInterval(phi, psi)
-    report = certificate_report(space.dirichlet_energy, box, omega, cert, metric=space)
+    cut = build_cutoff(space, core, region, tol=params["tol"], max_iter=params["max_iter"],
+                       relaxation=params["omega"], paper_radius=paper_radius,
+                       cert_tol=params["certificate_tol"])
+    box = OrderInterval(cut.phi, cut.psi)
+    report = certificate_report(space.dirichlet_energy, box, cut.solution, cut.certificate,
+                                metric=space)
     _write_json(out / "cutoff.json", {
-        "omega": omega.tolist(),
-        "phi": phi.tolist(),
-        "psi": psi.tolist(),
-        "r2": r2,
+        "omega": cut.solution.u.tolist(),
+        "phi": cut.phi.tolist(),
+        "psi": cut.psi.tolist(),
+        "r2": cut.r2,
         "paper_radius": paper_radius,
         "sup_laplacian": report["sup_laplacian"],
     })
@@ -276,7 +284,7 @@ def cmd_cutoff(args) -> int:
 def cmd_kantorovich(args) -> int:
     cfg = _load_config(args)
     space = _build_space(cfg)
-    params = _solver_params(cfg, args, default_tol=1e-9)
+    params = _solver_params(cfg, args)
     try:
         phi = np.asarray(cfg["potential"], dtype=float)
         t = float(cfg["t"])
@@ -284,13 +292,9 @@ def cmd_kantorovich(args) -> int:
         raise ConfigError(f"bad potential specification: {err}") from err
     out = _out_dir(args)
     eta, pair, cert = kantorovich_regularize(
-        space, phi, t,
-        tol=params["tol"],
-        max_iter=int(params.get("max_iter", 20000)),
-        relaxation=float(params.get("omega", 1.5)),
-        cc_regularize=bool(cfg.get("cc_regularize", False)),
-        cert_tol=cfg.get("certificate_tol"),
-    )
+        space, phi, t, tol=params["tol"], max_iter=params["max_iter"],
+        relaxation=params["omega"], cc_regularize=bool(cfg.get("cc_regularize", False)),
+        cert_tol=params["certificate_tol"])
     box = OrderInterval(pair.lo, pair.hi)
     report = certificate_report(space.dirichlet_energy, box, eta, cert, metric=space)
     _write_json(out / "kantorovich.json", {

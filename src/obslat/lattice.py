@@ -59,7 +59,7 @@ def negative_part(u) -> np.ndarray:
     return np.minimum(as_vector(u, "u"), 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderInterval:
     """Box [lo, hi] in the componentwise order; the feasible set of a solve.
 

@@ -15,7 +15,8 @@ solver on graph-backed spaces:
 * :func:`build_cutoff` -- a function that is exactly 1 on a core set, exactly
   0 outside a region, obtained by minimizing the graph Dirichlet energy
   between two distance-profile obstacles; its discrete Laplacian is bounded
-  by the obstacle Laplacians through the Lewy-Stampacchia certificate.
+  by the obstacle Laplacians through the Lewy-Stampacchia certificate; the
+  returned :class:`Cutoff` carries obstacles, solve, certificate and bound.
 * :func:`kantorovich_regularize` -- given a c-concave potential phi and an
   interpolation time t, minimizes the Dirichlet energy between
   -Q_t(-phi) and Q_{1-t}(-phi^c); the interval is nonempty on any metric
@@ -31,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
-from .certificates import ls_certificate
+from .certificates import LSCertificate, ls_certificate
 from .energies import CheckResult, QuadraticEnergy, graph_dirichlet, validate_edges
 from .errors import (
     CertificateError,
@@ -41,7 +42,7 @@ from .errors import (
     PreconditionError,
 )
 from .lattice import OrderInterval, as_vector
-from .solvers import solve_psor
+from .solvers import Solution, solve_psor
 
 #: Distance matrices may violate symmetry and the triangle inequality by at
 #: most this relative amount (accumulated rounding in shortest paths).
@@ -54,7 +55,7 @@ TRIANGLE_EXHAUSTIVE_N = 200
 COINCIDENCE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
     """Distance matrix with the metric axioms checked at construction."""
 
@@ -104,7 +105,7 @@ class FiniteMetricSpace:
         return {"points": self.n, "distances": tri}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphSpace(FiniteMetricSpace):
     """Shortest-path metric of a weighted graph, with its Dirichlet energy.
 
@@ -263,45 +264,54 @@ def _certified_solve(space: GraphSpace, box: OrderInterval, tol: float,
             f"Lewy-Stampacchia certificate failed (min slacks "
             f"{cert.lower_slack_min:.3e}, {cert.upper_slack_min:.3e})"
         )
-    return energy, sol, cert, cert_tol
+    return sol, cert
+
+
+@dataclass(frozen=True, eq=False)
+class Cutoff:
+    """Result of :func:`build_cutoff`; ``solution.u`` is the cut-off function."""
+
+    phi: np.ndarray
+    psi: np.ndarray
+    r2: float
+    solution: Solution
+    certificate: LSCertificate
+    obstacle_bound: float
 
 
 def build_cutoff(space: GraphSpace, core, region, tol: float = 1e-9,
                  max_iter: int = 20000, relaxation: float = 1.5,
-                 paper_radius: bool = False, cert_tol: float | None = None):
-    """Cut-off function with certified Laplacian bound.
+                 paper_radius: bool = False, cert_tol: float | None = None) -> Cutoff:
+    """Cut-off function with certified Laplacian bound, as a :class:`Cutoff`.
 
     Minimizes the graph Dirichlet energy over the obstacle interval from
-    :func:`cutoff_obstacles`.  The result is exactly 1 on the core, exactly 0
+    :func:`cutoff_obstacles`.  The minimizer is exactly 1 on the core, exactly 0
     off the region (forced by the coinciding obstacles there), and its
     Laplacian max-norm is bounded by the obstacle Laplacians up to the
-    certificate tolerance.  Returns (omega, certificate).
+    certificate tolerance.  Raises ObstacleOrderError when the obstacles
+    cross and CertificateError when the solve, the certificate, the pins or
+    the bound fail.
     """
     space = _require_graph_space(space)
-    phi, psi, _ = cutoff_obstacles(space, core, region, paper_radius=paper_radius)
+    phi, psi, r2 = cutoff_obstacles(space, core, region, paper_radius=paper_radius)
     box = OrderInterval(phi, psi)
-    energy, sol, cert, cert_tol = _certified_solve(
-        space, box, tol, max_iter, relaxation, cert_tol)
+    sol, cert = _certified_solve(space, box, tol, max_iter, relaxation, cert_tol)
     omega = sol.u
     c_idx = _index_set(core, space.n, "core")
     out_idx = sorted(set(range(space.n)) - set(_index_set(region, space.n, "region")))
     if np.any(omega[c_idx] != 1.0) or np.any(omega[out_idx] != 0.0):
         raise CertificateError("cut-off pinning failed (expected exact 1 on core, 0 outside)")
-    lap_phi = -energy.gradient(phi)
-    lap_psi = -energy.gradient(psi)
-    obstacle_bound = max(
-        float(np.max(np.abs(np.minimum(lap_phi, 0.0)))),
-        float(np.max(np.abs(np.maximum(lap_psi, 0.0)))),
-    )
-    lap_norm = float(np.max(np.abs(-energy.gradient(omega))))
-    if lap_norm > obstacle_bound + cert_tol:
+    bound = cert.obstacle_bound
+    lap_norm = float(np.max(np.abs(cert.g_u)))
+    if lap_norm > bound + cert.tol:
         raise CertificateError(
-            f"Laplacian bound violated: {lap_norm:.6e} > {obstacle_bound:.6e} + {cert_tol:.1e}"
+            f"Laplacian bound violated: {lap_norm:.6e} > {bound:.6e} + {cert.tol:.1e}"
         )
-    return omega, cert
+    return Cutoff(phi=phi, psi=psi, r2=r2, solution=sol, certificate=cert,
+                  obstacle_bound=bound)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialPair:
     """c-concave potential with its c-transform and interpolation bounds.
 
@@ -373,7 +383,7 @@ def kantorovich_regularize(space: GraphSpace, phi, t: float, tol: float = 1e-9,
     pair = PotentialPair(phi=phi, phi_c=phi_c, t=float(t), lo=lo, hi=hi,
                          coincidence_set=coincidence)
     box = OrderInterval(lo, hi)
-    _, sol, cert, _ = _certified_solve(space, box, tol, max_iter, relaxation, cert_tol)
+    sol, cert = _certified_solve(space, box, tol, max_iter, relaxation, cert_tol)
     eta = sol.u
     if coincidence.size and np.max(np.abs(eta[coincidence] - lo[coincidence])) > COINCIDENCE_TOL:
         raise CertificateError("minimizer fails to clamp on the coincidence set")

@@ -25,14 +25,6 @@ from .energies import KernelEnergy, QuadraticEnergy
 from .errors import PreconditionError, SolverError
 from .lattice import OrderInterval, as_vector, clamp
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-        return wrap
-
 #: Relative half-width of the band in which an index counts as active.
 ACTIVE_RTOL = 1e-9
 
@@ -49,7 +41,7 @@ ARMIJO_DECREASE = 1e-4
 ARMIJO_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Solution:
     """Minimizer with its gradient, active-set partition and KKT residual."""
 
@@ -132,8 +124,7 @@ def _make_solution(energy, box: OrderInterval, u: np.ndarray, iterations: int,
                     converged=converged)
 
 
-@njit(cache=True)
-def _psor_sweep(indptr, indices, data, diag, b, lo, hi, u, omega):  # pragma: no cover - jit
+def _psor_sweep(indptr, indices, data, diag, b, lo, hi, u, omega):
     # Gauss-Seidel exclusion form of u_i <- u_i - omega (Au + b)_i / A_ii:
     # the diagonal term is kept out of the row sum so the unrelaxed sweep is
     # exactly monotone in the iterate (no u_i cancellation noise).

@@ -32,14 +32,15 @@ from .energies import (
     t_monotonicity_check,
     z_matrix_violation,
 )
-from .errors import ObslatError, ObstacleOrderError
+from .errors import CertificateError, ObslatError, ObstacleOrderError
 from .lattice import OrderInterval, UNBOUNDED, clamp, join, meet, rk_join, rk_meet
 from .metric import (
+    build_cutoff,
     c_transform,
     coincidence_cc_report,
-    cutoff_obstacles,
     hopf_lax,
     interpolation_duality_check,
+    kantorovich_regularize,
 )
 from .solvers import brute_force_active_set, solve_projected_gradient, solve_psor
 
@@ -182,10 +183,8 @@ def check_ls_quadratic(seed: int, n_instances: int = 40) -> list:
         worst_harm = max(worst_harm, harm)
         # Conclusion of the certificate: the minimizer's Laplacian is bounded
         # by the obstacle Laplacians (absent sides contribute zero).
-        lap_u = np.max(np.abs(-cert.g_u))
-        lap_lo = 0.0 if cert.g_lo is None else np.max(np.abs(np.minimum(-cert.g_lo, 0.0)))
-        lap_hi = 0.0 if cert.g_hi is None else np.max(np.abs(np.maximum(-cert.g_hi, 0.0)))
-        worst_consequence = max(worst_consequence, float(lap_u - max(lap_lo, lap_hi)))
+        worst_consequence = max(worst_consequence,
+                                float(np.max(np.abs(cert.g_u))) - cert.obstacle_bound)
     return [
         _row("ls_certificate_quadratic", n_instances, worst_slack, 1e-8),
         _row("ls_free_set_harmonicity", n_instances, worst_harm, 1e-9),
@@ -343,95 +342,77 @@ def _cutoff_cases(rng: np.random.Generator) -> list:
 
 
 def check_cutoff(seed: int, paper_radius: bool = False) -> list:
-    rng = _rng(seed, "cutoff")
-    cases = _cutoff_cases(rng)
-    worst_order = 0.0
-    worst_pins = worst_slack = worst_bound = 0.0
+    """Grade :func:`metric.build_cutoff` on the cut-off cases.
+
+    An ObstacleOrderError adds its violation to ``cutoff_phi_le_psi``.  A
+    CertificateError (unconverged solve, failed certificate, pins or bound)
+    sets ``cutoff_certificate`` to inf and skips the case.
+    """
+    cases = _cutoff_cases(_rng(seed, "cutoff"))
+    worst_order = worst_pins = worst_slack = worst_bound = 0.0
     n_built = 0
     for space, core, region, _name in cases:
         try:
-            phi, psi, _ = cutoff_obstacles(space, core, region, paper_radius=paper_radius)
+            cut = build_cutoff(space, core, region, paper_radius=paper_radius)
         except ObstacleOrderError as err:
             worst_order = max(worst_order, float(err.violation))
             continue
-        worst_order = max(worst_order, float(np.max(phi - psi)))
-        energy = space.dirichlet_energy
-        box = OrderInterval(phi, psi)
-        sol = solve_psor(energy, box, tol=1e-9)
-        if not sol.converged:
+        except CertificateError:
             worst_slack = math.inf
             continue
         n_built += 1
-        cert = ls_certificate(energy, box, sol, 1e-8)
+        cert = cut.certificate
         worst_slack = max(worst_slack, -cert.lower_slack_min, -cert.upper_slack_min)
         out = sorted(set(range(space.n)) - set(region))
         worst_pins = max(
             worst_pins,
-            float(np.max(np.abs(sol.u[core] - 1.0))),
-            float(np.max(np.abs(sol.u[out]))),
+            float(np.max(np.abs(cut.solution.u[core] - 1.0))),
+            float(np.max(np.abs(cut.solution.u[out]))),
         )
-        lap_u = float(np.max(np.abs(-energy.gradient(sol.u))))
-        lap_phi = -energy.gradient(phi)
-        lap_psi = -energy.gradient(psi)
-        obstacle_bound = max(
-            float(np.max(np.abs(np.minimum(lap_phi, 0.0)))),
-            float(np.max(np.abs(np.maximum(lap_psi, 0.0)))),
-        )
-        worst_bound = max(worst_bound, lap_u - obstacle_bound)
-    rows = [_row("cutoff_phi_le_psi", len(cases), worst_order, 0.0)]
-    if n_built:
-        rows += [
-            _row("cutoff_pins_exact", n_built, worst_pins, 0.0),
-            _row("cutoff_certificate", n_built, worst_slack, 1e-8),
-            _row("cutoff_laplacian_bound", n_built, worst_bound, 1e-8),
-        ]
-    else:
-        rows += [
-            _row("cutoff_pins_exact", 0, math.inf, 0.0),
-            _row("cutoff_certificate", 0, math.inf, 1e-8),
-            _row("cutoff_laplacian_bound", 0, math.inf, 1e-8),
-        ]
-    return rows
+        worst_bound = max(worst_bound, float(np.max(np.abs(cert.g_u))) - cut.obstacle_bound)
+    if not n_built:
+        worst_pins = worst_slack = worst_bound = math.inf
+    return [
+        _row("cutoff_phi_le_psi", len(cases), worst_order, 0.0),
+        _row("cutoff_pins_exact", n_built, worst_pins, 0.0),
+        _row("cutoff_certificate", n_built, worst_slack, 1e-8),
+        _row("cutoff_laplacian_bound", n_built, worst_bound, 1e-8),
+    ]
 
 
 def check_kantorovich(seed: int, n_potentials: int = 4) -> list:
+    """Grade :func:`metric.kantorovich_regularize` on random potentials.
+
+    An ObstacleOrderError adds its violation to ``kantorovich_lo_le_hi``.  A
+    CertificateError (unconverged solve, failed certificate or clamping)
+    sets ``kantorovich_certificate`` to inf and skips the run.
+    """
     rng = _rng(seed, "kantorovich")
     space = inst.path_space(21, weight=1.0 / 20.0)
-    worst_gap = worst_slack = worst_clamp = worst_cc = 0.0
-    reported_cc = 0.0
-    worst_lap = 0.0
-    n_runs = 0
+    worst_gap = worst_slack = worst_clamp = worst_cc = reported_cc = worst_lap = 0.0
+    ts = (0.25, 0.5, 0.75)
+    n_runs = n_potentials * len(ts)
     for _ in range(n_potentials):
         phi = inst.random_c_concave(rng, space, scale=0.2)
-        for t in (0.25, 0.5, 0.75):
-            n_runs += 1
-            phi_c = c_transform(space, phi)
-            lo = -hopf_lax(space, -phi, t)
-            hi = hopf_lax(space, -phi_c, 1.0 - t)
-            worst_gap = max(worst_gap, float(np.max(lo - hi)))
-            box = OrderInterval(np.minimum(lo, hi), hi)
-            energy = space.dirichlet_energy
-            sol = solve_psor(energy, box, tol=1e-9)
-            if not sol.converged:
+        for t in ts:
+            try:
+                eta, pair, cert = kantorovich_regularize(space, phi, t)
+            except ObstacleOrderError as err:
+                worst_gap = max(worst_gap, float(err.violation))
+                continue
+            except CertificateError:
                 worst_slack = math.inf
                 continue
-            cert = ls_certificate(energy, box, sol, 1e-8)
             worst_slack = max(worst_slack, -cert.lower_slack_min, -cert.upper_slack_min)
-            coincidence = np.flatnonzero(np.abs(hi - lo) <= 1e-9)
-            if coincidence.size:
-                worst_clamp = max(worst_clamp, float(np.max(
-                    np.abs(sol.u[coincidence] - lo[coincidence]))))
-            from .metric import PotentialPair
-
-            pair = PotentialPair(phi=phi, phi_c=phi_c, t=t,
-                                 lo=np.minimum(lo, hi), hi=hi,
-                                 coincidence_set=coincidence)
-            report = coincidence_cc_report(space, pair, sol.u)
+            idx = pair.coincidence_set
+            if idx.size:
+                worst_clamp = max(worst_clamp, float(np.max(np.abs(eta[idx] - pair.lo[idx]))))
+            report = coincidence_cc_report(space, pair, eta)
             worst_cc = max(worst_cc, report["derived_minus_t_eta"],
                            report["derived_one_minus_t_eta"])
             reported_cc = max(reported_cc, report["reported_t_eta"],
                               report["reported_minus_one_minus_t_eta"])
-            worst_lap = max(worst_lap, float(np.max(np.abs(-energy.gradient(sol.u)))))
+            worst_lap = max(worst_lap, float(np.max(np.abs(cert.g_u))))
     return [
         _row("kantorovich_lo_le_hi", n_runs, worst_gap, 1e-12),
         _row("kantorovich_certificate", n_runs, worst_slack, 1e-8),

@@ -1,10 +1,13 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from obslat.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 TRIDIAG_CONFIG = {
     "energy": {
@@ -62,6 +65,20 @@ def test_solve_bad_schema(tmp_path):
         "box": {"lo": 0.0, "hi": 1.0},
     }, "repeated_edge.json")
     assert main(["solve", "--config", cfg3, "--out", str(tmp_path)]) == 2
+    # malformed solver values are config errors in every command
+    cfg4 = write_config(tmp_path, dict(TRIDIAG_CONFIG, solver={"max_iter": "abc"}),
+                        "max_iter.json")
+    assert main(["solve", "--config", cfg4, "--out", str(tmp_path)]) == 2
+    cfg5 = write_config(tmp_path, {
+        "graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+        "potential": [0.0, -0.3], "t": 0.5, "solver": {"omega": "x"},
+    }, "omega.json")
+    assert main(["kantorovich", "--config", cfg5, "--out", str(tmp_path)]) == 2
+    cfg6 = write_config(tmp_path, {
+        "graph": {"nodes": 5, "edges": [[i, i + 1, 1.0] for i in range(4)]},
+        "core": [2], "region": [1, 2, 3], "certificate_tol": "abc",
+    }, "certificate_tol.json")
+    assert main(["cutoff", "--config", cfg6, "--out", str(tmp_path)]) == 2
 
 
 def test_solve_forced_nonconvergence(tmp_path):
@@ -195,3 +212,29 @@ def test_suite_paper_radius_fails(tmp_path):
         rows = {r[0]: r for r in csv.reader(fh)}
     assert rows["cutoff_phi_le_psi"][4] == "False"
     assert float(rows["cutoff_phi_le_psi"][2]) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("golden, cfg, flags", [
+    ("suite_seed0.csv", {}, []),
+    ("suite_seed0_paper_radius_cutoff.csv", {"checks": ["cutoff"]}, ["--paper-radius"]),
+], ids=["seed0", "seed0_paper_radius"])
+def test_suite_matches_golden(tmp_path, golden, cfg, flags):
+    """Seed-0 suite rows match the recorded suite.csv.
+
+    The goldens are the suite.csv of ``obslat suite --seed 0`` and of the
+    cutoff check alone with ``--paper-radius``.  Names, counts, thresholds
+    and verdicts must match exactly; worst values to 1e-12 (relative or
+    absolute), so other BLAS builds still pass.
+    """
+    code = main(["suite", "--seed", "0", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path), *flags])
+    with open(GOLDEN / golden, newline="") as fh:
+        expected = list(csv.DictReader(fh))
+    with open(tmp_path / "suite.csv", newline="") as fh:
+        got = list(csv.DictReader(fh))
+    assert code == (0 if all(r["pass"] == "True" for r in expected) else 1)
+    exact = ("check_name", "n_instances", "threshold", "pass")
+    assert [[r[k] for k in exact] for r in got] == [[r[k] for k in exact] for r in expected]
+    for g, e in zip(got, expected):
+        assert float(g["worst_value"]) == pytest.approx(
+            float(e["worst_value"]), rel=1e-12, abs=1e-12), g["check_name"]

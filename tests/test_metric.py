@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -189,7 +190,8 @@ def test_cutoff_grid5x5_golden():
 
 def test_build_cutoff_path5_singleton():
     space = path_space(5)
-    omega, cert = build_cutoff(space, [2], [1, 2, 3])
+    cut = build_cutoff(space, [2], [1, 2, 3])
+    omega, cert = cut.solution.u, cut.certificate
     assert np.array_equal(omega, [0.0, 0.5, 1.0, 0.5, 0.0])
     assert cert.passed
 
@@ -197,7 +199,8 @@ def test_build_cutoff_path5_singleton():
 def test_build_cutoff_path11_golden():
     golden = json.loads((GOLDEN / "cutoff_path11.json").read_text())
     space = path_space(11)
-    omega, cert = build_cutoff(space, golden["core"], golden["region"], tol=1e-11)
+    cut = build_cutoff(space, golden["core"], golden["region"], tol=1e-11)
+    omega, cert = cut.solution.u, cut.certificate
     assert np.max(np.abs(omega - np.array(golden["omega"]))) <= 1e-9
     assert cert.passed
     assert cert.lower_slack_min >= -1e-9 and cert.upper_slack_min >= -1e-9
@@ -207,7 +210,8 @@ def test_build_cutoff_grid15():
     space = grid_space(15, 15)
     core = [i * 15 + j for i in range(6, 9) for j in range(6, 9)]
     region = [i * 15 + j for i in range(3, 12) for j in range(3, 12)]
-    omega, cert = build_cutoff(space, core, region)
+    cut = build_cutoff(space, core, region)
+    omega, cert = cut.solution.u, cut.certificate
     out = sorted(set(range(225)) - set(region))
     assert np.all(omega[core] == 1.0)
     assert np.all(omega[out] == 0.0)
@@ -220,6 +224,8 @@ def test_build_cutoff_grid15():
         np.max(np.abs(np.maximum(-energy.gradient(psi), 0.0))),
     )
     assert np.max(np.abs(lap)) <= bound + 1e-8
+    assert cut.obstacle_bound == bound
+    assert np.array_equal(cut.phi, phi) and np.array_equal(cut.psi, psi)
     ratio = lipschitz_ratio(space, omega, phi, psi)
     assert np.isfinite(ratio) and ratio > 0.0
 
@@ -228,6 +234,21 @@ def test_build_cutoff_requires_graph_space():
     cloud = random_planar_metric(np.random.default_rng(3), 6)
     with pytest.raises(PreconditionError):
         build_cutoff(cloud, [0], [0, 1, 2])
+
+
+def test_array_dataclasses_compare_by_identity():
+    # a generated __eq__/__hash__ would compare or hash the ndarray fields
+    assert path_space(4) != path_space(4)
+    assert OrderInterval([0.0], [1.0]) != OrderInterval([0.0], [1.0])
+    space = path_space(5)
+    cut = build_cutoff(space, [2], [1, 2, 3])
+    _, pair, _ = kantorovich_regularize(path_space(2), [0.0, -0.3], 0.5)
+    objects = [FiniteMetricSpace(space.D), space, OrderInterval(cut.phi, cut.psi),
+               cut, cut.solution, cut.certificate, pair]
+    for obj in objects:
+        assert obj == obj and hash(obj) == hash(obj)
+        assert obj != copy.copy(obj)
+    assert len(set(objects)) == len(objects)
 
 
 # ------------------------------------------------------------- kantorovich
