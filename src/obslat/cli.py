@@ -54,6 +54,9 @@ kantorovich::
     {"graph": {...}, "potential": [...], "t": float,
      "cc_regularize": bool, "solver": {...}}
 
+cutoff and kantorovich solve with PSOR only: their "solver" takes "tol",
+"max_iter" and "omega", and a "method" other than "psor" exits 2.
+
 suite::
 
     {"seed": int, "checks": [names...], "paper_radius": bool}
@@ -180,15 +183,19 @@ def _build_box(cfg: dict, n: int) -> OrderInterval:
         raise ConfigError(f"bad box specification: {err}") from err
 
 
-def _solver_params(cfg: dict, args, method: str = "psor") -> dict:
+def _solver_params(cfg: dict, args, method: str = "psor",
+                   methods: tuple = ("psor",)) -> dict:
     """Solver settings parsed once (bad values are config errors).
 
-    ``method`` is the default; ``certificate_tol`` is None when absent.
+    ``method`` is the default and ``methods`` the ones the command runs;
+    ``certificate_tol`` is None when absent.
     """
     try:
         solver = cfg.get("solver", {})
         if solver.get("method") is not None:
             method = solver["method"]
+        if method not in methods:
+            raise ConfigError(f"solver method {method!r} is not one of {list(methods)}")
         cert_tol = cfg.get("certificate_tol")
         return {
             "method": method,
@@ -208,10 +215,8 @@ def _run_solver(energy, box, params: dict, oracle: bool):
     if params["method"] == "psor":
         return solve_psor(energy, box, tol=params["tol"], max_iter=params["max_iter"],
                           omega=params["omega"])
-    if params["method"] == "projected_gradient":
-        return solve_projected_gradient(energy, box, tol=params["tol"],
-                                        max_iter=params["max_iter"])
-    raise ConfigError(f"unknown solver method {params['method']!r}")
+    return solve_projected_gradient(energy, box, tol=params["tol"],
+                                    max_iter=params["max_iter"])
 
 
 def _cmd_solve(args, oracle: bool = False) -> int:
@@ -219,7 +224,7 @@ def _cmd_solve(args, oracle: bool = False) -> int:
     energy = _build_energy(cfg)
     box = _build_box(cfg, energy.n)
     params = _solver_params(cfg, args, "psor" if isinstance(energy, QuadraticEnergy)
-                            else "projected_gradient")
+                            else "projected_gradient", ("psor", "projected_gradient"))
     out = _out_dir(args)
     solution = _run_solver(energy, box, params, oracle)
     payload = solution.to_json_dict()

@@ -256,9 +256,7 @@ def _certified_solve(space: GraphSpace, box: OrderInterval, tol: float,
                      max_iter: int, relaxation: float, cert_tol: float | None):
     energy = space.dirichlet_energy
     sol = solve_psor(energy, box, tol=tol, max_iter=max_iter, omega=relaxation)
-    if cert_tol is None:
-        cert_tol = max(1e-8, 10.0 * tol)
-    cert = ls_certificate(energy, box, sol, cert_tol)
+    cert = ls_certificate(energy, box, sol, 10.0 * tol if cert_tol is None else cert_tol)
     if not cert.passed:
         raise CertificateError(
             f"Lewy-Stampacchia certificate failed (min slacks "
@@ -288,7 +286,8 @@ def build_cutoff(space: GraphSpace, core, region, tol: float = 1e-9,
     :func:`cutoff_obstacles`.  The minimizer is exactly 1 on the core, exactly 0
     off the region (forced by the coinciding obstacles there), and its
     Laplacian max-norm is bounded by the obstacle Laplacians up to the
-    certificate tolerance.  Raises ObstacleOrderError when the obstacles
+    certificate tolerance ``cert_tol`` (default ``10 * tol``, as in
+    ``obslat solve``).  Raises ObstacleOrderError when the obstacles
     cross and CertificateError when the solve, the certificate, the pins or
     the bound fail.
     """
@@ -363,7 +362,8 @@ def kantorovich_regularize(space: GraphSpace, phi, t: float, tol: float = 1e-9,
     it by its double c-transform instead of erroring).  The minimizer eta of
     the graph Dirichlet energy over [-Q_t(-phi), Q_{1-t}(-phi^c)] clamps to
     both bounds on their coincidence set, where -t*eta and (1-t)*eta restrict
-    c-concave functions.  Returns (eta, PotentialPair, certificate).
+    c-concave functions.  The certificate tolerance ``cert_tol`` defaults to
+    ``10 * tol``.  Returns (eta, PotentialPair, certificate).
     """
     space = _require_graph_space(space)
     if not 0.0 < t < 1.0:

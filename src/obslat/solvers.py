@@ -3,7 +3,9 @@
 Three routes with very different trust profiles:
 
 * :func:`solve_psor` -- projected SOR for quadratic Z-matrix energies; fast,
-  monotone on M-matrices, the workhorse.
+  monotone on M-matrices, the workhorse.  Its sweep is exact lexicographic
+  Gauss-Seidel on Python floats, so every iterate is bit-identical to the same
+  sweep on numpy float64 scalars.
 * :func:`solve_projected_gradient` -- projected gradient with Armijo
   backtracking for any differentiable energy (kernel energies need p >= 2).
 * :func:`brute_force_active_set` -- enumeration of all activity patterns for
@@ -124,17 +126,23 @@ def _make_solution(energy, box: OrderInterval, u: np.ndarray, iterations: int,
                     converged=converged)
 
 
-def _psor_sweep(indptr, indices, data, diag, b, lo, hi, u, omega):
+def _psor_rows(a) -> list:
+    """Each CSR row's off-diagonal ``(column, value)`` pairs, in CSR order."""
+    indptr, indices, data = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
+    return [[(j, v) for j, v in zip(indices[s:e], data[s:e]) if j != i]
+            for i, (s, e) in enumerate(zip(indptr, indptr[1:]))]
+
+
+def _psor_sweep(rows, diag, b, lo, hi, u, omega):
     # Gauss-Seidel exclusion form of u_i <- u_i - omega (Au + b)_i / A_ii:
     # the diagonal term is kept out of the row sum so the unrelaxed sweep is
-    # exactly monotone in the iterate (no u_i cancellation noise).
-    n = u.shape[0]
-    for i in range(n):
+    # exactly monotone in the iterate (no u_i cancellation noise).  The
+    # arguments are Python lists: scalar arithmetic on Python floats rounds
+    # like numpy float64 and costs a fraction of numpy scalar indexing.
+    for i, row in enumerate(rows):
         acc = b[i]
-        for k in range(indptr[i], indptr[i + 1]):
-            j = indices[k]
-            if j != i:
-                acc += data[k] * u[j]
+        for j, v in row:
+            acc += v * u[j]
         x_gs = -acc / diag[i]
         if omega == 1.0:
             x = x_gs
@@ -159,8 +167,12 @@ def solve_psor(energy: QuadraticEnergy, box: OrderInterval, tol: float = 1e-9,
 
     Sweeps the update u_i <- clamp(u_i - omega (Au + b)_i / A_ii) in fixed
     index order (Gauss-Seidel style, partially updated u) and tests the KKT
-    residual after every sweep.  Requires a Z-matrix (submodular flag) or a
-    strictly diagonally dominant matrix, and a strictly positive diagonal.
+    residual after every sweep.  The sweep is exact lexicographic
+    Gauss-Seidel on Python floats: each row sums its off-diagonal terms in
+    CSR order, and Python floats round like numpy float64, so the iterates
+    are those of the same sweep on numpy scalars, bit for bit.  Requires a
+    Z-matrix (submodular flag) or a strictly diagonally dominant matrix, and
+    a strictly positive diagonal.
 
     When ``max_iter`` is exhausted the partial iterate is returned with
     ``converged=False``.  ``sweep_callback(u)`` is invoked with a copy of the
@@ -181,19 +193,22 @@ def solve_psor(energy: QuadraticEnergy, box: OrderInterval, tol: float = 1e-9,
                 "projected SOR requires a Z-matrix or strict diagonal dominance"
             )
     a = energy.a
-    u = clamp(np.zeros(energy.n) if u0 is None else as_vector(u0, "u0"), box)
+    u_arr = clamp(np.zeros(energy.n) if u0 is None else as_vector(u0, "u0"), box)
+    rows = _psor_rows(a)
+    b, lo, hi = energy.b.tolist(), box.lo.tolist(), box.hi.tolist()
+    diag, u, omega = diag.tolist(), u_arr.tolist(), float(omega)
     sweeps = 0
     converged = False
     while sweeps < max_iter:
-        _psor_sweep(a.indptr, a.indices, a.data, diag, energy.b,
-                    box.lo, box.hi, u, omega)
+        _psor_sweep(rows, diag, b, lo, hi, u, omega)
         sweeps += 1
+        u_arr = np.array(u)
         if sweep_callback is not None:
-            sweep_callback(u.copy())
-        if _kkt_from_gradient(u, box, a @ u + energy.b) <= tol:
+            sweep_callback(u_arr.copy())
+        if _kkt_from_gradient(u_arr, box, a @ u_arr + energy.b) <= tol:
             converged = True
             break
-    return _make_solution(energy, box, u, sweeps, converged)
+    return _make_solution(energy, box, u_arr, sweeps, converged)
 
 
 def solve_projected_gradient(energy, box: OrderInterval, tol: float = 1e-8,

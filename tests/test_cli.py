@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from obslat.cli import main
+from obslat.instances import grid_edges
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -178,6 +179,32 @@ def test_kantorovich_command(tmp_path):
     cfg["potential"] = [0.0, 10.0]
     path2 = write_config(tmp_path, cfg, "bad_potential.json")
     assert main(["kantorovich", "--config", path2, "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("method", ["warp-drive", "projected_gradient"])
+def test_cutoff_and_kantorovich_run_psor_only(tmp_path, method):
+    graph = {"nodes": 5, "edges": [[i, i + 1, 1.0] for i in range(4)]}
+    solver = {"method": method}
+    cutoff = write_config(tmp_path, {"graph": graph, "core": [2], "region": [1, 2, 3],
+                                     "solver": solver}, "cutoff.json")
+    assert main(["cutoff", "--config", cutoff, "--out", str(tmp_path)]) == 2
+    kantorovich = write_config(tmp_path, {"graph": graph, "potential": [0.0] * 5, "t": 0.5,
+                                          "solver": solver}, "kantorovich.json")
+    assert main(["kantorovich", "--config", kantorovich, "--out", str(tmp_path)]) == 2
+
+
+def test_cutoff_certificate_tol_follows_solver_tol(tmp_path):
+    # the default certificate tolerance is 10 * tol in every command
+    cfg = write_config(tmp_path, {
+        "graph": {"nodes": 144, "edges": grid_edges(12, 12)},
+        "core": [65, 66, 77, 78],
+        "region": [12 * r + c for r in range(2, 10) for c in range(2, 10)],
+    })
+    out = tmp_path / "out"
+    assert main(["cutoff", "--config", cfg, "--out", str(out), "--tol", "1e-12"]) == 0
+    certificate = json.loads((out / "certificate.json").read_text())
+    assert certificate["tol"] == 1e-11
+    assert certificate["pass"] is True
 
 
 def test_suite_empty_selection(tmp_path):

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from obslat.energies import KernelEnergy, QuadraticEnergy, fractional_kernel_1d
+from obslat.energies import KernelEnergy, QuadraticEnergy, fractional_kernel_1d, graph_dirichlet
 from obslat.errors import PreconditionError, SolverError
-from obslat.instances import random_box, random_submodular_quadratic
-from obslat.lattice import UNBOUNDED, OrderInterval
+from obslat.instances import (
+    grid_boundary,
+    grid_edges,
+    random_box,
+    random_submodular_quadratic,
+)
+from obslat.lattice import UNBOUNDED, OrderInterval, clamp
 from obslat.solvers import (
     brute_force_active_set,
     classify_active,
@@ -198,8 +203,6 @@ def test_classification_tie_breaks():
 def test_comparison_principle_path():
     # harmonic extension lies below every lower-obstacle solution
     rng = np.random.default_rng(41)
-    from obslat.energies import graph_dirichlet
-
     for _ in range(10):
         n = int(rng.integers(5, 12))
         pinned = graph_dirichlet(n, [(i, i + 1, 1.0) for i in range(n - 1)],
@@ -212,3 +215,100 @@ def test_comparison_principle_path():
         u_obs = solve_psor(energy, OrderInterval(obstacle, np.full(energy.n, UNBOUNDED)),
                            tol=1e-11).u
         assert np.all(u_harm <= u_obs + 1e-9)
+
+
+def _reference_psor(energy, box, tol=1e-9, max_iter=20000, omega=1.5, u0=None):
+    """Projected SOR on numpy scalars: the arithmetic solve_psor must repeat bit for bit.
+
+    Returns the final iterate, the sweep count, the convergence flag and a
+    copy of the iterate after every sweep.
+    """
+    a, b, diag = energy.a, energy.b, energy.diagonal()
+    lo, hi = box.lo, box.hi
+    u = clamp(np.zeros(energy.n) if u0 is None else u0, box)
+    iterates = []
+    converged = False
+    while len(iterates) < max_iter:
+        for i in range(energy.n):
+            acc = b[i]
+            for k in range(a.indptr[i], a.indptr[i + 1]):
+                j = a.indices[k]
+                if j != i:
+                    acc += a.data[k] * u[j]
+            x_gs = -acc / diag[i]
+            if omega == 1.0:
+                x = x_gs
+            else:
+                x = u[i] + omega * (x_gs - u[i])
+            if x < lo[i]:
+                x = lo[i]
+            elif x > hi[i]:
+                x = hi[i]
+            u[i] = x
+        iterates.append(u.copy())
+        if kkt_residual(energy, box, u) <= tol:
+            converged = True
+            break
+    return clamp(u, box), len(iterates), converged, iterates
+
+
+def _membrane():
+    """Dirichlet energy of the 30x30 free grid with a bump below and a dent above."""
+    energy = graph_dirichlet(32 * 32, grid_edges(32, 32), grid_boundary(32, 32))
+    x, y = np.divmod(energy.free_nodes, 32)
+    x, y = x / 31.0, y / 31.0
+    bump = np.exp(-((x - 0.35) ** 2 + (y - 0.4) ** 2) / 0.05)
+    dent = np.exp(-((x - 0.65) ** 2 + (y - 0.6) ** 2) / 0.05)
+    lo = 0.5 * bump - 0.1
+    return energy, OrderInterval(lo, np.maximum(0.4 - 0.6 * dent, lo + 0.05))
+
+
+def _dominant_non_z():
+    rng = np.random.default_rng(5)
+    n = 9
+    a = rng.uniform(-0.4, 0.4, size=(n, n))
+    a = 0.5 * (a + a.T)
+    np.fill_diagonal(a, np.abs(a).sum(axis=1) + 0.3)
+    return QuadraticEnergy(a, rng.normal(size=n)), random_box(rng, n)
+
+
+def _pinned():
+    rng = np.random.default_rng(7)
+    energy = random_submodular_quadratic(rng, 11)
+    box = random_box(rng, 11)
+    lo = box.lo.copy()
+    lo[::3] = box.hi[::3]
+    return energy, OrderInterval(lo, box.hi)
+
+
+def _psor_case(name):
+    if name == "membrane":
+        return (*_membrane(), {"omega": 1.5})
+    if name == "membrane_gs_from_hi":
+        energy, box = _membrane()
+        return energy, box, {"omega": 1.0, "u0": box.hi}
+    if name == "random_z_matrix":
+        rng = np.random.default_rng(3)
+        return random_submodular_quadratic(rng, 12), random_box(rng, 12), {}
+    if name == "dominant_non_z":
+        return (*_dominant_non_z(), {"omega": 1.2})
+    if name == "pinned":
+        return (*_pinned(), {})
+    energy = QuadraticEnergy.from_triplets(3, TRIDIAG, [5.0, -3.0, 2.0])
+    return (energy, OrderInterval([-5.0] * 3, [5.0] * 3),
+            {"tol": 1e-14, "max_iter": 1, "u0": np.array([4.0, -3.0, 2.0])})
+
+
+@pytest.mark.parametrize("name", ["membrane", "membrane_gs_from_hi", "random_z_matrix",
+                                  "dominant_non_z", "pinned", "max_iter_1"])
+def test_psor_bit_identical_to_numpy_scalar_sweep(name):
+    energy, box, kwargs = _psor_case(name)
+    seen = []
+    sol = solve_psor(energy, box, sweep_callback=seen.append, **kwargs)
+    u, sweeps, converged, iterates = _reference_psor(energy, box, **kwargs)
+    assert converged == (name != "max_iter_1")
+    assert sol.converged == converged
+    assert sol.iterations == sweeps
+    assert sol.u.tobytes() == u.tobytes()
+    assert sol.kkt_residual == kkt_residual(energy, box, u)
+    assert [v.tobytes() for v in seen] == [v.tobytes() for v in iterates]
