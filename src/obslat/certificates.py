@@ -184,29 +184,25 @@ def maximum_principle_check(energy: QuadraticEnergy, boundary_values,
     return passed, overshoot
 
 
-def _metric_lipschitz(d: np.ndarray, v: np.ndarray) -> float:
-    diff = np.abs(v[:, None] - v[None, :])
-    off = ~np.eye(v.shape[0], dtype=bool)
-    ratios = diff[off] / d[off]
-    return float(np.max(ratios)) if ratios.size else 0.0
-
-
 def lipschitz_ratio(metric, u, lo, hi) -> float:
     """Lip(u) / max(Lip(lo), Lip(hi)) over a finite metric space.
 
-    Lip(v) = max_{x != y} |v_x - v_y| / d(x, y).  Returns +inf when the
-    obstacles are constant but u is not, and 0.0 when u is constant.  This is
-    a measurement, not a certified bound: the constants in the corresponding
-    continuum estimate are not computable here.
+    Lip(v) = max_{x != y} |v_x - v_y| / d(x, y), from ``metric.lipschitz``.
+    On a GraphSpace that is max over edges |v_i - v_j| / w_ij, which equals
+    the pairwise maximum: d(i, j) <= w_ij bounds each edge ratio by a pair
+    ratio, and every shortest path is a chain of edges with w = d, along
+    which |v_x - v_y| <= (largest edge ratio) * d(x, y).  Returns +inf when
+    the obstacles are constant but u is not, and 0.0 when u is constant.
+    This is a measurement, not a certified bound: the constants in the
+    corresponding continuum estimate are not computable here.
     """
     u = as_vector(u, "u")
     lo = as_vector(lo, "lo")
     hi = as_vector(hi, "hi")
-    d = np.asarray(metric.D, dtype=float)
-    if not (u.shape[0] == lo.shape[0] == hi.shape[0] == d.shape[0]):
+    if not (u.shape[0] == lo.shape[0] == hi.shape[0] == metric.n):
         raise DimensionMismatch("vectors and metric have inconsistent sizes")
-    lip_u = _metric_lipschitz(d, u)
-    lip_obs = max(_metric_lipschitz(d, lo), _metric_lipschitz(d, hi))
+    lip_u = metric.lipschitz(u)
+    lip_obs = max(metric.lipschitz(lo), metric.lipschitz(hi))
     if lip_obs == 0.0:
         return float("inf") if lip_u > 0.0 else 0.0
     return lip_u / lip_obs

@@ -39,6 +39,10 @@ where <energy> is one of::
 and a box side spec is a number (constant), a list, or null for an absent
 side (encoded at +-1e30).
 
+A quadratic matrix must be symmetric PSD.  One that is not diagonally
+dominant is certified by a dense eigenvalue check only up to n = 2000
+(``energies.PSD_DENSE_MAX_N``); above that cap it exits 2.
+
 Graph edges [i, j, w] are undirected ([j, i, w] is the same pair), each
 pair listed at most once (a repeat exits 2), with w > 0: a conductance in
 energies, and in cutoff/kantorovich also the shortest-path edge length.

@@ -11,8 +11,8 @@ Two families are provided:
   p-energy with a truncated zero-extension collar carried by the d_i.
 
 A is certified PSD at construction by Gershgorin's theorem (diagonal
-dominance, O(nnz), true of every graph Laplacian) or, failing that, by its
-smallest eigenvalue.
+dominance, O(nnz), true of every graph Laplacian) or, failing that and only
+up to n = PSD_DENSE_MAX_N, by its smallest eigenvalue.  A is read-only.
 
 Both expose ``value`` and ``gradient``; the module-level checks
 (:func:`submodularity_check`, :func:`t_monotonicity_check`,
@@ -38,6 +38,11 @@ SYMMETRY_TOL = 1e-12
 
 #: Eigenvalues down to -PSD_TOL * max(1, max |A_ii|) count as zero.
 PSD_TOL = 1e-10
+
+#: Largest n for which a matrix that fails the Gershgorin test is certified
+#: by a dense eigenvalue computation (O(n^3) time, O(n^2) memory); a larger
+#: one is refused with a ConstructionError.
+PSD_DENSE_MAX_N = 2000
 
 
 class CheckResult(NamedTuple):
@@ -75,11 +80,12 @@ class QuadraticEnergy:
 
     ``submodular`` is True exactly when all off-diagonal entries of A are
     nonpositive (up to ``Z_TOL``).  The discrete Laplacian associated with
-    the energy is ``laplacian(u) = -(Au + b) = -gradient(u)``.
+    the energy is ``laplacian(u) = -(Au + b) = -gradient(u)``.  The CSR
+    arrays of ``a`` are private copies and read-only.
     """
 
     def __init__(self, a, b=None):
-        a = sp.csr_matrix(a, dtype=float)
+        a = sp.csr_matrix(a, dtype=float, copy=True)
         if a.shape[0] != a.shape[1]:
             raise ConstructionError(f"matrix must be square, got {a.shape}")
         self.n = a.shape[0]
@@ -95,8 +101,15 @@ class QuadraticEnergy:
         tol = PSD_TOL * max(1.0, float(np.max(np.abs(diag), initial=0.0)))
         radius = np.asarray(abs(offdiag).sum(axis=1)).ravel()
         # Gershgorin: a weakly diagonally dominant symmetric matrix is PSD.
-        if not np.all(diag - radius >= -tol) and np.linalg.eigvalsh(a.toarray())[0] < -tol:
-            raise ConstructionError("matrix failed the positive-semidefiniteness check")
+        if not np.all(diag - radius >= -tol):
+            if self.n > PSD_DENSE_MAX_N:
+                raise ConstructionError(
+                    f"matrix is not diagonally dominant and n = {self.n} exceeds "
+                    f"PSD_DENSE_MAX_N = {PSD_DENSE_MAX_N}, the size cap of the "
+                    "dense eigenvalue check"
+                )
+            if np.linalg.eigvalsh(a.toarray())[0] < -tol:
+                raise ConstructionError("matrix failed the positive-semidefiniteness check")
         self.submodular = bool(offdiag.nnz == 0 or offdiag.data.max() <= Z_TOL)
         if b is None:
             b = np.zeros(self.n)
@@ -104,8 +117,12 @@ class QuadraticEnergy:
         if b.shape[0] != self.n:
             raise DimensionMismatch(f"linear term length {b.shape[0]} != n {self.n}")
         b.setflags(write=False)
+        for arr in (a.data, a.indices, a.indptr):
+            arr.setflags(write=False)
         self.a = a
         self.b = b
+        # solvers.solve_psor caches its row lists here on first use.
+        self.psor_rows: list | None = None
         # Set by graph_dirichlet: coupling to eliminated boundary nodes.
         self.coupling: sp.csr_matrix | None = None
         self.free_nodes: np.ndarray | None = None

@@ -2,7 +2,11 @@
 
 ``FiniteMetricSpace(D)`` checks the metric axioms on a given matrix.
 ``GraphSpace.from_graph`` does not: shortest paths over positive edge
-lengths in a connected graph are a metric by construction.
+lengths in a connected graph are a metric by construction.  A GraphSpace
+answers from its sparse adjacency: distances to a set come from one
+multi-source Dijkstra (``distance_to``) and Lipschitz constants from the
+edges (``lipschitz``), so the dense all-pairs matrix ``D`` is built only
+on first access (Hopf-Lax) and then cached.
 
 The Hopf-Lax operator on a finite metric space (X, d),
 
@@ -30,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .certificates import LSCertificate, ls_certificate
 from .energies import CheckResult, QuadraticEnergy, graph_dirichlet, validate_edges
@@ -53,6 +57,10 @@ TRIANGLE_EXHAUSTIVE_N = 200
 
 #: |hi - lo| below this counts as coincidence of the potential bounds.
 COINCIDENCE_TOL = 1e-9
+
+#: Rows of D per block in hopf_lax, which bounds its temporaries to
+#: HOPF_LAX_BLOCK x n.
+HOPF_LAX_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,6 +99,18 @@ class FiniteMetricSpace:
     def n(self) -> int:
         return self.D.shape[0]
 
+    def distance_to(self, indices) -> np.ndarray:
+        """d(x, S) = min over s in S of d(x, s), for every point x (S nonempty)."""
+        return np.min(self.D[:, list(indices)], axis=1)
+
+    def lipschitz(self, v) -> float:
+        """Lip(v) = max over x != y of |v_x - v_y| / d(x, y); 0.0 on one point."""
+        v = as_vector(v, "v")
+        diff = np.abs(v[:, None] - v[None, :])
+        off = ~np.eye(v.shape[0], dtype=bool)
+        ratios = diff[off] / self.D[off]
+        return float(np.max(ratios)) if ratios.size else 0.0
+
     @classmethod
     def from_points(cls, points) -> "FiniteMetricSpace":
         """Euclidean metric on a point cloud (rows are points)."""
@@ -111,7 +131,11 @@ class GraphSpace(FiniteMetricSpace):
 
     The graph both induces the metric (so the two constructions see
     consistent geometry) and supplies the quadratic energy minimized between
-    the obstacles.
+    the obstacles.  Built by :meth:`from_graph`, which stores ``adj``, the
+    symmetric CSR matrix of edge lengths.  ``D`` is computed from it on
+    first access (all-pairs Dijkstra, symmetrized, read-only) and cached;
+    ``distance_to`` runs one multi-source Dijkstra and ``lipschitz`` reads
+    the edges, so neither builds the n x n matrix.
     """
 
     edges: tuple = field(default=())
@@ -125,15 +149,42 @@ class GraphSpace(FiniteMetricSpace):
             cols += [j, i]
             vals += [w, w]
         adj = sp.coo_matrix((vals, (rows, cols)), shape=(nodes, nodes)).tocsr()
-        d = dijkstra(adj, directed=False)
-        if not np.all(np.isfinite(d)):
+        if connected_components(adj, directed=False, return_labels=False) > 1:
             raise ConstructionError("graph is not connected; metric undefined")
+        space = object.__new__(cls)  # a metric by construction: skip the axiom checks
+        object.__setattr__(space, "edges", tuple(clean))
+        object.__setattr__(space, "adj", adj)
+        return space
+
+    def __repr__(self) -> str:
+        return f"GraphSpace(nodes={self.n}, edges={len(self.edges)})"
+
+    @property
+    def n(self) -> int:
+        return self.adj.shape[0]
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        d = dijkstra(self.adj, directed=False)
         d = 0.5 * (d + d.T)
         d.setflags(write=False)
-        space = object.__new__(cls)  # a metric by construction: skip the axiom checks
-        object.__setattr__(space, "D", d)
-        object.__setattr__(space, "edges", tuple(clean))
-        return space
+        return d
+
+    def distance_to(self, indices) -> np.ndarray:
+        """d(x, S) for every x by one multi-source Dijkstra, O(m log n)."""
+        return dijkstra(self.adj, directed=False, indices=list(indices), min_only=True)
+
+    def lipschitz(self, v) -> float:
+        """Lip(v) = max over edges (i, j) of |v_i - v_j| / w_ij; 0.0 without edges.
+
+        This is the pairwise maximum over the shortest-path metric: an edge
+        has d(i, j) <= w_ij, and a shortest path is a chain of edges with
+        w = d whose increments each stay within the largest edge ratio.
+        """
+        v = as_vector(v, "v")
+        adj = self.adj
+        rows = np.repeat(np.arange(self.n), np.diff(adj.indptr))
+        return float(np.max(np.abs(v[rows] - v[adj.indices]) / adj.data, initial=0.0))
 
     @cached_property
     def dirichlet_energy(self) -> QuadraticEnergy:
@@ -176,7 +227,14 @@ def hopf_lax(space: FiniteMetricSpace, psi, t: float) -> np.ndarray:
     psi = as_vector(psi, "psi")
     if psi.shape[0] != space.n:
         raise DimensionMismatch(f"psi length {psi.shape[0]} != {space.n} points")
-    return np.min(space.D ** 2 / (2.0 * t) + psi[None, :], axis=1)
+    d, scale = space.D, 2.0 * t
+    out = np.empty(space.n)
+    for s in range(0, space.n, HOPF_LAX_BLOCK):
+        block = d[s:s + HOPF_LAX_BLOCK] ** 2
+        block /= scale
+        block += psi
+        np.min(block, axis=1, out=out[s:s + HOPF_LAX_BLOCK])
+    return out
 
 
 def c_transform(space: FiniteMetricSpace, psi) -> np.ndarray:
@@ -227,8 +285,8 @@ def cutoff_obstacles(space: FiniteMetricSpace, core, region,
     out_idx = sorted(set(range(n)) - set(o_idx))
     if not out_idx:
         raise ConstructionError("region must have a nonempty complement")
-    d_core = np.min(space.D[:, c_idx], axis=1)
-    d_out = np.min(space.D[:, out_idx], axis=1)
+    d_core = space.distance_to(c_idx)
+    d_out = space.distance_to(out_idx)
     d0 = float(np.min(d_core[out_idx]))
     r2 = d0 * d0 / 2.0 if paper_radius else d0 * d0 / 4.0
     phi = 1.0 - np.minimum(1.0, d_core ** 2 / (2.0 * r2))

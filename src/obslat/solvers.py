@@ -194,7 +194,9 @@ def solve_psor(energy: QuadraticEnergy, box: OrderInterval, tol: float = 1e-9,
             )
     a = energy.a
     u_arr = clamp(np.zeros(energy.n) if u0 is None else as_vector(u0, "u0"), box)
-    rows = _psor_rows(a)
+    if energy.psor_rows is None:
+        energy.psor_rows = _psor_rows(a)
+    rows = energy.psor_rows
     b, lo, hi = energy.b.tolist(), box.lo.tolist(), box.hi.tolist()
     diag, u, omega = diag.tolist(), u_arr.tolist(), float(omega)
     sweeps = 0

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import obslat.energies
 from obslat.cli import main
 from obslat.instances import grid_edges
 
@@ -80,6 +81,17 @@ def test_solve_bad_schema(tmp_path):
         "core": [2], "region": [1, 2, 3], "certificate_tol": "abc",
     }, "certificate_tol.json")
     assert main(["cutoff", "--config", cfg6, "--out", str(tmp_path)]) == 2
+
+
+def test_solve_refuses_dense_psd_check_above_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(obslat.energies, "PSD_DENSE_MAX_N", 3)
+    # two 3x3 all-ones blocks: PSD, not diagonally dominant, n = 6 above the cap
+    blocks = [[3 * k + i, 3 * k + j, 1.0] for k in range(2) for i in range(3) for j in range(3)]
+    cfg = {"energy": {"kind": "quadratic", "n": 6, "triplets": blocks},
+           "box": {"lo": 0.0, "hi": 1.0}}
+    path = write_config(tmp_path, cfg)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "PSD_DENSE_MAX_N = 3" in capsys.readouterr().err
 
 
 def test_solve_forced_nonconvergence(tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from obslat.energies import (
+    PSD_DENSE_MAX_N,
     KernelEnergy,
     QuadraticEnergy,
     fractional_kernel_1d,
@@ -103,6 +105,33 @@ def test_quadratic_accepts_singular_psd(monkeypatch):
     edges = [(i, j, 1e3 * w) for i, j, w in
              random_connected_edges(np.random.default_rng(4), 150)]
     assert graph_dirichlet(150, edges).submodular
+
+
+def _ones_blocks(n: int) -> sp.csr_matrix:
+    """Block diagonal of 3x3 all-ones blocks: sparse and PSD, not dominant."""
+    return sp.block_diag([np.ones((3, 3))] * (n // 3), format="csr")
+
+
+def test_quadratic_dense_psd_check_size_cap(monkeypatch):
+    below = 3 * (PSD_DENSE_MAX_N // 3)
+    assert not QuadraticEnergy(_ones_blocks(below)).submodular
+
+    def no_eigvalsh(a):
+        raise AssertionError("matrix above the cap reached eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    with pytest.raises(ConstructionError, match="PSD_DENSE_MAX_N"):
+        QuadraticEnergy(_ones_blocks(below + 3))
+
+
+def test_quadratic_matrix_is_read_only():
+    a = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    energy = QuadraticEnergy(a)
+    for arr in (energy.a.data, energy.a.indices, energy.a.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    a.data[0] = 5.0  # the caller's matrix stays its own
+    assert energy.a[0, 0] == 2.0
 
 
 def test_value_gradient_example():

@@ -7,7 +7,9 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
+import obslat.metric
 from obslat.certificates import lipschitz_ratio
+from obslat.cli import main
 from obslat.errors import (
     CertificateError,
     ConstructionError,
@@ -15,6 +17,7 @@ from obslat.errors import (
     PreconditionError,
 )
 from obslat.instances import (
+    grid_edges,
     grid_space,
     path_space,
     random_c_concave,
@@ -23,6 +26,7 @@ from obslat.instances import (
 )
 from obslat.lattice import OrderInterval
 from obslat.metric import (
+    HOPF_LAX_BLOCK,
     FiniteMetricSpace,
     GraphSpace,
     build_cutoff,
@@ -85,6 +89,73 @@ def test_graph_space_shortest_paths():
             GraphSpace.from_graph(2, repeated)
 
 
+def _graph_cases():
+    """(space, exact) pairs: unit-weight graphs have exact distances."""
+    rng = np.random.default_rng(11)
+    yield path_space(9), True
+    yield grid_space(7, 6), True
+    for n in (2, 30, 120):
+        yield GraphSpace.from_graph(n, random_connected_edges(rng, n)), False
+    # the edge (0, 2) is longer than its detour through node 1
+    yield GraphSpace.from_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0), (2, 3, 0.3)]), False
+
+
+def test_distance_to_matches_dense_column_min():
+    rng = np.random.default_rng(12)
+    for space, exact in _graph_cases():
+        for size in (1, 2, max(1, space.n // 3)):
+            idx = sorted(rng.choice(space.n, size=size, replace=False).tolist())
+            dense = np.min(space.D[:, idx], axis=1)
+            assert np.array_equal(FiniteMetricSpace(space.D).distance_to(idx), dense)
+            got = space.distance_to(idx)
+            if exact:
+                assert np.array_equal(got, dense)
+            else:
+                assert np.allclose(got, dense, rtol=1e-12, atol=0)
+
+
+def test_graph_lipschitz_matches_pairwise_ratio():
+    rng = np.random.default_rng(13)
+    for space, exact in _graph_cases():
+        dense = FiniteMetricSpace(space.D)
+        for v in (rng.normal(size=space.n), np.arange(space.n, dtype=float),
+                  np.zeros(space.n)):
+            got, want = space.lipschitz(v), dense.lipschitz(v)
+            if exact:
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
+    detour = GraphSpace.from_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)])
+    v = np.array([0.0, 1.0, 2.0])
+    assert detour.lipschitz(v) == FiniteMetricSpace(detour.D).lipschitz(v) == 1.0
+    assert GraphSpace.from_graph(1, []).lipschitz([3.0]) == 0.0
+    assert FiniteMetricSpace(np.zeros((1, 1))).lipschitz([3.0]) == 0.0
+
+
+def test_cutoff_builds_no_all_pairs_matrix(tmp_path, monkeypatch):
+    # every Dijkstra call must be multi-source; D would call it without indices
+    dijkstra_ = obslat.metric.dijkstra
+
+    def sources_only(*args, **kwargs):
+        if kwargs.get("indices") is None:
+            raise AssertionError("all-pairs Dijkstra called")
+        return dijkstra_(*args, **kwargs)
+
+    monkeypatch.setattr(obslat.metric, "dijkstra", sources_only)
+    side = 100
+    cfg = {
+        "graph": {"nodes": side * side, "edges": grid_edges(side, side)},
+        "core": [side * 50 + 50],
+        "region": [side * r + c for r in range(46, 55) for c in range(46, 55)],
+    }
+    path = tmp_path / "cutoff.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["cutoff", "--config", str(path), "--out", str(out)]) == 0
+    certificate = json.loads((out / "certificate.json").read_text())
+    assert certificate["pass"] is True and certificate["lipschitz_ratio"] > 0.0
+
+
 def test_metric_json_roundtrip():
     space = random_planar_metric(np.random.default_rng(2), 6)
     back = metric_space_from_json_dict(space.to_json_dict())
@@ -115,6 +186,16 @@ def test_hopf_lax_constant_and_monotone(two_points):
         q2 = hopf_lax(space, psi, 0.9)
         assert np.all(q1 <= psi + 1e-12)
         assert np.all(q2 <= q1 + 1e-12)
+
+
+def test_hopf_lax_blocks_match_one_shot():
+    rng = np.random.default_rng(14)
+    n = 2 * HOPF_LAX_BLOCK + 45
+    for space in (random_planar_metric(rng, n), grid_space(n, 1)):
+        psi = rng.normal(size=n)
+        for t in (0.3, 1.0):
+            one_shot = np.min(space.D ** 2 / (2.0 * t) + psi[None, :], axis=1)
+            assert np.array_equal(hopf_lax(space, psi, t), one_shot)
 
 
 def test_hopf_lax_requires_positive_time(two_points):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import obslat.solvers
 from obslat.energies import KernelEnergy, QuadraticEnergy, fractional_kernel_1d, graph_dirichlet
 from obslat.errors import PreconditionError, SolverError
 from obslat.instances import (
@@ -312,3 +313,19 @@ def test_psor_bit_identical_to_numpy_scalar_sweep(name):
     assert sol.u.tobytes() == u.tobytes()
     assert sol.kkt_residual == kkt_residual(energy, box, u)
     assert [v.tobytes() for v in seen] == [v.tobytes() for v in iterates]
+
+
+def test_psor_rows_built_once_per_energy(monkeypatch):
+    calls = []
+    rows = obslat.solvers._psor_rows
+
+    def counted(a):
+        calls.append(a)
+        return rows(a)
+
+    monkeypatch.setattr(obslat.solvers, "_psor_rows", counted)
+    energy, box, kwargs = _psor_case("membrane")
+    first = solve_psor(energy, box, **kwargs)
+    second = solve_psor(energy, box, omega=1.0)
+    assert len(calls) == 1
+    assert first.converged and second.converged
