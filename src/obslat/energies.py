@@ -126,7 +126,6 @@ class QuadraticEnergy:
         # Set by graph_dirichlet: coupling to eliminated boundary nodes.
         self.coupling: sp.csr_matrix | None = None
         self.free_nodes: np.ndarray | None = None
-        self.dirichlet_nodes: np.ndarray | None = None
 
     @classmethod
     def from_triplets(cls, n: int, triplets, b=None):
@@ -201,12 +200,17 @@ def graph_dirichlet(nodes: int, edges, dirichlet_set=()) -> QuadraticEnergy:
     between free and pinned nodes is kept on the result (``coupling``) so that
     harmonic extensions with nonzero boundary data can be formed later.
     """
+    return assemble_dirichlet(nodes, validate_edges(nodes, edges), dirichlet_set)
+
+
+def assemble_dirichlet(nodes: int, clean_edges, dirichlet_set=()) -> QuadraticEnergy:
+    """:func:`graph_dirichlet` for edges that :func:`validate_edges` already returned."""
     dirichlet = sorted(set(int(i) for i in dirichlet_set))
     for i in dirichlet:
         if not 0 <= i < nodes:
             raise ConstructionError(f"dirichlet node {i} out of range")
     rows, cols, vals = [], [], []
-    for i, j, w in validate_edges(nodes, edges):
+    for i, j, w in clean_edges:
         rows += [i, j, i, j]
         cols += [i, j, j, i]
         vals += [w, w, -w, -w]
@@ -218,7 +222,6 @@ def graph_dirichlet(nodes: int, edges, dirichlet_set=()) -> QuadraticEnergy:
     if dirichlet:
         energy.coupling = sp.csr_matrix(lap[free][:, np.array(dirichlet, dtype=int)])
     energy.free_nodes = free
-    energy.dirichlet_nodes = np.array(dirichlet, dtype=int)
     return energy
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .energies import KernelEnergy, QuadraticEnergy, fractional_kernel_1d
+from .energies import KernelEnergy, QuadraticEnergy, fractional_kernel_1d, graph_dirichlet
 from .lattice import OrderInterval, UNBOUNDED
-from .metric import FiniteMetricSpace, GraphSpace
+from .metric import FiniteMetricSpace, GraphSpace, c_transform
 
 
 def path_edges(n: int, weight: float = 1.0) -> list:
@@ -125,8 +125,6 @@ def random_planar_metric(rng: np.random.Generator, n: int,
 def random_c_concave(rng: np.random.Generator, space: FiniteMetricSpace,
                      scale: float = 0.3) -> np.ndarray:
     """Double c-transform of uniform noise; always exactly c-concave."""
-    from .metric import c_transform
-
     raw = rng.uniform(-scale, scale, size=space.n)
     return c_transform(space, c_transform(space, raw))
 
@@ -181,8 +179,6 @@ def random_grid_dirichlet(rng: np.random.Generator, max_side: int = 6):
 
     Returns (energy, boundary_values); the energy carries the coupling block.
     """
-    from .energies import graph_dirichlet
-
     nx = int(rng.integers(3, max_side + 1))
     ny = int(rng.integers(3, max_side + 1))
     boundary = grid_boundary(nx, ny)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
+import obslat.energies
 import obslat.metric
 from obslat.certificates import lipschitz_ratio
 from obslat.cli import main
@@ -40,6 +42,7 @@ from obslat.metric import (
     metric_space_from_json_dict,
 )
 from obslat.solvers import solve_psor
+from obslat.suite import check_cutoff, check_kantorovich
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -87,6 +90,44 @@ def test_graph_space_shortest_paths():
     for repeated in ([(0, 1, 1.0), (1, 0, 1.0)], [(0, 1, 1.0), (0, 1, 2.0)]):
         with pytest.raises(ConstructionError):
             GraphSpace.from_graph(2, repeated)
+
+
+def test_graph_space_constructor_is_from_graph():
+    edges = [(0, 1, 1.0), (2, 1, 2.0), (0, 2, 5.0)]
+    direct, built = GraphSpace(3, edges), GraphSpace.from_graph(3, edges)
+    assert type(direct) is type(built) is GraphSpace
+    assert direct.n == built.n == 3 and direct.edges == built.edges
+    assert repr(direct) == repr(built) == "GraphSpace(nodes=3, edges=3)"
+    assert (direct.adj != built.adj).nnz == 0
+    assert np.array_equal(direct.D, built.D)
+    assert (direct.dirichlet_energy.a != built.dirichlet_energy.a).nnz == 0
+    with pytest.raises(ConstructionError):
+        GraphSpace(4, [(0, 1, 1.0), (2, 3, 1.0)])  # disconnected
+    with pytest.raises(TypeError):
+        GraphSpace(built.D, edges=edges)  # a distance matrix is no node count
+    with pytest.raises(TypeError):
+        GraphSpace(D=built.D, edges=edges)
+
+
+def _count_calls(monkeypatch, name, *modules) -> list:
+    """Patch ``module.<name>`` in each module to log its calls into the returned list."""
+    calls = []
+    for module in modules:
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append(name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_edges_validated_once_per_space(monkeypatch):
+    calls = _count_calls(monkeypatch, "validate_edges", obslat.metric, obslat.energies)
+    energy = GraphSpace.from_graph(9, grid_edges(3, 3)).dirichlet_energy
+    assert energy.n == 9 and energy.submodular
+    assert calls == ["validate_edges"]
 
 
 def _graph_cases():
@@ -305,7 +346,7 @@ def test_build_cutoff_grid15():
         np.max(np.abs(np.maximum(-energy.gradient(psi), 0.0))),
     )
     assert np.max(np.abs(lap)) <= bound + 1e-8
-    assert cut.obstacle_bound == bound
+    assert cut.certificate.obstacle_bound == bound
     assert np.array_equal(cut.phi, phi) and np.array_equal(cut.psi, psi)
     ratio = lipschitz_ratio(space, omega, phi, psi)
     assert np.isfinite(ratio) and ratio > 0.0
@@ -395,6 +436,60 @@ def test_interpolation_duality():
         assert ok, slack
     with pytest.raises(PreconditionError):
         interpolation_duality_check(space, [0.0, 10.0], 0.5)
+
+
+def test_hopf_lax_calls_per_construction(tmp_path, monkeypatch):
+    space = path_space(21, weight=1.0 / 20.0)
+    phi = random_c_concave(np.random.default_rng(11), space, scale=0.2)
+    config = tmp_path / "kantorovich.json"
+    config.write_text(json.dumps({
+        "graph": {"nodes": 21, "edges": [[i, i + 1, 0.05] for i in range(20)]},
+        "potential": np.random.default_rng(3).uniform(-0.2, 0.2, 21).tolist(),
+        "t": 0.4, "cc_regularize": True,
+    }))
+    calls = _count_calls(monkeypatch, "hopf_lax", obslat.metric)
+    # phi^c and phi^cc for the c-concavity check (phi^c feeds the upper
+    # bound), the 2 bounds, and 2 x 2 for the derived defects of the report
+    eta, pair, _ = kantorovich_regularize(space, phi, 0.5)
+    coincidence_cc_report(space, pair, eta)
+    assert len(calls) == 8
+    calls.clear()
+    # the CLI regularizes: phi^cc, then phi^c of the result, bounds, report
+    assert main(["kantorovich", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 9
+    calls.clear()
+    assert interpolation_duality_check(space, phi, 0.5).passed
+    assert len(calls) == 4
+
+
+def _move_pinned_answer(monkeypatch, move):
+    """Make metric's PSOR return its answer with ``move`` applied where lo == hi."""
+    solve = obslat.metric.solve_psor
+
+    def moved(energy, box, **kwargs):
+        sol = solve(energy, box, **kwargs)
+        u = sol.u.copy()
+        pinned = box.lo == box.hi
+        u[pinned] = move(u[pinned])
+        return dataclasses.replace(sol, u=u)
+
+    monkeypatch.setattr(obslat.metric, "solve_psor", moved)
+
+
+def test_cutoff_pins_row_fails_on_its_own(monkeypatch):
+    _move_pinned_answer(monkeypatch, lambda v: np.nextafter(v, np.inf))
+    rows = {r["check_name"]: r for r in check_cutoff(0)}
+    assert not rows["cutoff_pins_exact"]["pass"]
+    assert rows["cutoff_pins_exact"]["worst_value"] > 0.0
+    assert rows["cutoff_certificate"]["pass"]
+
+
+def test_kantorovich_clamping_row_fails_on_its_own(monkeypatch):
+    _move_pinned_answer(monkeypatch, lambda v: v + 2e-9)
+    rows = {r["check_name"]: r for r in check_kantorovich(0)}
+    assert not rows["kantorovich_clamping"]["pass"]
+    assert rows["kantorovich_clamping"]["worst_value"] >= 1.9e-9
+    assert rows["kantorovich_certificate"]["pass"]
 
 
 def test_potential_bounds_coincide_under_solver(two_points):
