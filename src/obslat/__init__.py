@@ -70,6 +70,7 @@ from .solvers import (
     brute_force_active_set,
     classify_active,
     kkt_residual,
+    solve_newton,
     solve_projected_gradient,
     solve_psor,
 )
@@ -128,6 +129,7 @@ __all__ = [
     "rk_meet",
     "run_suite",
     "scalar_submodularity_inequality",
+    "solve_newton",
     "solve_projected_gradient",
     "solve_psor",
     "submodularity_check",

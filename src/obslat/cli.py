@@ -18,7 +18,7 @@ Config schemas (JSON; all keys sorted in outputs, floats via repr)
 solve/oracle::
 
     {"energy": <energy>, "box": {"lo": spec, "hi": spec},
-     "solver": {"method": "psor"|"projected_gradient", "tol": float,
+     "solver": {"method": "newton"|"psor"|"projected_gradient", "tol": float,
                 "max_iter": int, "omega": float},
      "certificate_tol": float}
 
@@ -39,6 +39,15 @@ where <energy> is one of::
 and a box side spec is a number (constant), a list, or null for an absent
 side (encoded at +-1e30).
 
+The solve method defaults to "newton" (projected Newton, for quadratic
+energies and kernel energies with p >= 2); "psor" (quadratic energies only)
+and "projected_gradient" remain selectable.  "max_iter" counts Newton steps
+(each one Hessian solve or projected-gradient fallback step; default
+1000), PSOR sweeps (default 20000) or projected-gradient steps (default
+50000); "omega" is the PSOR relaxation (default 1.5), which the other
+methods ignore.  "tol" bounds the KKT residual at which a solve stops
+(default 1e-9; --tol overrides it).
+
 A quadratic matrix must be symmetric PSD.  One that is not diagonally
 dominant is certified by a dense eigenvalue check only up to n = 2000
 (``energies.PSD_DENSE_MAX_N``); above that cap it exits 2.
@@ -58,8 +67,9 @@ kantorovich::
     {"graph": {...}, "potential": [...], "t": float,
      "cc_regularize": bool, "solver": {...}}
 
-cutoff and kantorovich solve with PSOR only: their "solver" takes "tol",
-"max_iter" and "omega", and a "method" other than "psor" exits 2.
+cutoff and kantorovich solve with projected Newton only: their "solver"
+takes "tol" and "max_iter" (Newton steps, as above), and a "method" other
+than "newton" exits 2.
 
 suite::
 
@@ -98,7 +108,12 @@ from .metric import (
     coincidence_cc_report,
     kantorovich_regularize,
 )
-from .solvers import brute_force_active_set, solve_projected_gradient, solve_psor
+from .solvers import (
+    brute_force_active_set,
+    solve_newton,
+    solve_projected_gradient,
+    solve_psor,
+)
 from .suite import CHECKS, run_suite
 
 EXIT_OK = 0
@@ -106,6 +121,10 @@ EXIT_SUITE_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_CERTIFICATE = 4
+
+
+#: Default "max_iter" of each solve method.
+MAX_ITER = {"newton": 1000, "psor": 20000, "projected_gradient": 50000}
 
 
 class ConfigError(Exception):
@@ -187,25 +206,24 @@ def _build_box(cfg: dict, n: int) -> OrderInterval:
         raise ConfigError(f"bad box specification: {err}") from err
 
 
-def _solver_params(cfg: dict, args, method: str = "psor",
-                   methods: tuple = ("psor",)) -> dict:
+def _solver_params(cfg: dict, args, methods: tuple = ("newton",)) -> dict:
     """Solver settings parsed once (bad values are config errors).
 
-    ``method`` is the default and ``methods`` the ones the command runs;
+    ``methods`` are the ones the command runs, "newton" the default;
     ``certificate_tol`` is None when absent.
     """
     try:
         solver = cfg.get("solver", {})
-        if solver.get("method") is not None:
-            method = solver["method"]
+        method = solver.get("method")
+        if method is None:
+            method = "newton"
         if method not in methods:
             raise ConfigError(f"solver method {method!r} is not one of {list(methods)}")
         cert_tol = cfg.get("certificate_tol")
         return {
             "method": method,
             "tol": float(args.tol if args.tol is not None else solver.get("tol", 1e-9)),
-            "max_iter": int(solver.get(
-                "max_iter", 50000 if method == "projected_gradient" else 20000)),
+            "max_iter": int(solver.get("max_iter", MAX_ITER[method])),
             "omega": float(solver.get("omega", 1.5)),
             "certificate_tol": None if cert_tol is None else float(cert_tol),
         }
@@ -216,6 +234,8 @@ def _solver_params(cfg: dict, args, method: str = "psor",
 def _run_solver(energy, box, params: dict, oracle: bool):
     if oracle:
         return brute_force_active_set(energy, box)
+    if params["method"] == "newton":
+        return solve_newton(energy, box, tol=params["tol"], max_iter=params["max_iter"])
     if params["method"] == "psor":
         return solve_psor(energy, box, tol=params["tol"], max_iter=params["max_iter"],
                           omega=params["omega"])
@@ -227,8 +247,7 @@ def _cmd_solve(args, oracle: bool = False) -> int:
     cfg = _load_config(args)
     energy = _build_energy(cfg)
     box = _build_box(cfg, energy.n)
-    params = _solver_params(cfg, args, "psor" if isinstance(energy, QuadraticEnergy)
-                            else "projected_gradient", ("psor", "projected_gradient"))
+    params = _solver_params(cfg, args, ("newton", "psor", "projected_gradient"))
     out = _out_dir(args)
     solution = _run_solver(energy, box, params, oracle)
     payload = solution.to_json_dict()
@@ -273,8 +292,7 @@ def cmd_cutoff(args) -> int:
         raise ConfigError(f"missing config key: {err}") from err
     out = _out_dir(args)
     cut = build_cutoff(space, core, region, tol=params["tol"], max_iter=params["max_iter"],
-                       relaxation=params["omega"], paper_radius=paper_radius,
-                       cert_tol=params["certificate_tol"])
+                       paper_radius=paper_radius, cert_tol=params["certificate_tol"])
     box = OrderInterval(cut.phi, cut.psi)
     report = certificate_report(space.dirichlet_energy, box, cut.solution, cut.certificate,
                                 metric=space)
@@ -302,7 +320,7 @@ def cmd_kantorovich(args) -> int:
     out = _out_dir(args)
     eta, pair, cert = kantorovich_regularize(
         space, phi, t, tol=params["tol"], max_iter=params["max_iter"],
-        relaxation=params["omega"], cc_regularize=bool(cfg.get("cc_regularize", False)),
+        cc_regularize=bool(cfg.get("cc_regularize", False)),
         cert_tol=params["certificate_tol"])
     box = OrderInterval(pair.lo, pair.hi)
     report = certificate_report(space.dirichlet_energy, box, eta, cert, metric=space)

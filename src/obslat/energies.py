@@ -14,7 +14,7 @@ A is certified PSD at construction by Gershgorin's theorem (diagonal
 dominance, O(nnz), true of every graph Laplacian) or, failing that and only
 up to n = PSD_DENSE_MAX_N, by its smallest eigenvalue.  A is read-only.
 
-Both expose ``value`` and ``gradient``; the module-level checks
+Both expose ``value``, ``gradient`` and ``hessian``; the module-level checks
 (:func:`submodularity_check`, :func:`t_monotonicity_check`,
 :func:`z_matrix_violation`, :func:`scalar_submodularity_inequality`)
 turn the structural assumptions into testable verdicts.
@@ -157,6 +157,10 @@ class QuadraticEnergy:
         """Discrete Laplacian -(Au + b)."""
         return -self.gradient(u)
 
+    def hessian(self, u) -> sp.csr_matrix:
+        """The constant Hessian ``a``."""
+        return self.a
+
     def diagonal(self) -> np.ndarray:
         return self.a.diagonal()
 
@@ -215,12 +219,13 @@ def assemble_dirichlet(nodes: int, clean_edges, dirichlet_set=()) -> QuadraticEn
         cols += [i, j, j, i]
         vals += [w, w, -w, -w]
     lap = sp.coo_matrix((vals, (rows, cols)), shape=(nodes, nodes)).tocsr()
-    free = np.array([i for i in range(nodes) if i not in set(dirichlet)], dtype=int)
+    free = np.setdiff1d(np.arange(nodes), dirichlet)
     if free.size == 0:
         raise ConstructionError("dirichlet_set covers every node; nothing to solve for")
-    energy = QuadraticEnergy(lap[free][:, free])
+    free_rows = lap[free]
+    energy = QuadraticEnergy(free_rows[:, free])
     if dirichlet:
-        energy.coupling = sp.csr_matrix(lap[free][:, np.array(dirichlet, dtype=int)])
+        energy.coupling = sp.csr_matrix(free_rows[:, np.array(dirichlet, dtype=int)])
     energy.free_nodes = free
     return energy
 
@@ -294,6 +299,26 @@ class KernelEnergy:
 
     def laplacian(self, u) -> np.ndarray:
         return -self.gradient(u)
+
+    def hessian(self, u) -> sp.csr_matrix:
+        """Hessian at u for p >= 2, a Z-matrix.
+
+        It is the weighted graph Laplacian with pair weights
+        c_ij = (p-1) w_ij |u_i - u_j|^(p-2) plus diag((p-1) d_i |u_i|^(p-2)).
+        At p > 2 the weight of a tied pair is zero, so it can be singular.
+        """
+        if self.p < 2:
+            raise PreconditionError(f"the Hessian requires p >= 2, got p = {self.p}")
+        u = as_vector(u, "u")
+        self._check_dim(u)
+        q = self.p - 2.0
+        c = (self.p - 1.0) * self.w * np.abs(u[self.i] - u[self.j]) ** q
+        diag = (self.p - 1.0) * self.d * np.abs(u) ** q
+        nodes = np.arange(self.n)
+        rows = np.concatenate([self.i, self.j, self.i, self.j, nodes])
+        cols = np.concatenate([self.i, self.j, self.j, self.i, nodes])
+        vals = np.concatenate([c, c, -c, -c, diag])
+        return sp.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n)).tocsr()
 
     def induced_quadratic(self) -> QuadraticEnergy:
         """For p = 2, the matrix A with E(u) = 1/2 <Au,u> exactly.

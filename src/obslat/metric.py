@@ -47,7 +47,7 @@ from .errors import (
     PreconditionError,
 )
 from .lattice import OrderInterval, as_vector
-from .solvers import Solution, solve_psor
+from .solvers import Solution, solve_newton
 
 #: Distance matrices may violate symmetry and the triangle inequality by at
 #: most this relative amount (accumulated rounding in shortest paths).
@@ -323,9 +323,9 @@ def _require_graph_space(space) -> GraphSpace:
 
 
 def _certified_solve(space: GraphSpace, box: OrderInterval, tol: float,
-                     max_iter: int, relaxation: float, cert_tol: float | None):
+                     max_iter: int, cert_tol: float | None):
     energy = space.dirichlet_energy
-    sol = solve_psor(energy, box, tol=tol, max_iter=max_iter, omega=relaxation)
+    sol = solve_newton(energy, box, tol=tol, max_iter=max_iter)
     cert = ls_certificate(energy, box, sol, 10.0 * tol if cert_tol is None else cert_tol)
     if not cert.passed:
         raise CertificateError(
@@ -347,16 +347,17 @@ class Cutoff:
 
 
 def build_cutoff(space: GraphSpace, core, region, tol: float = 1e-9,
-                 max_iter: int = 20000, relaxation: float = 1.5,
-                 paper_radius: bool = False, cert_tol: float | None = None) -> Cutoff:
+                 max_iter: int = 1000, paper_radius: bool = False,
+                 cert_tol: float | None = None) -> Cutoff:
     """Cut-off function with certified Laplacian bound, as a :class:`Cutoff`.
 
     Minimizes the graph Dirichlet energy over the obstacle interval from
-    :func:`cutoff_obstacles`.  Its Laplacian max-norm is bounded by the
-    obstacle Laplacians up to the certificate tolerance ``cert_tol`` (default
-    ``10 * tol``, as in ``obslat solve``).  Raises ObstacleOrderError when the
-    obstacles cross and CertificateError when the solve does not converge or
-    the certificate or the Laplacian bound fails.  The pins need no check:
+    :func:`cutoff_obstacles` by :func:`solvers.solve_newton`.  Its Laplacian
+    max-norm is bounded by the obstacle Laplacians up to the certificate
+    tolerance ``cert_tol`` (default ``10 * tol``, as in ``obslat solve``).
+    Raises ObstacleOrderError when the obstacles cross and CertificateError
+    when the solve does not converge or the certificate or the Laplacian
+    bound fails.  The pins need no check:
     phi = 1.0 on the core and psi = 0.0 off the region by formula, so
     0 <= phi <= psi <= 1 forces lo = hi there, and every solver returns
     ``clamp(u, box)``, which lands on them bit for bit.
@@ -364,7 +365,7 @@ def build_cutoff(space: GraphSpace, core, region, tol: float = 1e-9,
     space = _require_graph_space(space)
     phi, psi, r2 = cutoff_obstacles(space, core, region, paper_radius=paper_radius)
     box = OrderInterval(phi, psi)
-    sol, cert = _certified_solve(space, box, tol, max_iter, relaxation, cert_tol)
+    sol, cert = _certified_solve(space, box, tol, max_iter, cert_tol)
     bound = cert.obstacle_bound
     lap_norm = float(np.max(np.abs(cert.g_u)))
     if lap_norm > bound + cert.tol:
@@ -416,14 +417,15 @@ def _potential_bounds(space: FiniteMetricSpace, phi: np.ndarray, phi_c: np.ndarr
 
 
 def kantorovich_regularize(space: GraphSpace, phi, t: float, tol: float = 1e-9,
-                           max_iter: int = 20000, relaxation: float = 1.5,
-                           cc_regularize: bool = False, cert_tol: float | None = None):
+                           max_iter: int = 1000, cc_regularize: bool = False,
+                           cert_tol: float | None = None):
     """Regularized potential at interpolation time t in (0, 1).
 
     ``phi`` must be c-concave to CC_TOL (pass ``cc_regularize=True`` to use
     its double c-transform instead).  The minimizer eta of the graph
-    Dirichlet energy over [-Q_t(-phi), Q_{1-t}(-phi^c)] clamps to both bounds
-    on their coincidence set, where -t*eta and (1-t)*eta restrict c-concave
+    Dirichlet energy over [-Q_t(-phi), Q_{1-t}(-phi^c)], found by
+    :func:`solvers.solve_newton`, clamps to both bounds on their
+    coincidence set, where -t*eta and (1-t)*eta restrict c-concave
     functions.  This needs no check: solvers return ``clamp(u, box)``, so
     lo <= eta <= hi, and rounded subtraction is monotone, so there
     |eta - lo| <= hi - lo <= COINCIDENCE_TOL.
@@ -451,7 +453,7 @@ def kantorovich_regularize(space: GraphSpace, phi, t: float, tol: float = 1e-9,
     pair = PotentialPair(phi=phi, phi_c=phi_c, t=float(t), lo=lo, hi=hi,
                          coincidence_set=coincidence)
     box = OrderInterval(lo, hi)
-    sol, cert = _certified_solve(space, box, tol, max_iter, relaxation, cert_tol)
+    sol, cert = _certified_solve(space, box, tol, max_iter, cert_tol)
     return sol.u, pair, cert
 
 

@@ -100,7 +100,7 @@ def test_solve_forced_nonconvergence(tmp_path):
     cfg = dict(TRIDIAG_CONFIG)
     cfg["energy"] = dict(cfg["energy"], b=[5.0, -3.0, 2.0])
     cfg["box"] = {"lo": -5.0, "hi": 5.0}
-    cfg["solver"] = {"max_iter": 1, "tol": 1e-14}
+    cfg["solver"] = {"method": "psor", "max_iter": 1, "tol": 1e-14}
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
     assert main(["solve", "--config", path, "--out", str(out)]) == 3
@@ -193,8 +193,8 @@ def test_kantorovich_command(tmp_path):
     assert main(["kantorovich", "--config", path2, "--out", str(out)]) == 2
 
 
-@pytest.mark.parametrize("method", ["warp-drive", "projected_gradient"])
-def test_cutoff_and_kantorovich_run_psor_only(tmp_path, method):
+@pytest.mark.parametrize("method", ["warp-drive", "projected_gradient", "psor"])
+def test_cutoff_and_kantorovich_run_newton_only(tmp_path, method):
     graph = {"nodes": 5, "edges": [[i, i + 1, 1.0] for i in range(4)]}
     solver = {"method": method}
     cutoff = write_config(tmp_path, {"graph": graph, "core": [2], "region": [1, 2, 3],
@@ -277,3 +277,11 @@ def test_suite_matches_golden(tmp_path, golden, cfg, flags):
     for g, e in zip(got, expected):
         assert float(g["worst_value"]) == pytest.approx(
             float(e["worst_value"]), rel=1e-12, abs=1e-12), g["check_name"]
+
+
+@pytest.mark.parametrize("seed", [1, 8, 14, 25])
+def test_suite_passes_on_former_stall_seeds(tmp_path, seed):
+    # projected gradient stalled on s = 0.75 kernel instances of these seeds
+    assert main(["suite", "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "suite_summary.json").read_text())
+    assert summary["all_pass"] is True and summary["failed_checks"] == []

@@ -63,6 +63,32 @@ def test_graph_dirichlet_grid_center():
     assert np.array_equal(energy.a.toarray(), [[4.0]])
 
 
+def test_graph_dirichlet_free_nodes_match_reference():
+    # the free list and both blocks equal those of the per-node loop
+    side = 32
+    edges = [(i * side + j, i * side + j + 1, 1.0 + 0.01 * j)
+             for i in range(side) for j in range(side - 1)]
+    edges += [(i * side + j, (i + 1) * side + j, 2.0) for i in range(side - 1)
+              for j in range(side)]
+    ring = sorted({i * side + j for i in range(side) for j in range(side)
+                   if i in (0, side - 1) or j in (0, side - 1)})
+    energy = graph_dirichlet(side * side, edges, ring)
+    rows, cols, vals = [], [], []
+    for i, j, w in edges:
+        rows += [i, j, i, j]
+        cols += [i, j, j, i]
+        vals += [w, w, -w, -w]
+    lap = sp.coo_matrix((vals, (rows, cols)), shape=(side * side, side * side)).tocsr()
+    free = np.array([i for i in range(side * side) if i not in set(ring)], dtype=int)
+    assert energy.free_nodes.dtype == free.dtype
+    assert np.array_equal(energy.free_nodes, free)
+    for got, want in ((energy.a, lap[free][:, free]),
+                      (energy.coupling, lap[free][:, np.array(ring)])):
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+
+
 def test_graph_dirichlet_rejects_bad_edges():
     with pytest.raises(ConstructionError):
         graph_dirichlet(3, [(0, 0, 1.0)])
@@ -255,6 +281,44 @@ def test_gradient_matches_finite_differences():
                 e[k] = 1e-5
                 fd[k] = (energy.value(u + e) - energy.value(u - e)) / 2e-5
             assert np.all(np.abs(fd - g) <= 1e-6 * (1.0 + np.abs(g)))
+
+
+def test_hessian_matches_gradient_differences():
+    rng = np.random.default_rng(12)
+    cases = [
+        random_submodular_quadratic(rng, 6),
+        fractional_kernel_1d(5, 0.2, 0.5, 2.0, 2),
+        fractional_kernel_1d(5, 0.2, 0.25, 3.0, 2),
+        KernelEnergy(4, [(0, 1, 1.0), (1, 3, 0.5), (0, 2, 2.0)], [(2, 0.3)], 2.5),
+    ]
+    for energy in cases:
+        off = ~np.eye(energy.n, dtype=bool)
+        for _ in range(10):
+            u = rng.normal(size=energy.n)
+            h = energy.hessian(u).toarray()
+            assert np.array_equal(h, h.T)
+            assert np.all(h[off] <= 0.0)  # a Z-matrix, as submodularity needs
+            fd = np.zeros((energy.n, energy.n))
+            for k in range(energy.n):
+                e = np.zeros(energy.n)
+                e[k] = 1e-5
+                fd[:, k] = (energy.gradient(u + e) - energy.gradient(u - e)) / 2e-5
+            assert np.all(np.abs(fd - h) <= 1e-6 * (1.0 + np.abs(h)))
+
+
+def test_kernel_hessian_cases():
+    p2 = fractional_kernel_1d(6, 0.25, 0.5, 2.0, collar=3)
+    u = np.random.default_rng(5).normal(size=6)
+    assert np.allclose(p2.hessian(u).toarray(), p2.induced_quadratic().a.toarray(),
+                       rtol=1e-14, atol=0)
+    # p = 3: weight 2 w |u_i - u_j| per pair, 2 d_i |u_i| on the diagonal
+    p3 = KernelEnergy(3, [(0, 1, 1.0), (1, 2, 1.0)], [(2, 0.5)], 3.0)
+    h = p3.hessian(np.array([0.4, 0.4, -1.0])).toarray()
+    assert np.array_equal(h, [[0.0, 0.0, 0.0], [0.0, 2.8, -2.8], [0.0, -2.8, 3.8]])
+    with pytest.raises(PreconditionError):
+        KernelEnergy(2, [(0, 1, 1.0)], [], 1.5).hessian(np.array([0.0, 1.0]))
+    quad = tridiag_energy()
+    assert quad.hessian(np.zeros(3)) is quad.a
 
 
 def test_kernel_validation():

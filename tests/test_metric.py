@@ -8,10 +8,12 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
+import obslat.cli
 import obslat.energies
 import obslat.metric
 from obslat.certificates import lipschitz_ratio
 from obslat.cli import main
+from obslat.energies import QuadraticEnergy
 from obslat.errors import (
     CertificateError,
     ConstructionError,
@@ -462,9 +464,41 @@ def test_hopf_lax_calls_per_construction(tmp_path, monkeypatch):
     assert len(calls) == 4
 
 
+def test_gradient_calls_per_cutoff_run(tmp_path, monkeypatch):
+    config = tmp_path / "cutoff.json"
+    config.write_text(json.dumps({
+        "graph": {"nodes": 144, "edges": grid_edges(12, 12)},
+        "core": [65, 66, 77, 78],
+        "region": [12 * r + c for r in range(2, 10) for c in range(2, 10)],
+    }))
+    calls = []
+    gradient = QuadraticEnergy.gradient
+
+    def counted(self, u):
+        calls.append(u)
+        return gradient(self, u)
+
+    monkeypatch.setattr(QuadraticEnergy, "gradient", counted)
+    report = obslat.cli.certificate_report
+    report_calls = []
+
+    def counted_report(*args, **kwargs):
+        before = len(calls)
+        result = report(*args, **kwargs)
+        report_calls.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(obslat.cli, "certificate_report", counted_report)
+    assert main(["cutoff", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    # Newton: the start and each of its 2 steps; the Solution's gradient;
+    # the certificate's g_u, g_lo and g_hi.  The report reads cert.g_u.
+    assert len(calls) == 7
+    assert report_calls == [0]
+
+
 def _move_pinned_answer(monkeypatch, move):
-    """Make metric's PSOR return its answer with ``move`` applied where lo == hi."""
-    solve = obslat.metric.solve_psor
+    """Make metric's solver return its answer with ``move`` applied where lo == hi."""
+    solve = obslat.metric.solve_newton
 
     def moved(energy, box, **kwargs):
         sol = solve(energy, box, **kwargs)
@@ -473,7 +507,7 @@ def _move_pinned_answer(monkeypatch, move):
         u[pinned] = move(u[pinned])
         return dataclasses.replace(sol, u=u)
 
-    monkeypatch.setattr(obslat.metric, "solve_psor", moved)
+    monkeypatch.setattr(obslat.metric, "solve_newton", moved)
 
 
 def test_cutoff_pins_row_fails_on_its_own(monkeypatch):

@@ -2,19 +2,25 @@ import numpy as np
 import pytest
 
 import obslat.solvers
+from obslat.certificates import ls_certificate
 from obslat.energies import KernelEnergy, QuadraticEnergy, fractional_kernel_1d, graph_dirichlet
 from obslat.errors import PreconditionError, SolverError
 from obslat.instances import (
     grid_boundary,
     grid_edges,
+    grid_space,
+    path_space,
     random_box,
+    random_c_concave,
     random_submodular_quadratic,
 )
 from obslat.lattice import UNBOUNDED, OrderInterval, clamp
+from obslat.metric import kantorovich_regularize
 from obslat.solvers import (
     brute_force_active_set,
     classify_active,
     kkt_residual,
+    solve_newton,
     solve_projected_gradient,
     solve_psor,
 )
@@ -329,3 +335,98 @@ def test_psor_rows_built_once_per_energy(monkeypatch):
     second = solve_psor(energy, box, omega=1.0)
     assert len(calls) == 1
     assert first.converged and second.converged
+
+
+# ---------------------------------------------------------------- projected Newton
+
+def test_newton_matches_oracle():
+    rng = np.random.default_rng(37)
+    for _ in range(40):
+        n = int(rng.integers(2, 10))
+        energy = random_submodular_quadratic(rng, n)
+        box = random_box(rng, n)
+        sol = solve_newton(energy, box, tol=1e-9)
+        oracle = brute_force_active_set(energy, box)
+        assert sol.converged and sol.kkt_residual <= 1e-9
+        assert np.max(np.abs(sol.u - oracle.u)) <= 1e-7
+
+
+def test_newton_membrane_agrees_with_psor():
+    side = 12
+    energy = graph_dirichlet(side * side, grid_edges(side, side), grid_boundary(side, side))
+    x = np.linspace(0.0, 1.0, side)[1:-1]
+    xx, yy = np.meshgrid(x, x)
+    lo = (0.3 - 2.0 * ((xx - 0.5) ** 2 + (yy - 0.5) ** 2)).ravel()
+    box = OrderInterval(lo, lo + 0.4)
+    sol = solve_newton(energy, box, tol=1e-12)
+    ref = solve_psor(energy, box, tol=1e-12)
+    assert sol.converged and sol.iterations <= 10
+    assert np.max(np.abs(sol.u - ref.u)) <= 1e-10
+    assert np.array_equal(sol.active_lower, ref.active_lower)
+    assert np.array_equal(sol.active_upper, ref.active_upper)
+
+
+def test_newton_singular_free_block_takes_gradient_steps():
+    # full path Laplacian: constants span its kernel, and at the start
+    # u = 0 nothing sits on a bound, so the free block is the whole matrix
+    lap = np.diag([1.0, 2.0, 2.0, 2.0, 1.0]) - np.eye(5, k=1) - np.eye(5, k=-1)
+    energy = QuadraticEnergy(lap, [1.0, 0.0, 0.0, 0.0, -1.0])
+    box = OrderInterval(np.full(5, -10.0), np.full(5, 10.0))
+    u0, g0 = np.zeros(5), energy.gradient(np.zeros(5))
+    assert obslat.solvers._newton_direction(energy, u0, g0, np.ones(5, dtype=bool)) is None
+    # on the 5 x 5 grid the rounding leaves a last pivot of 1e-16, not 0
+    grid = grid_space(5, 5).dirichlet_energy
+    g = grid.gradient(np.arange(25.0))
+    assert obslat.solvers._newton_direction(grid, np.zeros(25), g, np.ones(25, dtype=bool)) is None
+    sol = solve_newton(energy, box, tol=1e-9)
+    assert sol.converged and sol.kkt_residual <= 1e-9
+    ref = solve_psor(energy, box, tol=1e-12)
+    assert abs(energy.value(sol.u) - energy.value(ref.u)) <= 1e-12
+
+
+def test_newton_p3_tied_pairs():
+    # nodes 1-5 start tied at their lower bound 0.3, so every pair among
+    # them has zero Hessian weight; nodes 2-4 have no exterior weight, and
+    # their rows of the free block are zero
+    pairs = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0),
+             (1, 3, 0.5), (2, 5, 0.5)]
+    energy = KernelEnergy(6, pairs, [(5, 0.2)], 3.0)
+    box = OrderInterval([1.0] + [0.3] * 5, [1.0] + [2.0] * 5)
+    u0 = clamp(np.zeros(6), box)
+    assert not energy.hessian(u0).toarray()[2:5].any()
+    values = []
+    sol = solve_newton(energy, box, tol=1e-9, step_callback=lambda u, f: values.append(f))
+    assert sol.converged and sol.kkt_residual <= 1e-9
+    assert np.all(np.diff(values) <= 64 * np.finfo(float).eps * np.abs(values[:-1]))
+    assert ls_certificate(energy, box, sol, 1e-8).passed
+
+
+def test_newton_accepts_step_onto_bound_1e17_away():
+    # On this Kantorovich instance some bounds are 1e-17 apart.  The step
+    # that moves such an index onto its upper bound lowers E by about 1e-21,
+    # below the rounding of E, which rounds one ulp up; it is taken because
+    # E rises no more than rounding and the KKT residual falls.
+    rng = np.random.default_rng(110)
+    space = path_space(21, weight=1.0 / 20.0)
+    for _ in range(8):
+        phi = random_c_concave(rng, space, scale=0.2)
+    _, pair, _ = kantorovich_regularize(space, phi, 0.5)
+    gap = pair.hi - pair.lo
+    assert np.any((gap > 0.0) & (gap < 1e-16))
+    box = OrderInterval(pair.lo, pair.hi)
+    energy = space.dirichlet_energy
+    values = []
+    sol = solve_newton(energy, box, step_callback=lambda u, f: values.append(f))
+    assert sol.converged and sol.kkt_residual <= 1e-9
+    assert np.all(np.diff(values) <= 64 * np.finfo(float).eps * np.abs(values[:-1]))
+    assert ls_certificate(energy, box, sol, 1e-8).passed
+
+
+def test_newton_rejects_small_p_and_flags_budget(tridiag):
+    energy = KernelEnergy(2, [(0, 1, 1.0)], [], 1.5)
+    with pytest.raises(SolverError):
+        solve_newton(energy, OrderInterval([0.0, 0.0], [1.0, 1.0]))
+    shifted = QuadraticEnergy(tridiag.a, [5.0, -3.0, 2.0])
+    box = OrderInterval([-5.0] * 3, [5.0] * 3)
+    assert not solve_newton(shifted, box, max_iter=0).converged
+    assert solve_newton(shifted, box, max_iter=1).converged  # one exact step
