@@ -40,9 +40,10 @@ class LSCertificate:
     must both be >= -tol componentwise for the certificate to pass.  For an
     absent obstacle side the corresponding obstacle gradient is zero (see
     module docstring) and the flag ``lower_present`` / ``upper_present``
-    records the substitution.
+    records the substitution.  ``u`` is the point certified.
     """
 
+    u: np.ndarray
     g_u: np.ndarray
     g_lo: np.ndarray | None
     g_hi: np.ndarray | None
@@ -98,7 +99,7 @@ def ls_certificate(energy, box: OrderInterval, solution: Solution, tol: float) -
     upper_slack = lo_pos - g_u
     passed = bool(np.min(lower_slack) >= -tol and np.min(upper_slack) >= -tol)
     return LSCertificate(
-        g_u=g_u, g_lo=g_lo, g_hi=g_hi,
+        u=solution.u, g_u=g_u, g_lo=g_lo, g_hi=g_hi,
         lower_slack=lower_slack, upper_slack=upper_slack,
         tol=float(tol), passed=passed,
         lower_present=g_lo is not None, upper_present=g_hi is not None,
@@ -216,13 +217,16 @@ def certificate_report(energy, box: OrderInterval, solution,
     """JSON-ready summary combining the certificate with derived checks.
 
     ``solution`` may be a Solution or the minimizer vector, and ``cert`` is
-    its certificate under ``energy``: the Laplacian and the free-set
-    harmonicity are read from ``cert.g_u``, the gradient the certificate
-    recomputed from the energy, not evaluated again.  The Lipschitz ratio is
-    measured only when a metric is supplied and both obstacle sides are
+    its certificate under ``energy`` (a certificate issued for another point
+    raises CertificateError).  The Laplacian and the free-set harmonicity are
+    read from ``cert.g_u``, the gradient the certificate recomputed from the
+    energy, so ``energy`` itself is not evaluated again.  The Lipschitz ratio
+    is measured only when a metric is supplied and both obstacle sides are
     present; it is a report field, never an asserted bound.
     """
     u = solution.u if isinstance(solution, Solution) else as_vector(solution, "u")
+    if not np.array_equal(cert.u, u):
+        raise CertificateError("the certificate was issued for another point")
     harm_ok, _, harm_worst = _free_harmonicity(box, u, cert.g_u, 10 * cert.tol)
     report = cert.to_json_dict()
     report["sup_laplacian"] = float(np.max(np.abs(cert.g_u)))

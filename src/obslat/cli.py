@@ -44,8 +44,8 @@ energies and kernel energies with p >= 2); "psor" (quadratic energies only)
 and "projected_gradient" remain selectable.  "max_iter" counts Newton steps
 (each one Hessian solve or projected-gradient fallback step; default
 1000), PSOR sweeps (default 20000) or projected-gradient steps (default
-50000); "omega" is the PSOR relaxation (default 1.5), which the other
-methods ignore.  "tol" bounds the KKT residual at which a solve stops
+50000); "omega" is the PSOR relaxation (default 1.5), read only by
+"psor".  "tol" bounds the KKT residual at which a solve stops
 (default 1e-9; --tol overrides it).
 
 A quadratic matrix must be symmetric PSD.  One that is not diagonally
@@ -210,7 +210,8 @@ def _solver_params(cfg: dict, args, methods: tuple = ("newton",)) -> dict:
     """Solver settings parsed once (bad values are config errors).
 
     ``methods`` are the ones the command runs, "newton" the default;
-    ``certificate_tol`` is None when absent.
+    ``certificate_tol`` is None when absent; "omega" is read only for
+    "psor", the one method that uses it.
     """
     try:
         solver = cfg.get("solver", {})
@@ -220,13 +221,15 @@ def _solver_params(cfg: dict, args, methods: tuple = ("newton",)) -> dict:
         if method not in methods:
             raise ConfigError(f"solver method {method!r} is not one of {list(methods)}")
         cert_tol = cfg.get("certificate_tol")
-        return {
+        params = {
             "method": method,
             "tol": float(args.tol if args.tol is not None else solver.get("tol", 1e-9)),
             "max_iter": int(solver.get("max_iter", MAX_ITER[method])),
-            "omega": float(solver.get("omega", 1.5)),
             "certificate_tol": None if cert_tol is None else float(cert_tol),
         }
+        if method == "psor":
+            params["omega"] = float(solver.get("omega", 1.5))
+        return params
     except (AttributeError, TypeError, ValueError) as err:
         raise ConfigError(f"bad solver settings: {err}") from err
 

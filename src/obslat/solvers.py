@@ -6,9 +6,9 @@ Four routes with very different trust profiles:
   projection arc (Bertsekas 1982) for quadratic energies and kernel energies
   with p >= 2; the default of ``obslat solve`` and the one solver of the
   cut-off and Kantorovich constructions.  Each step solves the free block of
-  the Hessian exactly, so it ends on the exact active set in a few steps,
-  and it falls back to a projected-gradient step where that block is
-  singular.
+  the Hessian exactly, so it ends on the exact active set in a few steps;
+  where that block is singular it solves the block shifted by a small
+  multiple of the identity.
 * :func:`solve_psor` -- projected SOR for quadratic Z-matrix energies;
   monotone on M-matrices, which the suite's monotone-iteration check uses.
   Its sweep is exact lexicographic Gauss-Seidel on Python floats, so every
@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .energies import KernelEnergy, QuadraticEnergy
@@ -54,6 +55,10 @@ ARMIJO_FLOOR = 1e-14
 #: pivot marks the block as singular (the constants of a graph Laplacian
 #: leave a pivot of about 1e-14 relative, not an exact zero).
 PIVOT_RTOL = 1e-10
+
+#: A singular free Hessian block is shifted by this fraction of its largest
+#: diagonal entry times the identity before it is solved.
+SHIFT_RTOL = 1e-8
 
 #: Rise of E, relative to |E|, that counts as rounding: a candidate of the
 #: projected-Newton search rising no further is accepted when its KKT
@@ -132,9 +137,10 @@ def kkt_residual(energy, box: OrderInterval, u) -> float:
 
 
 def _make_solution(energy, box: OrderInterval, u: np.ndarray, iterations: int,
-                   converged: bool) -> Solution:
+                   converged: bool, g=None) -> Solution:
+    # g, when given, is the gradient at u, which already lies in the box
     u = clamp(u, box)
-    g = np.asarray(energy.gradient(u))
+    g = np.asarray(energy.gradient(u)) if g is None else g
     lower, upper, free = classify_active(u, box)
     res = _kkt_from_gradient(u, box, g)
     u.setflags(write=False)
@@ -276,27 +282,47 @@ def solve_projected_gradient(energy, box: OrderInterval, tol: float = 1e-8,
     return _make_solution(energy, box, u, steps, converged)
 
 
+def _factor_psd(h):
+    """SuperLU factorization of the symmetric PSD ``h``, or None if singular.
+
+    Singular means an exactly zero pivot or a smallest pivot below
+    PIVOT_RTOL of the largest.
+    """
+    try:
+        # h is symmetric PSD, so diagonal pivots are stable: a symmetric
+        # ordering and no row interchanges
+        lu = spla.splu(h, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:  # an exactly zero pivot
+        return None
+    pivots = np.abs(lu.U.diagonal())
+    return lu if np.min(pivots) > PIVOT_RTOL * np.max(pivots) else None
+
+
 def _newton_direction(energy, u: np.ndarray, g: np.ndarray, free: np.ndarray):
     """d with H_FF d_F = -g_F and d = 0 off F, or None.
 
-    None when F is empty, when H_FF is singular by its LU pivots, or when d
-    is not a descent direction (g . d >= 0, or not finite).
+    Where H_FF is singular by its LU pivots, d_F solves the shifted block
+    (H_FF + mu I) d_F = -g_F with mu = SHIFT_RTOL max diag(H_FF): positive
+    definite, so d is a descent direction, and on eigenvectors of H_FF with
+    eigenvalue lambda it is the Newton step scaled by lambda / (lambda + mu).
+    None when F is empty, when H_FF is zero, or when d is not a descent
+    direction (g . d >= 0, or not finite).
     """
     if not np.any(free):
         return None
     h = energy.hessian(u)
     if not np.all(free):
         h = h[free][:, free]
-    try:
-        # H_FF is symmetric PSD, so diagonal pivots are stable: a symmetric
-        # ordering and no row interchanges
-        lu = spla.splu(h.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-    except RuntimeError:  # an exactly zero pivot
-        return None
-    pivots = np.abs(lu.U.diagonal())
-    if np.min(pivots) <= PIVOT_RTOL * np.max(pivots):
-        return None
+    h = h.tocsc()
+    lu = _factor_psd(h)
+    if lu is None:
+        mu = SHIFT_RTOL * float(np.max(h.diagonal()))
+        if not mu > 0.0:
+            return None
+        lu = _factor_psd(h + mu * sp.identity(h.shape[0], format="csc"))
+        if lu is None:
+            return None
     d = np.zeros_like(u)
     d[free] = lu.solve(-g[free])
     if not float(g[free] @ d[free]) < 0.0:
@@ -341,12 +367,14 @@ def solve_newton(energy, box: OrderInterval, tol: float = 1e-9, max_iter: int = 
     H = ``energy.hessian(u)`` by a sparse LU factorization, and searches
     clamp(u + alpha d) from alpha = 1 (see :func:`_arc_search`).  Where H_FF
     is singular (a full graph Laplacian with nothing held, or a p > 2 kernel
-    with tied pairs), where d is no descent direction, or where the search
-    fails, the step is a projected-gradient step, d = -grad, searched the
-    same way.  A full step on a quadratic energy is exact once the active
-    set is right; with a Z-matrix Hessian the iteration then is the
-    primal-dual active-set method of Hintermüller, Ito & Kunisch (SIAM J.
-    Optim. 13(3), 2003).  The energy rises at most by rounding.
+    with tied pairs), d solves H_FF shifted by a small multiple of the
+    identity (see :func:`_newton_direction`).  Where H_FF is zero, where d is
+    no descent direction, or where the search fails, the step is a
+    projected-gradient step, d = -grad, searched the same way.  A full step
+    on a quadratic energy is exact once the active set is right; with a
+    Z-matrix Hessian the iteration then is the primal-dual active-set method
+    of Hintermüller, Ito & Kunisch (SIAM J. Optim. 13(3), 2003).  The energy
+    rises at most by rounding.
 
     Stops when the KKT residual is <= ``tol``.  ``max_iter`` bounds the
     number of steps, Newton and projected-gradient alike; when it runs out
@@ -377,7 +405,7 @@ def solve_newton(energy, box: OrderInterval, tol: float = 1e-9, max_iter: int = 
         steps += 1
         if step_callback is not None:
             step_callback(u.copy(), f)
-    return _make_solution(energy, box, u, steps, res <= tol)
+    return _make_solution(energy, box, u, steps, res <= tol, g)
 
 
 def brute_force_active_set(energy: QuadraticEnergy, box: OrderInterval) -> Solution:

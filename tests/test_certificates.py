@@ -92,6 +92,15 @@ def test_certificate_json_fields(tridiag):
     assert report["sup_laplacian"] == 1.0
 
 
+def test_certificate_report_refuses_certificate_of_another_point(tridiag):
+    box = OrderInterval([0.5, 1.0, 0.5], [10.0] * 3)
+    sol = solve_psor(tridiag, box, tol=1e-10)
+    cert = ls_certificate(tridiag, box, sol, tol=1e-9)
+    assert certificate_report(tridiag, box, sol.u.copy(), cert)["pass"] is True
+    with pytest.raises(CertificateError):
+        certificate_report(tridiag, box, sol.u + np.array([0.0, 0.5, 0.0]), cert)
+
+
 def test_certificate_passes_on_random_instances():
     rng = np.random.default_rng(57)
     for _ in range(25):

@@ -71,11 +71,10 @@ def test_solve_bad_schema(tmp_path):
     cfg4 = write_config(tmp_path, dict(TRIDIAG_CONFIG, solver={"max_iter": "abc"}),
                         "max_iter.json")
     assert main(["solve", "--config", cfg4, "--out", str(tmp_path)]) == 2
-    cfg5 = write_config(tmp_path, {
-        "graph": {"nodes": 2, "edges": [[0, 1, 1.0]]},
-        "potential": [0.0, -0.3], "t": 0.5, "solver": {"omega": "x"},
-    }, "omega.json")
-    assert main(["kantorovich", "--config", cfg5, "--out", str(tmp_path)]) == 2
+    cfg5 = write_config(tmp_path, dict(TRIDIAG_CONFIG,
+                                       solver={"method": "psor", "omega": "x"}),
+                        "omega.json")
+    assert main(["solve", "--config", cfg5, "--out", str(tmp_path)]) == 2
     cfg6 = write_config(tmp_path, {
         "graph": {"nodes": 5, "edges": [[i, i + 1, 1.0] for i in range(4)]},
         "core": [2], "region": [1, 2, 3], "certificate_tol": "abc",
@@ -92,6 +91,48 @@ def test_solve_refuses_dense_psd_check_above_cap(tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert "PSD_DENSE_MAX_N = 3" in capsys.readouterr().err
+
+
+def _path_laplacian_triplets(n):
+    triplets = []
+    for i in range(n - 1):
+        triplets += [[i, i, 1.0], [i + 1, i + 1, 1.0], [i, i + 1, -1.0], [i + 1, i, -1.0]]
+    return triplets
+
+
+def _singular_hessian_config(name):
+    n = 20
+    if name.startswith("path"):
+        if name == "path_mean_zero_b":
+            lin = np.sin(np.arange(n)) - np.mean(np.sin(np.arange(n)))
+        else:
+            lin = np.linspace(-1.0, 1.5, n)
+        return {"energy": {"kind": "quadratic", "n": n, "triplets": _path_laplacian_triplets(n),
+                           "b": lin.tolist()},
+                "box": {"lo": -100.0, "hi": 100.0}}
+    rng = np.random.default_rng(3)
+    pairs = [[i, i + 1, 1.0 + 0.5 * float(rng.random())] for i in range(n - 1)]
+    lo, hi = [-10.0] * n, [10.0] * n
+    lo[0], hi[0] = 1.0, 2.0
+    p = 2.0
+    if name == "kernel_p3_two_anchors":
+        lo[n - 1], hi[n - 1] = -3.0, -0.5
+        p = 3.0
+    return {"energy": {"kind": "kernel", "n": n, "p": p, "pairs": pairs, "exterior": []},
+            "box": {"lo": lo, "hi": hi}}
+
+
+@pytest.mark.parametrize("name", ["path_mean_zero_b", "path_linear_b",
+                                  "kernel_p2_one_anchor", "kernel_p3_two_anchors"])
+def test_solve_default_on_singular_hessian(tmp_path, name):
+    # Energies whose Hessian is singular on the constants (a full path
+    # Laplacian with a linear term in a loose box, kernels without exterior
+    # weights): the default method converges and certifies
+    path = write_config(tmp_path, _singular_hessian_config(name))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    assert json.loads((out / "solution.json").read_text())["converged"] is True
+    assert json.loads((out / "certificate.json").read_text())["pass"] is True
 
 
 def test_solve_forced_nonconvergence(tmp_path):

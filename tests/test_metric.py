@@ -490,9 +490,10 @@ def test_gradient_calls_per_cutoff_run(tmp_path, monkeypatch):
 
     monkeypatch.setattr(obslat.cli, "certificate_report", counted_report)
     assert main(["cutoff", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    # Newton: the start and each of its 2 steps; the Solution's gradient;
-    # the certificate's g_u, g_lo and g_hi.  The report reads cert.g_u.
-    assert len(calls) == 7
+    # Newton: the start and each of its 2 steps, the last of which the
+    # Solution reuses; the certificate's g_u, g_lo and g_hi.  The report
+    # reads cert.g_u.
+    assert len(calls) == 6
     assert report_calls == [0]
 
 

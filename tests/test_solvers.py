@@ -366,22 +366,64 @@ def test_newton_membrane_agrees_with_psor():
     assert np.array_equal(sol.active_upper, ref.active_upper)
 
 
-def test_newton_singular_free_block_takes_gradient_steps():
+def test_newton_singular_free_block_takes_shifted_steps():
     # full path Laplacian: constants span its kernel, and at the start
     # u = 0 nothing sits on a bound, so the free block is the whole matrix
     lap = np.diag([1.0, 2.0, 2.0, 2.0, 1.0]) - np.eye(5, k=1) - np.eye(5, k=-1)
     energy = QuadraticEnergy(lap, [1.0, 0.0, 0.0, 0.0, -1.0])
     box = OrderInterval(np.full(5, -10.0), np.full(5, 10.0))
-    u0, g0 = np.zeros(5), energy.gradient(np.zeros(5))
-    assert obslat.solvers._newton_direction(energy, u0, g0, np.ones(5, dtype=bool)) is None
+    assert obslat.solvers._factor_psd(energy.a.tocsc()) is None
     # on the 5 x 5 grid the rounding leaves a last pivot of 1e-16, not 0
     grid = grid_space(5, 5).dirichlet_energy
-    g = grid.gradient(np.arange(25.0))
-    assert obslat.solvers._newton_direction(grid, np.zeros(25), g, np.ones(25, dtype=bool)) is None
+    assert obslat.solvers._factor_psd(grid.a.tocsc()) is None
+    # the shifted solve is the Newton step on the range of the Laplacian
+    u0, g0 = np.zeros(5), energy.gradient(np.zeros(5))
+    d = obslat.solvers._newton_direction(energy, u0, g0, np.ones(5, dtype=bool))
+    assert g0 @ d < 0.0
+    assert np.max(np.abs(lap @ d + g0)) <= 1e-7
     sol = solve_newton(energy, box, tol=1e-9)
-    assert sol.converged and sol.kkt_residual <= 1e-9
+    assert sol.converged and sol.kkt_residual <= 1e-9 and sol.iterations <= 2
     ref = solve_psor(energy, box, tol=1e-12)
     assert abs(energy.value(sol.u) - energy.value(ref.u)) <= 1e-12
+
+
+def _path_laplacian(n):
+    return np.diag([1.0] + [2.0] * (n - 2) + [1.0]) - np.eye(n, k=1) - np.eye(n, k=-1)
+
+
+@pytest.mark.parametrize("b", ["mean_zero", "linear"])
+def test_newton_no_gradient_crawl_on_singular_hessian(b):
+    # a full 20-node path Laplacian with a linear term and a loose box: the
+    # free block is singular while nothing is held, and unscaled gradient
+    # steps need more than 1000 steps on the mean-zero term
+    n = 20
+    if b == "mean_zero":
+        lin = np.sin(np.arange(n)) - np.mean(np.sin(np.arange(n)))
+    else:
+        lin = np.linspace(-1.0, 1.5, n)
+    energy = QuadraticEnergy(_path_laplacian(n), lin)
+    box = OrderInterval(np.full(n, -100.0), np.full(n, 100.0))
+    sol = solve_newton(energy, box, tol=1e-9)
+    assert sol.converged and sol.iterations <= 15
+    assert ls_certificate(energy, box, sol, 1e-8).passed
+    ref = solve_psor(energy, box, tol=1e-12, omega=1.0)
+    assert energy.value(sol.u) <= energy.value(ref.u) + 1e-9 * (1.0 + abs(energy.value(ref.u)))
+
+
+def test_newton_no_gradient_crawl_on_singular_kernel_hessian():
+    # p = 3 kernel on a path without exterior weights: the start ties nodes
+    # 1-19 at 0, so their Hessian rows are zero, and the minimizer, the
+    # constant 1, makes every pair tied again
+    rng = np.random.default_rng(3)
+    n = 20
+    pairs = [(i, i + 1, 1.0 + 0.5 * float(rng.random())) for i in range(n - 1)]
+    energy = KernelEnergy(n, pairs, [], 3.0)
+    lo, hi = np.full(n, -10.0), np.full(n, 10.0)
+    lo[0], hi[0] = 1.0, 2.0
+    box = OrderInterval(lo, hi)
+    sol = solve_newton(energy, box, tol=1e-9)
+    assert sol.converged and sol.iterations <= 40
+    assert ls_certificate(energy, box, sol, 1e-8).passed
 
 
 def test_newton_p3_tied_pairs():
