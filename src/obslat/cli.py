@@ -9,6 +9,10 @@ cutoff       build a certified cut-off function on a weighted graph
 kantorovich  regularize a c-concave potential at an interpolation time
 suite        run the property suites, write a CSV row per check
 
+Flags: solve, oracle and kantorovich take --config, --out and --tol;
+cutoff also --paper-radius; suite takes --config, --seed, --out and
+--paper-radius.  Any other flag exits 2.
+
 Exit codes: 0 success; 1 failing suite rows; 2 config/parse error;
 3 solver failure (including non-convergence); 4 certificate or obstacle
 assertion failure.
@@ -18,8 +22,7 @@ Config schemas (JSON; all keys sorted in outputs, floats via repr)
 solve/oracle::
 
     {"energy": <energy>, "box": {"lo": spec, "hi": spec},
-     "solver": {"method": "newton"|"psor"|"projected_gradient", "tol": float,
-                "max_iter": int, "omega": float},
+     "solver": {"method": "newton", "tol": float, "max_iter": int},
      "certificate_tol": float}
 
 where <energy> is one of::
@@ -38,15 +41,6 @@ where <energy> is one of::
 
 and a box side spec is a number (constant), a list, or null for an absent
 side (encoded at +-1e30).
-
-The solve method defaults to "newton" (projected Newton, for quadratic
-energies and kernel energies with p >= 2); "psor" (quadratic energies only)
-and "projected_gradient" remain selectable.  "max_iter" counts Newton steps
-(each one Hessian solve or projected-gradient fallback step; default
-1000), PSOR sweeps (default 20000) or projected-gradient steps (default
-50000); "omega" is the PSOR relaxation (default 1.5), read only by
-"psor".  "tol" bounds the KKT residual at which a solve stops
-(default 1e-9; --tol overrides it).
 
 A quadratic matrix must be symmetric PSD.  One that is not diagonally
 dominant is certified by a dense eigenvalue check only up to n = 2000
@@ -67,9 +61,14 @@ kantorovich::
     {"graph": {...}, "potential": [...], "t": float,
      "cc_regularize": bool, "solver": {...}}
 
-cutoff and kantorovich solve with projected Newton only: their "solver"
-takes "tol" and "max_iter" (Newton steps, as above), and a "method" other
-than "newton" exits 2.
+solve, cutoff and kantorovich solve by projected Newton (quadratic
+energies and kernel energies with p >= 2).  Their "solver" object takes
+"tol", the KKT residual at which the solve stops (default 1e-9; --tol
+overrides it), and "max_iter", the budget of Newton steps (each one Hessian
+solve or projected-gradient fallback step; default 1000).  "method" may be
+only "newton"; any other method or solver key exits 2.  oracle parses the
+same settings and uses "tol" only for the certificate.  The certificate
+tolerance is "certificate_tol", default 10 * tol.
 
 suite::
 
@@ -108,12 +107,7 @@ from .metric import (
     coincidence_cc_report,
     kantorovich_regularize,
 )
-from .solvers import (
-    brute_force_active_set,
-    solve_newton,
-    solve_projected_gradient,
-    solve_psor,
-)
+from .solvers import brute_force_active_set, solve_newton
 from .suite import CHECKS, run_suite
 
 EXIT_OK = 0
@@ -121,10 +115,6 @@ EXIT_SUITE_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_CERTIFICATE = 4
-
-
-#: Default "max_iter" of each solve method.
-MAX_ITER = {"newton": 1000, "psor": 20000, "projected_gradient": 50000}
 
 
 class ConfigError(Exception):
@@ -206,55 +196,40 @@ def _build_box(cfg: dict, n: int) -> OrderInterval:
         raise ConfigError(f"bad box specification: {err}") from err
 
 
-def _solver_params(cfg: dict, args, methods: tuple = ("newton",)) -> dict:
-    """Solver settings parsed once (bad values are config errors).
+def _solver_params(cfg: dict, args) -> dict:
+    """Solver settings parsed once (bad values and unknown keys are config errors).
 
-    ``methods`` are the ones the command runs, "newton" the default;
-    ``certificate_tol`` is None when absent; "omega" is read only for
-    "psor", the one method that uses it.
+    ``certificate_tol`` is None when absent.
     """
     try:
         solver = cfg.get("solver", {})
-        method = solver.get("method")
-        if method is None:
-            method = "newton"
-        if method not in methods:
-            raise ConfigError(f"solver method {method!r} is not one of {list(methods)}")
+        unknown = sorted(set(solver) - {"method", "tol", "max_iter"})
+        if unknown:
+            raise ConfigError(f"unknown solver settings: {unknown}")
+        if solver.get("method") not in (None, "newton"):
+            raise ConfigError(f"solver method {solver['method']!r} is not 'newton'")
         cert_tol = cfg.get("certificate_tol")
-        params = {
-            "method": method,
+        return {
             "tol": float(args.tol if args.tol is not None else solver.get("tol", 1e-9)),
-            "max_iter": int(solver.get("max_iter", MAX_ITER[method])),
+            "max_iter": int(solver.get("max_iter", 1000)),
             "certificate_tol": None if cert_tol is None else float(cert_tol),
         }
-        if method == "psor":
-            params["omega"] = float(solver.get("omega", 1.5))
-        return params
     except (AttributeError, TypeError, ValueError) as err:
         raise ConfigError(f"bad solver settings: {err}") from err
-
-
-def _run_solver(energy, box, params: dict, oracle: bool):
-    if oracle:
-        return brute_force_active_set(energy, box)
-    if params["method"] == "newton":
-        return solve_newton(energy, box, tol=params["tol"], max_iter=params["max_iter"])
-    if params["method"] == "psor":
-        return solve_psor(energy, box, tol=params["tol"], max_iter=params["max_iter"],
-                          omega=params["omega"])
-    return solve_projected_gradient(energy, box, tol=params["tol"],
-                                    max_iter=params["max_iter"])
 
 
 def _cmd_solve(args, oracle: bool = False) -> int:
     cfg = _load_config(args)
     energy = _build_energy(cfg)
     box = _build_box(cfg, energy.n)
-    params = _solver_params(cfg, args, ("newton", "psor", "projected_gradient"))
+    params = _solver_params(cfg, args)
     out = _out_dir(args)
-    solution = _run_solver(energy, box, params, oracle)
+    if oracle:
+        solution = brute_force_active_set(energy, box)
+    else:
+        solution = solve_newton(energy, box, tol=params["tol"], max_iter=params["max_iter"])
     payload = solution.to_json_dict()
-    payload["method"] = "oracle" if oracle else params["method"]
+    payload["method"] = "oracle" if oracle else "newton"
     payload["tol"] = params["tol"]
     _write_json(out / "solution.json", payload)
     if not solution.converged:
@@ -381,21 +356,28 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Lewy-Stampacchia certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "solve": (cmd_solve, "solve an obstacle problem and certify it"),
-        "oracle": (cmd_oracle, "solve by brute-force enumeration (n <= 12)"),
-        "cutoff": (cmd_cutoff, "build a certified cut-off function"),
-        "kantorovich": (cmd_kantorovich, "regularize a Kantorovich potential"),
-        "suite": (cmd_suite, "run the property suites and write a CSV report"),
+    flags = {
+        "--config": {"type": str, "default": None, "help": "JSON config file"},
+        "--seed": {"type": int, "default": None, "help": "random seed"},
+        "--out": {"type": str, "default": ".", "help": "output directory"},
+        "--tol": {"type": float, "default": None, "help": "solver tolerance override"},
+        "--paper-radius": {"action": "store_true",
+                           "help": "use r^2 = D0^2/2 in the cut-off construction"},
     }
-    for name, (fn, help_text) in commands.items():
+    solve_flags = ("--config", "--out", "--tol")
+    commands = {
+        "solve": (cmd_solve, "solve an obstacle problem and certify it", solve_flags),
+        "oracle": (cmd_oracle, "solve by brute-force enumeration (n <= 12)", solve_flags),
+        "cutoff": (cmd_cutoff, "build a certified cut-off function",
+                   (*solve_flags, "--paper-radius")),
+        "kantorovich": (cmd_kantorovich, "regularize a Kantorovich potential", solve_flags),
+        "suite": (cmd_suite, "run the property suites and write a CSV report",
+                  ("--config", "--seed", "--out", "--paper-radius")),
+    }
+    for name, (fn, help_text, names) in commands.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", type=str, default=None, help="JSON config file")
-        sp.add_argument("--seed", type=int, default=None, help="random seed (suite)")
-        sp.add_argument("--out", type=str, default=".", help="output directory")
-        sp.add_argument("--tol", type=float, default=None, help="solver tolerance override")
-        sp.add_argument("--paper-radius", action="store_true",
-                        help="use r^2 = D0^2/2 in the cut-off construction")
+        for flag in names:
+            sp.add_argument(flag, **flags[flag])
         sp.set_defaults(func=fn)
     return parser
 

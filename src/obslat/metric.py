@@ -45,6 +45,7 @@ from .errors import (
     DimensionMismatch,
     ObstacleOrderError,
     PreconditionError,
+    SolverError,
 )
 from .lattice import OrderInterval, as_vector
 from .solvers import Solution, solve_newton
@@ -326,6 +327,9 @@ def _certified_solve(space: GraphSpace, box: OrderInterval, tol: float,
                      max_iter: int, cert_tol: float | None):
     energy = space.dirichlet_energy
     sol = solve_newton(energy, box, tol=tol, max_iter=max_iter)
+    if not sol.converged:
+        raise SolverError(f"Newton solve did not converge within {max_iter} steps "
+                          f"(kkt residual {sol.kkt_residual:.3e})")
     cert = ls_certificate(energy, box, sol, 10.0 * tol if cert_tol is None else cert_tol)
     if not cert.passed:
         raise CertificateError(
@@ -355,9 +359,9 @@ def build_cutoff(space: GraphSpace, core, region, tol: float = 1e-9,
     :func:`cutoff_obstacles` by :func:`solvers.solve_newton`.  Its Laplacian
     max-norm is bounded by the obstacle Laplacians up to the certificate
     tolerance ``cert_tol`` (default ``10 * tol``, as in ``obslat solve``).
-    Raises ObstacleOrderError when the obstacles cross and CertificateError
-    when the solve does not converge or the certificate or the Laplacian
-    bound fails.  The pins need no check:
+    Raises ObstacleOrderError when the obstacles cross, SolverError when the
+    solve does not converge and CertificateError when the certificate or the
+    Laplacian bound fails.  The pins need no check:
     phi = 1.0 on the core and psi = 0.0 off the region by formula, so
     0 <= phi <= psi <= 1 forces lo = hi there, and every solver returns
     ``clamp(u, box)``, which lands on them bit for bit.
@@ -431,8 +435,8 @@ def kantorovich_regularize(space: GraphSpace, phi, t: float, tol: float = 1e-9,
     |eta - lo| <= hi - lo <= COINCIDENCE_TOL.
     The certificate tolerance ``cert_tol`` defaults to ``10 * tol``.  Raises
     PreconditionError (bad t, phi not c-concave), ObstacleOrderError (bounds
-    crossed beyond rounding) and CertificateError (unconverged solve, failed
-    certificate).  Returns (eta, PotentialPair, certificate).
+    crossed beyond rounding), SolverError (unconverged solve) and
+    CertificateError (failed certificate).  Returns (eta, PotentialPair, certificate).
     """
     space = _require_graph_space(space)
     if not 0.0 < t < 1.0:

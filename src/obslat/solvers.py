@@ -4,11 +4,11 @@ Four routes with very different trust profiles:
 
 * :func:`solve_newton` -- projected Newton with an Armijo search along the
   projection arc (Bertsekas 1982) for quadratic energies and kernel energies
-  with p >= 2; the default of ``obslat solve`` and the one solver of the
-  cut-off and Kantorovich constructions.  Each step solves the free block of
-  the Hessian exactly, so it ends on the exact active set in a few steps;
-  where that block is singular it solves the block shifted by a small
-  multiple of the identity.
+  with p >= 2; the solver of ``obslat solve`` and of the cut-off and
+  Kantorovich constructions.  Each step solves the free block of the Hessian
+  exactly, so it ends on the exact active set in a few steps; where that
+  block is singular it solves the block shifted by a small multiple of the
+  identity.
 * :func:`solve_psor` -- projected SOR for quadratic Z-matrix energies;
   monotone on M-matrices, which the suite's monotone-iteration check uses.
   Its sweep is exact lexicographic Gauss-Seidel on Python floats, so every
@@ -17,11 +17,13 @@ Four routes with very different trust profiles:
   backtracking for any differentiable energy (kernel energies need p >= 2).
 * :func:`brute_force_active_set` -- enumeration of all activity patterns for
   n <= 12; slow and completely independent of the iterative solvers, used as
-  the audit oracle.
+  the audit oracle (``obslat oracle``).
 
-All solvers report their first-order optimality through
-:func:`kkt_residual`, and classify active sets with a fixed relative
-tie-break so certificates are deterministic.
+PSOR and projected gradient are library routes, called by the suite, the
+benchmark and the demos; no CLI command reaches them.  All solvers report
+their first-order optimality through :func:`kkt_residual`, and classify
+active sets with a fixed relative tie-break so certificates are
+deterministic.
 """
 
 from __future__ import annotations
@@ -123,6 +125,15 @@ def _kkt_from_gradient(u: np.ndarray, box: OrderInterval, g: np.ndarray) -> floa
     return float(np.max(r)) + 0.0  # normalize -0.0
 
 
+def _slack_bounds(lo: np.ndarray, hi: np.ndarray):
+    """lo and hi widened by FEAS_RTOL relative to each side's own magnitude.
+
+    One side's slack must not depend on the other: an absent side sits at
+    1e30 and would widen a finite side by 1e18.
+    """
+    return lo - FEAS_RTOL * (1.0 + np.abs(lo)), hi + FEAS_RTOL * (1.0 + np.abs(hi))
+
+
 def kkt_residual(energy, box: OrderInterval, u) -> float:
     """Max-norm violation of box-constrained first-order optimality.
 
@@ -130,8 +141,8 @@ def kkt_residual(energy, box: OrderInterval, u) -> float:
     upper-active ones max(0, grad_i), pinned (lo = hi) indices nothing.
     """
     u = as_vector(u, "u")
-    slack = FEAS_RTOL * (1.0 + np.maximum(np.abs(box.lo), np.abs(box.hi)))
-    if np.any(u < box.lo - slack) or np.any(u > box.hi + slack):
+    floor, ceil = _slack_bounds(box.lo, box.hi)
+    if np.any(u < floor) or np.any(u > ceil):
         raise PreconditionError("point lies outside the interval")
     return _kkt_from_gradient(u, box, np.asarray(energy.gradient(u)))
 
@@ -427,7 +438,7 @@ def brute_force_active_set(energy: QuadraticEnergy, box: OrderInterval) -> Solut
     b = energy.b
     lo, hi = box.lo, box.hi
     pinned_eq = lo == hi  # no sign condition where the box is a point
-    feas_slack = FEAS_RTOL * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+    floor, ceil = _slack_bounds(lo, hi)
     examined = 0
     for free_mask in range(1 << n):
         f_idx = np.array([i for i in range(n) if free_mask >> i & 1], dtype=int)
@@ -447,11 +458,7 @@ def brute_force_active_set(energy: QuadraticEnergy, box: OrderInterval) -> Solut
                 continue
             cand[f_idx] = x
         examined += cols
-        feasible = np.all(
-            (cand >= lo[:, None] - feas_slack[:, None])
-            & (cand <= hi[:, None] + feas_slack[:, None]),
-            axis=0,
-        )
+        feasible = np.all((cand >= floor[:, None]) & (cand <= ceil[:, None]), axis=0)
         if not np.any(feasible):
             continue
         grad = a @ cand + b[:, None]

@@ -32,7 +32,7 @@ from .energies import (
     t_monotonicity_check,
     z_matrix_violation,
 )
-from .errors import CertificateError, ObslatError, ObstacleOrderError
+from .errors import CertificateError, ObslatError, ObstacleOrderError, SolverError
 from .lattice import OrderInterval, UNBOUNDED, clamp, join, meet, rk_join, rk_meet
 from .metric import (
     build_cutoff,
@@ -338,9 +338,9 @@ def check_cutoff(seed: int, paper_radius: bool = False) -> list:
     """Grade :func:`metric.build_cutoff` on the cut-off cases.
 
     An ObstacleOrderError adds its violation to ``cutoff_phi_le_psi``.  A
-    CertificateError (unconverged solve, failed certificate or Laplacian
-    bound) sets ``cutoff_certificate`` to inf and skips the case; the pins
-    are measured only by ``cutoff_pins_exact``.
+    SolverError (unconverged solve) or CertificateError (failed certificate
+    or Laplacian bound) sets ``cutoff_certificate`` to inf and skips the
+    case; the pins are measured only by ``cutoff_pins_exact``.
     """
     cases = _cutoff_cases(_rng(seed, "cutoff"))
     worst_order = worst_pins = worst_slack = worst_bound = 0.0
@@ -351,7 +351,7 @@ def check_cutoff(seed: int, paper_radius: bool = False) -> list:
         except ObstacleOrderError as err:
             worst_order = max(worst_order, float(err.violation))
             continue
-        except CertificateError:
+        except (CertificateError, SolverError):
             worst_slack = math.inf
             continue
         n_built += 1
@@ -378,8 +378,8 @@ def check_kantorovich(seed: int, n_potentials: int = 4) -> list:
     """Grade :func:`metric.kantorovich_regularize` on random potentials.
 
     An ObstacleOrderError adds its violation to ``kantorovich_lo_le_hi``.  A
-    CertificateError (unconverged solve or failed certificate) sets
-    ``kantorovich_certificate`` to inf and skips the run; clamping is
+    SolverError (unconverged solve) or CertificateError (failed certificate)
+    sets ``kantorovich_certificate`` to inf and skips the run; clamping is
     measured only by ``kantorovich_clamping``.
     """
     rng = _rng(seed, "kantorovich")
@@ -395,7 +395,7 @@ def check_kantorovich(seed: int, n_potentials: int = 4) -> list:
             except ObstacleOrderError as err:
                 worst_gap = max(worst_gap, float(err.violation))
                 continue
-            except CertificateError:
+            except (CertificateError, SolverError):
                 worst_slack = math.inf
                 continue
             worst_slack = max(worst_slack, -cert.lower_slack_min, -cert.upper_slack_min)

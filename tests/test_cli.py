@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from obslat.cli import main
 from obslat.instances import grid_edges
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 TRIDIAG_CONFIG = {
     "energy": {
@@ -75,6 +79,10 @@ def test_solve_bad_schema(tmp_path):
                                        solver={"method": "psor", "omega": "x"}),
                         "omega.json")
     assert main(["solve", "--config", cfg5, "--out", str(tmp_path)]) == 2
+    # a solver key no command reads is an error, not ignored
+    cfg5b = write_config(tmp_path, dict(TRIDIAG_CONFIG, solver={"omega": 1.2}),
+                         "omega_only.json")
+    assert main(["solve", "--config", cfg5b, "--out", str(tmp_path)]) == 2
     cfg6 = write_config(tmp_path, {
         "graph": {"nodes": 5, "edges": [[i, i + 1, 1.0] for i in range(4)]},
         "core": [2], "region": [1, 2, 3], "certificate_tol": "abc",
@@ -136,12 +144,9 @@ def test_solve_default_on_singular_hessian(tmp_path, name):
 
 
 def test_solve_forced_nonconvergence(tmp_path):
-    # a linear term keeps the zero start far from optimal, so one sweep at a
-    # tiny tolerance cannot converge
-    cfg = dict(TRIDIAG_CONFIG)
-    cfg["energy"] = dict(cfg["energy"], b=[5.0, -3.0, 2.0])
-    cfg["box"] = {"lo": -5.0, "hi": 5.0}
-    cfg["solver"] = {"method": "psor", "max_iter": 1, "tol": 1e-14}
+    # the full solve of this instance takes 10 Newton steps; after one the
+    # KKT residual is still 1.0
+    cfg = dict(_singular_hessian_config("path_linear_b"), solver={"max_iter": 1})
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out"
     assert main(["solve", "--config", path, "--out", str(out)]) == 3
@@ -236,23 +241,62 @@ def test_kantorovich_command(tmp_path):
 
 @pytest.mark.parametrize("method", ["warp-drive", "projected_gradient", "psor"])
 def test_cutoff_and_kantorovich_run_newton_only(tmp_path, method):
-    graph = {"nodes": 5, "edges": [[i, i + 1, 1.0] for i in range(4)]}
+    # solve and oracle as well: every command rejects a method but newton
     solver = {"method": method}
-    cutoff = write_config(tmp_path, {"graph": graph, "core": [2], "region": [1, 2, 3],
-                                     "solver": solver}, "cutoff.json")
-    assert main(["cutoff", "--config", cutoff, "--out", str(tmp_path)]) == 2
-    kantorovich = write_config(tmp_path, {"graph": graph, "potential": [0.0] * 5, "t": 0.5,
-                                          "solver": solver}, "kantorovich.json")
-    assert main(["kantorovich", "--config", kantorovich, "--out", str(tmp_path)]) == 2
+    graph = {"nodes": 5, "edges": [[i, i + 1, 1.0] for i in range(4)]}
+    configs = {
+        "solve": dict(TRIDIAG_CONFIG, solver=solver),
+        "oracle": dict(TRIDIAG_CONFIG, solver=solver),
+        "cutoff": {"graph": graph, "core": [2], "region": [1, 2, 3], "solver": solver},
+        "kantorovich": {"graph": graph, "potential": [0.0] * 5, "t": 0.5, "solver": solver},
+    }
+    for command, cfg in configs.items():
+        path = write_config(tmp_path, cfg, f"{command}.json")
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2, command
+
+
+def _grid_cutoff_config():
+    return {
+        "graph": {"nodes": 144, "edges": grid_edges(12, 12)},
+        "core": [65, 66, 77, 78],
+        "region": [12 * r + c for r in range(2, 10) for c in range(2, 10)],
+    }
+
+
+def test_constructions_exit_3_when_unconverged(tmp_path):
+    # both need more than one Newton step on these 12x12 grids
+    potential = np.random.default_rng(0).uniform(-3.0, 3.0, 144).tolist()
+    configs = {
+        "cutoff": _grid_cutoff_config(),
+        "kantorovich": {"graph": {"nodes": 144, "edges": grid_edges(12, 12)},
+                        "potential": potential, "t": 0.5, "cc_regularize": True},
+    }
+    for command, cfg in configs.items():
+        path = write_config(tmp_path, dict(cfg, solver={"max_iter": 1}), f"{command}.json")
+        out = tmp_path / command
+        assert main([command, "--config", path, "--out", str(out)]) == 3, command
+        assert not (out / f"{command}.json").exists()
+        assert not (out / "certificate.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "--tol", "1e-3"],
+    ["solve", "--seed", "1"],
+    ["kantorovich", "--paper-radius"],
+])
+def test_commands_reject_flags_they_do_not_read(tmp_path, argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "obslat.cli", *argv, "--out", str(tmp_path)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "unrecognized arguments" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cutoff_certificate_tol_follows_solver_tol(tmp_path):
     # the default certificate tolerance is 10 * tol in every command
-    cfg = write_config(tmp_path, {
-        "graph": {"nodes": 144, "edges": grid_edges(12, 12)},
-        "core": [65, 66, 77, 78],
-        "region": [12 * r + c for r in range(2, 10) for c in range(2, 10)],
-    })
+    cfg = write_config(tmp_path, _grid_cutoff_config())
     out = tmp_path / "out"
     assert main(["cutoff", "--config", cfg, "--out", str(out), "--tol", "1e-12"]) == 0
     certificate = json.loads((out / "certificate.json").read_text())

@@ -527,6 +527,15 @@ def test_kantorovich_clamping_row_fails_on_its_own(monkeypatch):
     assert rows["kantorovich_certificate"]["pass"]
 
 
+def test_unconverged_constructions_fail_their_certificate_rows(monkeypatch):
+    solve = obslat.metric.solve_newton
+    monkeypatch.setattr(obslat.metric, "solve_newton", lambda energy, box, **kwargs:
+                        dataclasses.replace(solve(energy, box, **kwargs), converged=False))
+    rows = {r["check_name"]: r for r in check_cutoff(0) + check_kantorovich(0)}
+    assert rows["cutoff_certificate"]["worst_value"] == np.inf
+    assert rows["kantorovich_certificate"]["worst_value"] == np.inf
+
+
 def test_potential_bounds_coincide_under_solver(two_points):
     # eta clamps wherever the two bounds agree: solve with PSOR directly
     space = path_space(9)

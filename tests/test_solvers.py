@@ -12,6 +12,7 @@ from obslat.instances import (
     path_space,
     random_box,
     random_c_concave,
+    random_lower_obstacle_box,
     random_submodular_quadratic,
 )
 from obslat.lattice import UNBOUNDED, OrderInterval, clamp
@@ -197,6 +198,11 @@ def test_kkt_residual_cases(tridiag, tridiag_box):
     assert kkt_residual(tridiag, pinned, np.ones(3)) == 0.0
     with pytest.raises(PreconditionError):
         kkt_residual(tridiag, tridiag_box, np.zeros(3))
+    # the slack of the finite lower side ignores the absent upper side (1e30)
+    one_sided = OrderInterval(np.zeros(3), np.full(3, UNBOUNDED))
+    for below in (1.0, 1e17):
+        with pytest.raises(PreconditionError):
+            kkt_residual(tridiag, one_sided, np.array([0.0, -below, 0.0]))
 
 
 def test_classification_tie_breaks():
@@ -339,16 +345,26 @@ def test_psor_rows_built_once_per_energy(monkeypatch):
 
 # ---------------------------------------------------------------- projected Newton
 
-def test_newton_matches_oracle():
-    rng = np.random.default_rng(37)
+def _assert_newton_matches_oracle(seed, make_box, n_max):
+    rng = np.random.default_rng(seed)
     for _ in range(40):
-        n = int(rng.integers(2, 10))
+        n = int(rng.integers(2, n_max + 1))
         energy = random_submodular_quadratic(rng, n)
-        box = random_box(rng, n)
+        box = make_box(rng, n)
         sol = solve_newton(energy, box, tol=1e-9)
         oracle = brute_force_active_set(energy, box)
         assert sol.converged and sol.kkt_residual <= 1e-9
         assert np.max(np.abs(sol.u - oracle.u)) <= 1e-7
+
+
+def test_newton_matches_oracle():
+    _assert_newton_matches_oracle(37, random_box, 9)
+
+
+def test_newton_matches_oracle_on_lower_obstacle_boxes():
+    # the upper side is absent (1e30); the oracle must not widen the lower
+    # side's feasibility slack by it
+    _assert_newton_matches_oracle(41, random_lower_obstacle_box, 8)
 
 
 def test_newton_membrane_agrees_with_psor():
