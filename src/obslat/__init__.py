@@ -63,7 +63,6 @@ from .metric import (
     interpolation_duality_check,
     is_c_concave,
     kantorovich_regularize,
-    metric_space_from_json_dict,
 )
 from .solvers import (
     Solution,
@@ -122,7 +121,6 @@ __all__ = [
     "ls_certificate",
     "maximum_principle_check",
     "meet",
-    "metric_space_from_json_dict",
     "negative_part",
     "positive_part",
     "rk_join",

@@ -11,7 +11,9 @@ Written with the discrete Laplacian L = -grad E this is the familiar
 L(lo) ∧ 0 <= L(u) <= L(hi) ∨ 0.  The certificate stores both slack vectors
 and passes when neither dips below -tol.  Gradients are always recomputed
 here from the energy, never read off the solver output, so the verdict is
-independent of solver internals.
+independent of solver internals.  Strictly free means lo < u < hi: solvers
+return ``clamp(u, box)``, so an index on an obstacle equals it exactly, as
+in ``solvers.classify_active``.
 
 One-sided problems mark the missing obstacle with +-1e30 (see
 ``lattice.UNBOUNDED``); the corresponding obstacle gradient is then replaced
@@ -29,7 +31,7 @@ import scipy.sparse.linalg as spla
 from .energies import QuadraticEnergy
 from .errors import CertificateError, DimensionMismatch, PreconditionError
 from .lattice import OrderInterval, as_vector
-from .solvers import ACTIVE_RTOL, Solution
+from .solvers import Solution
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,17 +119,17 @@ def free_set_harmonicity(energy, box: OrderInterval, solution,
     """Zero gradient on the strictly free set, up to tol.
 
     Returns (passed, worst_index, worst_value); the index is None when no
-    component is strictly free (vacuous pass).  Strictly free means the value
-    clears both obstacles by more than ``solvers.ACTIVE_RTOL * (1 + |u_i|)``.
-    ``solution`` may be a Solution or the minimizer vector itself.
+    component is strictly free (vacuous pass).  Strictly free means
+    lo_i < u_i < hi_i, which for u in the box are the indices
+    ``solvers.classify_active`` calls free.  ``solution`` may be a Solution
+    or the minimizer vector itself.
     """
     u = solution.u if isinstance(solution, Solution) else as_vector(solution, "u")
     return _free_harmonicity(box, u, np.asarray(energy.gradient(u)), tol)
 
 
 def _free_harmonicity(box: OrderInterval, u: np.ndarray, g: np.ndarray, tol: float):
-    margin = ACTIVE_RTOL * (1.0 + np.abs(u))
-    strict = (u > box.lo + margin) & (u < box.hi - margin)
+    strict = (box.lo < u) & (u < box.hi)
     if not np.any(strict):
         return True, None, 0.0
     viol = np.where(strict, np.abs(g), -np.inf)

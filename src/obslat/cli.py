@@ -383,7 +383,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exit_:  # argparse: 2 on a parse error, 0 after --help
+        return exit_.code
     try:
         return args.func(args)
     except ConfigError as err:

@@ -21,9 +21,10 @@ Four routes with very different trust profiles:
 
 PSOR and projected gradient are library routes, called by the suite, the
 benchmark and the demos; no CLI command reaches them.  All solvers report
-their first-order optimality through :func:`kkt_residual`, and classify
-active sets with a fixed relative tie-break so certificates are
-deterministic.
+their first-order optimality through :func:`kkt_residual`.  Every solver
+returns ``clamp(u, box)``, so an index sits on its obstacle exactly when it
+equals the bound: the active sets, the KKT residual and the Newton step all
+decide that by exact comparison with the bounds (:func:`_on_bounds`).
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ import scipy.sparse.linalg as spla
 from .energies import KernelEnergy, QuadraticEnergy
 from .errors import PreconditionError, SolverError
 from .lattice import OrderInterval, as_vector, clamp
-
-#: Relative half-width of the band in which an index counts as active.
-ACTIVE_RTOL = 1e-9
 
 #: Containment slack for precondition checks (relative to bound magnitude).
 FEAS_RTOL = 1e-12
@@ -94,34 +92,29 @@ class Solution:
         }
 
 
-def _active_masks(u: np.ndarray, box: OrderInterval):
-    at_lo = np.abs(u - box.lo) <= ACTIVE_RTOL * (1.0 + np.abs(box.lo))
-    at_hi = np.abs(u - box.hi) <= ACTIVE_RTOL * (1.0 + np.abs(box.hi))
-    lower = at_lo
-    upper = at_hi & ~at_lo  # both sides active classifies as lower
-    free = ~(lower | upper)
-    return lower, upper, free
+def _on_bounds(u: np.ndarray, box: OrderInterval):
+    """Masks (lower, upper) of the indices sitting exactly on lo and on hi.
+
+    An index on both bounds (lo == hi) counts as lower.  Exact comparison
+    matches the clamp arithmetic of the solvers, which puts a pinned index on
+    its bound bit for bit.
+    """
+    lower = u == box.lo
+    return lower, (u == box.hi) & ~lower
 
 
 def classify_active(u, box: OrderInterval):
     """Partition indices into (active_lower, active_upper, free)."""
-    u = as_vector(u, "u")
-    lower, upper, free = _active_masks(u, box)
-    return np.flatnonzero(lower), np.flatnonzero(upper), np.flatnonzero(free)
+    lower, upper = _on_bounds(as_vector(u, "u"), box)
+    return np.flatnonzero(lower), np.flatnonzero(upper), np.flatnonzero(~(lower | upper))
 
 
 def _kkt_from_gradient(u: np.ndarray, box: OrderInterval, g: np.ndarray) -> float:
-    # Exact comparisons, matching the clamp arithmetic of the solvers: an
-    # index pinned by clamping sits on its bound bit-for-bit.  The relative
-    # ACTIVE_RTOL band is only used for active-set *reporting*; using it here
-    # would misclassify boxes whose sides differ by rounding dust.
-    at_lo = u == box.lo
-    at_hi = u == box.hi
-    eq = box.lo == box.hi
+    lower, upper = _on_bounds(u, box)
     r = np.abs(g)
-    r = np.where(at_lo, np.maximum(0.0, -g), r)
-    r = np.where(at_hi & ~at_lo, np.maximum(0.0, g), r)
-    r = np.where(eq, 0.0, r)
+    r = np.where(lower, np.maximum(0.0, -g), r)
+    r = np.where(upper, np.maximum(0.0, g), r)
+    r = np.where(box.lo == box.hi, 0.0, r)
     return float(np.max(r)) + 0.0  # normalize -0.0
 
 
@@ -249,12 +242,12 @@ def solve_psor(energy: QuadraticEnergy, box: OrderInterval, tol: float = 1e-9,
 
 
 def solve_projected_gradient(energy, box: OrderInterval, tol: float = 1e-8,
-                             max_iter: int = 50000, u0=None,
-                             step_callback=None) -> Solution:
+                             max_iter: int = 50000, step_callback=None) -> Solution:
     """Projected gradient with Armijo backtracking along the projection arc.
 
     Accepts any energy exposing ``value`` and ``gradient``; kernel energies
-    must have p >= 2 so the gradient exists everywhere.  Each step tries
+    must have p >= 2 so the gradient exists everywhere.  Starts from
+    clamp(0, box).  Each step tries
     u_new = clamp(u - alpha grad) from alpha = 1, halving until the Armijo
     sufficient-decrease test passes; the energy therefore never increases.
     Stops when both the unit-step projected-gradient norm
@@ -263,7 +256,7 @@ def solve_projected_gradient(energy, box: OrderInterval, tol: float = 1e-8,
     if isinstance(energy, KernelEnergy) and energy.p < 2:
         raise SolverError(f"projected gradient requires p >= 2, got p = {energy.p}")
     _check_box_dim(energy, box)
-    u = clamp(np.zeros(energy.n) if u0 is None else as_vector(u0, "u0"), box)
+    u = clamp(np.zeros(energy.n), box)
     f = energy.value(u)
     steps = 0
     converged = False
@@ -403,7 +396,8 @@ def solve_newton(energy, box: OrderInterval, tol: float = 1e-9, max_iter: int = 
     res = _kkt_from_gradient(u, box, g)
     steps = 0
     while res > tol and steps < max_iter:
-        held = fixed | ((u == box.lo) & (g > 0.0)) | ((u == box.hi) & (g < 0.0))
+        lower, upper = _on_bounds(u, box)
+        held = fixed | (lower & (g > 0.0)) | (upper & (g < 0.0))
         d = _newton_direction(energy, u, g, ~held)
         step = None if d is None else _arc_search(energy, box, u, f, g, res, d)
         if step is None:

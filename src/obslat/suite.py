@@ -33,7 +33,7 @@ from .energies import (
     z_matrix_violation,
 )
 from .errors import CertificateError, ObslatError, ObstacleOrderError, SolverError
-from .lattice import OrderInterval, UNBOUNDED, clamp, join, meet, rk_join, rk_meet
+from .lattice import OrderInterval, UNBOUNDED, join, meet, rk_join, rk_meet
 from .metric import (
     build_cutoff,
     c_transform,
@@ -62,29 +62,10 @@ def _row(name: str, n: int, worst: float, threshold: float) -> dict:
 
 def check_lattice_identities(seed: int, n_pairs: int = 200) -> list:
     rng = _rng(seed, "lattice_identities")
-    worst_absorb = worst_decomp = worst_clamp = 0.0
-    for _ in range(n_pairs):
-        n = int(rng.integers(1, 9))
-        u, v = rng.normal(size=n), rng.normal(size=n)
-        worst_absorb = max(
-            worst_absorb,
-            float(np.max(np.abs(join(u, meet(u, v)) - u))),
-            float(np.max(np.abs(meet(u, join(u, v)) - u))),
-        )
-        worst_decomp = max(
-            worst_decomp,
-            float(np.max(np.abs(np.maximum(u, 0) + np.minimum(u, 0) - u))),
-        )
-        box = inst.random_box(rng, n)
-        d_clamped = np.max(np.abs(clamp(u, box) - clamp(v, box)))
-        worst_clamp = max(worst_clamp, float(d_clamped - np.max(np.abs(u - v))))
-    rows = [
-        _row("lattice_absorption", n_pairs, worst_absorb, 0.0),
-        _row("lattice_decomposition", n_pairs, worst_decomp, 0.0),
-        _row("lattice_clamp_nonexpansive", n_pairs, worst_clamp, 0.0),
-    ]
     # Riesz-Kantorovich formula against vertex enumeration (the sup of a
     # linear functional over [0, x] sits at a vertex, so enumeration is exact).
+    # Absorption, decomposition and the nonexpansive clamp are exact in IEEE
+    # arithmetic, so they are left to the property tests of the lattice module.
     worst_rk = 0.0
     for _ in range(n_pairs // 2):
         n = int(rng.integers(1, 9))
@@ -102,8 +83,7 @@ def check_lattice_identities(seed: int, n_pairs: int = 200) -> list:
             abs(rk_join(l, m, x) - float(join(l, m) @ x)),
             abs(rk_meet(l, m, x) - float(meet(l, m) @ x)),
         )
-    rows.append(_row("lattice_rk_formula", n_pairs // 2, worst_rk, 1e-9))
-    return rows
+    return [_row("lattice_rk_formula", n_pairs // 2, worst_rk, 1e-9)]
 
 
 def check_zmatrix_equivalence(seed: int, n_matrices: int = 100) -> list:
@@ -338,9 +318,10 @@ def check_cutoff(seed: int, paper_radius: bool = False) -> list:
     """Grade :func:`metric.build_cutoff` on the cut-off cases.
 
     An ObstacleOrderError adds its violation to ``cutoff_phi_le_psi``.  A
-    SolverError (unconverged solve) or CertificateError (failed certificate
-    or Laplacian bound) sets ``cutoff_certificate`` to inf and skips the
-    case; the pins are measured only by ``cutoff_pins_exact``.
+    SolverError (unconverged solve) or CertificateError (failed certificate)
+    sets ``cutoff_certificate`` to inf and skips the case; the pins and the
+    Laplacian bound are measured only by ``cutoff_pins_exact`` and
+    ``cutoff_laplacian_bound``.
     """
     cases = _cutoff_cases(_rng(seed, "cutoff"))
     worst_order = worst_pins = worst_slack = worst_bound = 0.0

@@ -137,6 +137,11 @@ def test_free_set_harmonicity(tridiag):
     sol2 = solve_psor(tridiag, tight, tol=1e-10)
     ok2, idx2, _ = free_set_harmonicity(tridiag, tight, sol2, tol=1e-9)
     assert ok2 and idx2 is None
+    # E = |u|^2/2 + u_0 on [0, 1]^2: u_0 = 1e-12 is off its bound, so free
+    energy = QuadraticEnergy(np.eye(2), np.array([1.0, 0.0]))
+    square = OrderInterval([0.0, 0.0], [1.0, 1.0])
+    ok3, idx3, worst3 = free_set_harmonicity(energy, square, np.array([1e-12, 0.5]), tol=1e-9)
+    assert not ok3 and idx3 == 0 and worst3 == pytest.approx(1.0)
 
 
 def test_harmonicity_follows_kkt():

@@ -292,6 +292,14 @@ def test_commands_reject_flags_they_do_not_read(tmp_path, argv):
     assert proc.returncode == 2, proc.stderr
     assert "unrecognized arguments" in proc.stderr
     assert list(tmp_path.iterdir()) == []
+    # in process the parse error is a return value, like every other config error
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_returns_zero(capsys):
+    assert main(["solve", "--help"]) == 0
+    assert "--tol" in capsys.readouterr().out
 
 
 def test_cutoff_certificate_tol_follows_solver_tol(tmp_path):

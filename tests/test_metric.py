@@ -41,7 +41,6 @@ from obslat.metric import (
     interpolation_duality_check,
     is_c_concave,
     kantorovich_regularize,
-    metric_space_from_json_dict,
 )
 from obslat.solvers import solve_psor
 from obslat.suite import check_cutoff, check_kantorovich
@@ -197,18 +196,6 @@ def test_cutoff_builds_no_all_pairs_matrix(tmp_path, monkeypatch):
     assert main(["cutoff", "--config", str(path), "--out", str(out)]) == 0
     certificate = json.loads((out / "certificate.json").read_text())
     assert certificate["pass"] is True and certificate["lipschitz_ratio"] > 0.0
-
-
-def test_metric_json_roundtrip():
-    space = random_planar_metric(np.random.default_rng(2), 6)
-    back = metric_space_from_json_dict(space.to_json_dict())
-    assert np.allclose(back.D, space.D, atol=0)
-    graph = path_space(5)
-    back2 = metric_space_from_json_dict(graph.to_json_dict())
-    assert isinstance(back2, GraphSpace)
-    assert np.array_equal(back2.D, graph.D)
-    with pytest.raises(ConstructionError):
-        metric_space_from_json_dict({"points": 3, "distances": [1.0]})
 
 
 # ---------------------------------------------------------------- Hopf-Lax

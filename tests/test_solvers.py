@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,35 @@ def test_classification_tie_breaks():
     assert np.array_equal(lower, [0])  # lo == hi classifies as lower
     assert np.array_equal(upper, [1])
     assert np.array_equal(free, [2])
+    # on a bound means equal to it: 1e-12 above lo and below hi is free
+    square = OrderInterval([0.0, 0.0], [1.0, 1.0])
+    for u in ([1e-12, 0.5], [0.5, 1.0 - 1e-12]):
+        lower, upper, free = classify_active(np.array(u), square)
+        assert lower.size == 0 and upper.size == 0
+        assert np.array_equal(free, [0, 1])
+
+
+def _kkt_charged_free(box, u):
+    """Indices that kkt_residual charges |g_i|: charged for g = e_i and g = -e_i."""
+    def charged(g):
+        return kkt_residual(SimpleNamespace(gradient=lambda _: g), box, u) > 0.0
+    eye = np.eye(box.n)
+    return [i for i in range(box.n) if charged(eye[i]) and charged(-eye[i])]
+
+
+def test_partition_matches_kkt_free_set():
+    # minimizers 1e-12 above lo, interior, 1e-12 below hi, on lo, on hi, and
+    # pinned: every solver's free set is the set kkt_residual charges as free
+    b = np.array([-1e-12, -0.5, -(1.0 - 1e-12), 1.0, -2.0, 0.0])
+    energy = QuadraticEnergy(np.eye(6), b)
+    box = OrderInterval([0.0] * 5 + [0.5], [1.0] * 5 + [0.5])
+    for solve in (solve_newton, solve_psor, solve_projected_gradient, brute_force_active_set):
+        sol = solve(energy, box)
+        assert sol.converged, solve.__name__
+        assert list(sol.free) == _kkt_charged_free(box, sol.u), solve.__name__
+    sol = solve_newton(energy, box)
+    assert list(sol.free) == [0, 1, 2]
+    assert list(sol.active_lower) == [3, 5] and list(sol.active_upper) == [4]
 
 
 def test_comparison_principle_path():
