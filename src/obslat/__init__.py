@@ -12,7 +12,6 @@ from .certificates import (
     certificate_report,
     free_set_harmonicity,
     harmonic_extension,
-    laplacian_bound,
     lipschitz_ratio,
     ls_certificate,
     maximum_principle_check,
@@ -116,7 +115,6 @@ __all__ = [
     "join",
     "kantorovich_regularize",
     "kkt_residual",
-    "laplacian_bound",
     "lipschitz_ratio",
     "ls_certificate",
     "maximum_principle_check",

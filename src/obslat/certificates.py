@@ -108,12 +108,6 @@ def ls_certificate(energy, box: OrderInterval, solution: Solution, tol: float) -
     )
 
 
-def laplacian_bound(energy, u) -> tuple[float, np.ndarray]:
-    """Discrete Laplacian -grad E(u) and its max norm."""
-    lap = -np.asarray(energy.gradient(u))
-    return float(np.max(np.abs(lap))), lap
-
-
 def free_set_harmonicity(energy, box: OrderInterval, solution,
                          tol: float) -> tuple[bool, int | None, float]:
     """Zero gradient on the strictly free set, up to tol.

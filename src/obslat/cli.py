@@ -49,6 +49,8 @@ dominant is certified by a dense eigenvalue check only up to n = 2000
 Graph edges [i, j, w] are undirected ([j, i, w] is the same pair), each
 pair listed at most once (a repeat exits 2), with w > 0: a conductance in
 energies, and in cutoff/kantorovich also the shortest-path edge length.
+Kernel pairs [i, j, w] need i < j and may be listed once each (a repeat
+exits 2); exterior entries [i, d] for the same index add up.
 
 cutoff::
 

@@ -80,8 +80,8 @@ class QuadraticEnergy:
 
     ``submodular`` is True exactly when all off-diagonal entries of A are
     nonpositive (up to ``Z_TOL``).  The discrete Laplacian associated with
-    the energy is ``laplacian(u) = -(Au + b) = -gradient(u)``.  The CSR
-    arrays of ``a`` are private copies and read-only.
+    the energy is L(u) = -(Au + b) = -gradient(u); it has no method of its
+    own.  The CSR arrays of ``a`` are private copies and read-only.
     """
 
     def __init__(self, a, b=None):
@@ -152,10 +152,6 @@ class QuadraticEnergy:
         if u.shape[0] != self.n:
             raise DimensionMismatch(f"vector length {u.shape[0]} != n {self.n}")
         return self.a @ u + self.b
-
-    def laplacian(self, u) -> np.ndarray:
-        """Discrete Laplacian -(Au + b)."""
-        return -self.gradient(u)
 
     def hessian(self, u) -> sp.csr_matrix:
         """The constant Hessian ``a``."""
@@ -237,6 +233,8 @@ class KernelEnergy:
     convex and submodular for p > 1 since |.|^p is convex.  For p < 2 the
     gradient does not exist where a pair difference (or an entry with
     d_i > 0) is exactly zero; such calls raise NondifferentiableError.
+    Each pair (i, j) needs i < j and may be listed once, as an edge in
+    :func:`validate_edges`; exterior entries for one index add up.
     """
 
     def __init__(self, n: int, pairs, exterior, p: float):
@@ -266,6 +264,10 @@ class KernelEnergy:
         self.i = np.array(i_idx, dtype=int)
         self.j = np.array(j_idx, dtype=int)
         self.w = np.array(w, dtype=float)
+        keys, counts = np.unique(self.i * self.n + self.j, return_counts=True)
+        if np.any(counts > 1):
+            i, j = divmod(int(keys[np.argmax(counts > 1)]), self.n)
+            raise ConstructionError(f"pair ({i},{j}) is listed more than once")
         self.d = d
         self.p = float(p)
         for arr in (self.i, self.j, self.w, self.d):
@@ -296,9 +298,6 @@ class KernelEnergy:
         g -= np.bincount(self.j, weights=t, minlength=self.n)
         g += self.d * np.abs(u) ** (self.p - 2) * u
         return g
-
-    def laplacian(self, u) -> np.ndarray:
-        return -self.gradient(u)
 
     def hessian(self, u) -> sp.csr_matrix:
         """Hessian at u for p >= 2, a Z-matrix.

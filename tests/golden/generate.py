@@ -10,10 +10,18 @@ is written:
 * cutoff_grid5x5.json -- obstacle formulas on a 5x5 grid, recomputed here
   from BFS distances with plain loops (no library code).
 
-Run from the repository root:  python3 tests/golden/generate.py
+The two suite goldens are the suite.csv of ``obslat suite --seed 0`` and of
+the cutoff check alone with ``--paper-radius``, the runs of
+``test_suite_matches_golden``.  They record the suite's own measurements, so
+the only check here is the exit code: every row passes in the first run, and
+the paper's radius fails in the second.
+
+Run from the repository root:  PYTHONPATH=src python3 tests/golden/generate.py
 """
 
 import json
+import shutil
+import tempfile
 from collections import deque
 from pathlib import Path
 
@@ -21,6 +29,7 @@ import numpy as np
 import scipy.optimize
 
 from obslat.certificates import ls_certificate
+from obslat.cli import main
 from obslat.energies import fractional_kernel_1d
 from obslat.instances import grid_edges, path_space, grid_space
 from obslat.lattice import OrderInterval
@@ -130,7 +139,20 @@ def cutoff_grid5x5():
     })
 
 
+def suite_csv(name, cfg, flags, expected_code):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(cfg))
+        code = main(["suite", "--seed", "0", "--config", str(config), "--out", tmp, *flags])
+        assert code == expected_code, f"{name}: suite exited {code}"
+        shutil.copyfile(Path(tmp) / "suite.csv", OUT / name)
+    print(f"wrote {name}")
+
+
 if __name__ == "__main__":
     fractional_p3()
     cutoff_path11()
     cutoff_grid5x5()
+    suite_csv("suite_seed0.csv", {}, [], 0)
+    suite_csv("suite_seed0_paper_radius_cutoff.csv", {"checks": ["cutoff"]},
+              ["--paper-radius"], 1)

@@ -5,7 +5,6 @@ from obslat.certificates import (
     certificate_report,
     free_set_harmonicity,
     harmonic_extension,
-    laplacian_bound,
     lipschitz_ratio,
     ls_certificate,
     maximum_principle_check,
@@ -111,20 +110,12 @@ def test_certificate_passes_on_random_instances():
         cert = ls_certificate(energy, box, sol, tol=1e-8)
         assert cert.passed, (cert.lower_slack_min, cert.upper_slack_min)
         # consequence: Laplacian of the minimizer bounded by obstacle Laplacians
-        lap_u, _ = laplacian_bound(energy, sol.u)
+        lap_u = float(np.max(np.abs(energy.gradient(sol.u))))
         bound = max(
             float(np.max(np.abs(np.minimum(-cert.g_lo, 0.0)))),
             float(np.max(np.abs(np.maximum(-cert.g_hi, 0.0)))),
         )
         assert lap_u <= bound + 1e-8
-
-
-def test_laplacian_bound_examples(tridiag):
-    sup, lap = laplacian_bound(tridiag, np.array([0.5, 1.0, 0.5]))
-    assert sup == 1.0
-    assert np.array_equal(lap, [0.0, -1.0, 0.0])
-    sup0, _ = laplacian_bound(tridiag, np.zeros(3))
-    assert sup0 == 0.0
 
 
 def test_free_set_harmonicity(tridiag):

@@ -71,6 +71,12 @@ def test_solve_bad_schema(tmp_path):
         "box": {"lo": 0.0, "hi": 1.0},
     }, "repeated_edge.json")
     assert main(["solve", "--config", cfg3, "--out", str(tmp_path)]) == 2
+    cfg3b = write_config(tmp_path, {
+        "energy": {"kind": "kernel", "n": 3, "p": 2.0,
+                   "pairs": [[0, 1, 1.0], [1, 2, 1.0], [0, 1, 2.0]]},
+        "box": {"lo": 0.0, "hi": 1.0},
+    }, "repeated_pair.json")
+    assert main(["solve", "--config", cfg3b, "--out", str(tmp_path)]) == 2
     # malformed solver values are config errors in every command
     cfg4 = write_config(tmp_path, dict(TRIDIAG_CONFIG, solver={"max_iter": "abc"}),
                         "max_iter.json")

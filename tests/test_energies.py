@@ -172,7 +172,6 @@ def test_value_gradient_example():
     edge_sum = 0.5 * float(np.sum(np.diff(full) ** 2))
     assert edge_sum == 0.5
     assert energy.value(u) == pytest.approx(edge_sum, abs=1e-14)
-    assert np.array_equal(energy.laplacian(u), [0.0, -1.0, 0.0])
     assert energy.value(np.zeros(3)) == 0.0
     assert np.array_equal(energy.gradient(np.zeros(3)), np.zeros(3))
     with pytest.raises(DimensionMismatch):
@@ -330,6 +329,8 @@ def test_kernel_validation():
         KernelEnergy(3, [], [(0, -1.0)], 2.0)
     with pytest.raises(ConstructionError):
         KernelEnergy(3, [(0, 1, 1.0)], [], 1.0)
+    with pytest.raises(ConstructionError, match=r"pair \(0,1\)"):
+        KernelEnergy(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 1, 2.0)], [], 2.0)
 
 
 def test_kernel_nondifferentiable_below_two():

@@ -11,6 +11,7 @@ from scipy.sparse.csgraph import dijkstra
 import obslat.cli
 import obslat.energies
 import obslat.metric
+import obslat.suite
 from obslat.certificates import lipschitz_ratio
 from obslat.cli import main
 from obslat.energies import QuadraticEnergy
@@ -43,7 +44,7 @@ from obslat.metric import (
     kantorovich_regularize,
 )
 from obslat.solvers import solve_psor
-from obslat.suite import check_cutoff, check_kantorovich
+from obslat.suite import check_cutoff, check_kantorovich, check_ls_quadratic
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -214,8 +215,10 @@ def test_hopf_lax_constant_and_monotone(two_points):
         psi = rng.normal(size=8)
         q1 = hopf_lax(space, psi, 0.2)
         q2 = hopf_lax(space, psi, 0.9)
-        assert np.all(q1 <= psi + 1e-12)
-        assert np.all(q2 <= q1 + 1e-12)
+        # exact: d(x, x) = 0, and rounded +, / t > 0 and min are monotone
+        assert np.all(q1 <= psi)
+        assert np.all(q2 <= q1)
+        assert np.all(q1 <= hopf_lax(space, psi + np.abs(rng.normal(size=8)), 0.2))
 
 
 def test_hopf_lax_blocks_match_one_shot():
@@ -484,30 +487,45 @@ def test_gradient_calls_per_cutoff_run(tmp_path, monkeypatch):
     assert report_calls == [0]
 
 
-def _move_pinned_answer(monkeypatch, move):
-    """Make metric's solver return its answer with ``move`` applied where lo == hi."""
-    solve = obslat.metric.solve_newton
+def _move_answer(monkeypatch, move, where=lambda box, u: box.lo == box.hi,
+                 module=obslat.metric):
+    """Make ``module``'s solver return its answer with ``move`` applied at ``where(box, u)``."""
+    solve = module.solve_newton
 
     def moved(energy, box, **kwargs):
         sol = solve(energy, box, **kwargs)
         u = sol.u.copy()
-        pinned = box.lo == box.hi
-        u[pinned] = move(u[pinned])
+        at = where(box, u)
+        u[at] = move(u[at])
         return dataclasses.replace(sol, u=u)
 
-    monkeypatch.setattr(obslat.metric, "solve_newton", moved)
+    monkeypatch.setattr(module, "solve_newton", moved)
 
 
 def test_cutoff_pins_row_fails_on_its_own(monkeypatch):
-    _move_pinned_answer(monkeypatch, lambda v: np.nextafter(v, np.inf))
+    _move_answer(monkeypatch, lambda v: np.nextafter(v, np.inf))
     rows = {r["check_name"]: r for r in check_cutoff(0)}
     assert not rows["cutoff_pins_exact"]["pass"]
     assert rows["cutoff_pins_exact"]["worst_value"] > 0.0
     assert rows["cutoff_certificate"]["pass"]
 
 
+def test_certificate_rows_catch_a_moved_free_value(monkeypatch):
+    # sup|L(u)| <= obstacle_bound + tol has no row of its own: a passing
+    # certificate implies it, so a wrong answer must fail the certificate
+    def first_free(box, u):
+        return np.flatnonzero((box.lo < u) & (u < box.hi))[:1]
+
+    _move_answer(monkeypatch, lambda v: v + 1e-3, first_free)
+    rows = {r["check_name"]: r for r in check_cutoff(0)}
+    assert not rows["cutoff_certificate"]["pass"]
+    _move_answer(monkeypatch, lambda v: v + 1e-3, first_free, obslat.suite)
+    rows = {r["check_name"]: r for r in check_ls_quadratic(0)}
+    assert not rows["ls_certificate_quadratic"]["pass"]
+
+
 def test_kantorovich_clamping_row_fails_on_its_own(monkeypatch):
-    _move_pinned_answer(monkeypatch, lambda v: v + 2e-9)
+    _move_answer(monkeypatch, lambda v: v + 2e-9)
     rows = {r["check_name"]: r for r in check_kantorovich(0)}
     assert not rows["kantorovich_clamping"]["pass"]
     assert rows["kantorovich_clamping"]["worst_value"] >= 1.9e-9
