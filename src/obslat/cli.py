@@ -47,10 +47,10 @@ dominant is certified by a dense eigenvalue check only up to n = 2000
 (``energies.PSD_DENSE_MAX_N``); above that cap it exits 2.
 
 Graph edges [i, j, w] are undirected ([j, i, w] is the same pair), each
-pair listed at most once (a repeat exits 2), with w > 0: a conductance in
-energies, and in cutoff/kantorovich also the shortest-path edge length.
-Kernel pairs [i, j, w] need i < j and may be listed once each (a repeat
-exits 2); exterior entries [i, d] for the same index add up.
+pair listed at most once (a repeat exits 2), with finite w > 0: a conductance
+in energies, and in cutoff/kantorovich also the shortest-path edge length.
+Kernel pairs [i, j, w] follow the edge rules and need i < j; exterior entries
+[i, d] need a finite d >= 0 and add up per index.  NaN or Infinity exits 2.
 
 cutoff::
 
@@ -169,7 +169,7 @@ def _build_energy(cfg: dict):
                                         float(spec["s"]), float(spec["p"]),
                                         int(spec["collar"]))
         raise ConfigError(f"unknown energy kind {kind!r}")
-    except (KeyError, TypeError, ValueError, OSError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError, OSError) as err:
         if isinstance(err, ConfigError):
             raise
         raise ConfigError(f"bad energy specification: {err}") from err
@@ -257,7 +257,7 @@ def _build_space(cfg: dict) -> GraphSpace:
     try:
         g = cfg["graph"]
         return GraphSpace.from_graph(int(g["nodes"]), g["edges"])
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"bad graph specification: {err}") from err
 
 

@@ -14,6 +14,9 @@ A is certified PSD at construction by Gershgorin's theorem (diagonal
 dominance, O(nnz), true of every graph Laplacian) or, failing that and only
 up to n = PSD_DENSE_MAX_N, by its smallest eigenvalue.  A is read-only.
 
+:func:`validate_edges` is the one check of an (i, j, w) list, returned as
+arrays, and :func:`laplacian` the one assembly of a weighted graph Laplacian.
+
 Both expose ``value``, ``gradient`` and ``hessian``; the module-level checks
 (:func:`submodularity_check`, :func:`t_monotonicity_check`,
 :func:`z_matrix_violation`, :func:`scalar_submodularity_inequality`)
@@ -52,27 +55,50 @@ class CheckResult(NamedTuple):
     value: float
 
 
-def validate_edges(nodes: int, edges) -> list:
-    """Checked (i, j, w) tuples of an undirected weighted edge list.
+def validate_edges(nodes: int, edges) -> tuple:
+    """Checked (i, j, w) arrays of an undirected weighted edge list.
 
-    (i, j) and (j, i) are one pair, which may be listed once; i != j must
-    both lie in range(nodes) and the weight must be positive.
+    Each row is one (i, j, w) triple; (i, j) and (j, i) are one pair, which
+    may be listed once.  i != j must lie in range(nodes), truncated as by
+    ``int``, and w must be positive and finite.  Returns read-only int64,
+    int64 and float64 arrays of i, j and w in list order, each owning its data.
     """
-    clean, seen = [], set()
-    for i, j, w in edges:
-        i, j, w = int(i), int(j), float(w)
-        if i == j:
-            raise ConstructionError(f"self-loop at node {i}")
-        if not (0 <= i < nodes and 0 <= j < nodes):
-            raise ConstructionError(f"edge ({i},{j}) out of range for {nodes} nodes")
-        if not w > 0:
-            raise ConstructionError(f"edge ({i},{j}) has nonpositive weight {w}")
-        pair = (min(i, j), max(i, j))
-        if pair in seen:
-            raise ConstructionError(f"edge ({i},{j}) repeats the pair {pair}")
-        seen.add(pair)
-        clean.append((i, j, w))
-    return clean
+    rows = np.array(edges, dtype=float)
+    if rows.shape == (0,):
+        rows = rows.reshape(0, 3)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise ConstructionError(f"edges must be (i, j, w) triples, got shape {rows.shape}")
+    ends, w = np.trunc(rows[:, :2]), rows[:, 2].copy()
+    lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
+    order = np.lexsort((hi, lo))  # stable: a pair's first row comes first
+    repeats = np.zeros(len(w), dtype=bool)
+    repeats[order[1:]] = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
+    for bad, why in ((lo == hi, "is a self-loop"),
+                     (~((lo >= 0) & (hi < nodes)), f"is out of range for {nodes} nodes"),
+                     (~((w > 0) & (w < np.inf)), "needs a positive finite weight, got {w}"),
+                     (repeats, "repeats the pair ({lo:.0f},{hi:.0f})")):
+        if bad.any():
+            k = int(bad.argmax())
+            raise ConstructionError(f"edge ({ends[k, 0]:.0f},{ends[k, 1]:.0f}) "
+                                    + why.format(w=w[k], lo=lo[k], hi=hi[k]))
+    i, j = ends[:, 0].astype(np.int64), ends[:, 1].astype(np.int64)
+    for arr in (i, j, w):
+        arr.setflags(write=False)
+    return i, j, w
+
+
+def laplacian(n: int, i, j, w, diag=None) -> sp.csr_matrix:
+    """sum_k w_k (e_i - e_j)(e_i - e_j)^T + diag(d) as an n x n CSR matrix.
+
+    Entries are summed pair by pair, (i,i), (j,j), (i,j), (j,i), with the
+    diagonal d last, so equal inputs give bit-equal matrices everywhere.
+    """
+    d = np.zeros(0) if diag is None else diag
+    k = np.arange(len(d))
+    rows = np.concatenate([np.column_stack([i, j, i, j]).ravel(), k])
+    cols = np.concatenate([np.column_stack([i, j, j, i]).ravel(), k])
+    vals = np.concatenate([np.column_stack([w, w, -w, -w]).ravel(), d])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 class QuadraticEnergy:
@@ -81,10 +107,12 @@ class QuadraticEnergy:
     ``submodular`` is True exactly when all off-diagonal entries of A are
     nonpositive (up to ``Z_TOL``).  The discrete Laplacian associated with
     the energy is L(u) = -(Au + b) = -gradient(u); it has no method of its
-    own.  The CSR arrays of ``a`` are private copies and read-only.
+    own.  The CSR arrays of ``a`` are private copies and read-only, as are
+    ``coupling`` (free-to-pinned block) and ``free_nodes``, which only
+    :func:`graph_dirichlet` sets.
     """
 
-    def __init__(self, a, b=None):
+    def __init__(self, a, b=None, *, coupling=None, free_nodes=None):
         a = sp.csr_matrix(a, dtype=float, copy=True)
         if a.shape[0] != a.shape[1]:
             raise ConstructionError(f"matrix must be square, got {a.shape}")
@@ -116,16 +144,18 @@ class QuadraticEnergy:
         b = as_vector(b, "b")
         if b.shape[0] != self.n:
             raise DimensionMismatch(f"linear term length {b.shape[0]} != n {self.n}")
-        b.setflags(write=False)
-        for arr in (a.data, a.indices, a.indptr):
+        frozen = [b, a.data, a.indices, a.indptr]
+        if coupling is not None:
+            frozen += [coupling.data, coupling.indices, coupling.indptr]
+        if free_nodes is not None:
+            frozen.append(free_nodes)
+        for arr in frozen:
             arr.setflags(write=False)
         self.a = a
         self.b = b
+        self.coupling, self.free_nodes = coupling, free_nodes
         # solvers.solve_psor caches its row lists here on first use.
         self.psor_rows: list | None = None
-        # Set by graph_dirichlet: coupling to eliminated boundary nodes.
-        self.coupling: sp.csr_matrix | None = None
-        self.free_nodes: np.ndarray | None = None
 
     @classmethod
     def from_triplets(cls, n: int, triplets, b=None):
@@ -209,21 +239,12 @@ def assemble_dirichlet(nodes: int, clean_edges, dirichlet_set=()) -> QuadraticEn
     for i in dirichlet:
         if not 0 <= i < nodes:
             raise ConstructionError(f"dirichlet node {i} out of range")
-    rows, cols, vals = [], [], []
-    for i, j, w in clean_edges:
-        rows += [i, j, i, j]
-        cols += [i, j, j, i]
-        vals += [w, w, -w, -w]
-    lap = sp.coo_matrix((vals, (rows, cols)), shape=(nodes, nodes)).tocsr()
     free = np.setdiff1d(np.arange(nodes), dirichlet)
     if free.size == 0:
         raise ConstructionError("dirichlet_set covers every node; nothing to solve for")
-    free_rows = lap[free]
-    energy = QuadraticEnergy(free_rows[:, free])
-    if dirichlet:
-        energy.coupling = sp.csr_matrix(free_rows[:, np.array(dirichlet, dtype=int)])
-    energy.free_nodes = free
-    return energy
+    free_rows = laplacian(nodes, *clean_edges)[free]
+    coupling = sp.csr_matrix(free_rows[:, np.array(dirichlet, dtype=int)]) if dirichlet else None
+    return QuadraticEnergy(free_rows[:, free], coupling=coupling, free_nodes=free)
 
 
 class KernelEnergy:
@@ -233,8 +254,8 @@ class KernelEnergy:
     convex and submodular for p > 1 since |.|^p is convex.  For p < 2 the
     gradient does not exist where a pair difference (or an entry with
     d_i > 0) is exactly zero; such calls raise NondifferentiableError.
-    Each pair (i, j) needs i < j and may be listed once, as an edge in
-    :func:`validate_edges`; exterior entries for one index add up.
+    Each pair (i, j) is checked as an edge by :func:`validate_edges` and
+    needs i < j; finite exterior entries for one index add up.
     """
 
     def __init__(self, n: int, pairs, exterior, p: float):
@@ -243,31 +264,18 @@ class KernelEnergy:
         self.n = int(n)
         if self.n < 1:
             raise ConstructionError("n must be >= 1")
-        i_idx, j_idx, w = [], [], []
-        for i, j, wij in pairs:
-            i, j, wij = int(i), int(j), float(wij)
-            if not 0 <= i < j < self.n:
-                raise ConstructionError(f"pair ({i},{j}) must satisfy 0 <= i < j < n")
-            if wij <= 0:
-                raise ConstructionError(f"pair ({i},{j}) has nonpositive weight {wij}")
-            i_idx.append(i)
-            j_idx.append(j)
-            w.append(wij)
+        self.i, self.j, self.w = validate_edges(self.n, pairs)
+        if np.any(self.i > self.j):
+            k = int(np.argmax(self.i > self.j))
+            raise ConstructionError(f"pair ({self.i[k]},{self.j[k]}) must satisfy i < j")
         d = np.zeros(self.n)
         for i, di in exterior:
             i, di = int(i), float(di)
             if not 0 <= i < self.n:
                 raise ConstructionError(f"exterior index {i} out of range")
-            if di < 0:
-                raise ConstructionError(f"exterior weight d_{i} = {di} must be >= 0")
+            if not 0 <= di < np.inf:
+                raise ConstructionError(f"exterior weight d_{i} = {di} must be finite and >= 0")
             d[i] += di
-        self.i = np.array(i_idx, dtype=int)
-        self.j = np.array(j_idx, dtype=int)
-        self.w = np.array(w, dtype=float)
-        keys, counts = np.unique(self.i * self.n + self.j, return_counts=True)
-        if np.any(counts > 1):
-            i, j = divmod(int(keys[np.argmax(counts > 1)]), self.n)
-            raise ConstructionError(f"pair ({i},{j}) is listed more than once")
         self.d = d
         self.p = float(p)
         for arr in (self.i, self.j, self.w, self.d):
@@ -313,11 +321,7 @@ class KernelEnergy:
         q = self.p - 2.0
         c = (self.p - 1.0) * self.w * np.abs(u[self.i] - u[self.j]) ** q
         diag = (self.p - 1.0) * self.d * np.abs(u) ** q
-        nodes = np.arange(self.n)
-        rows = np.concatenate([self.i, self.j, self.i, self.j, nodes])
-        cols = np.concatenate([self.i, self.j, self.j, self.i, nodes])
-        vals = np.concatenate([c, c, -c, -c, diag])
-        return sp.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n)).tocsr()
+        return laplacian(self.n, self.i, self.j, c, diag)
 
     def induced_quadratic(self) -> QuadraticEnergy:
         """For p = 2, the matrix A with E(u) = 1/2 <Au,u> exactly.
@@ -327,17 +331,14 @@ class KernelEnergy:
         """
         if self.p != 2:
             raise PreconditionError("induced quadratic form requires p = 2")
-        triplets = [(i, i, di) for i, di in enumerate(self.d) if di != 0.0]
-        for i, j, w in zip(self.i, self.j, self.w):
-            triplets += [(i, i, w), (j, j, w), (i, j, -w), (j, i, -w)]
-        return QuadraticEnergy.from_triplets(self.n, triplets)
+        return QuadraticEnergy(laplacian(self.n, self.i, self.j, self.w, self.d))
 
     def to_json_dict(self) -> dict:
         return {
             "kind": "kernel",
             "n": self.n,
             "p": self.p,
-            "pairs": [[int(i), int(j), float(w)] for i, j, w in zip(self.i, self.j, self.w)],
+            "pairs": list(map(list, zip(self.i.tolist(), self.j.tolist(), self.w.tolist()))),
             "exterior": [[int(i), float(d)] for i, d in enumerate(self.d) if d != 0.0],
         }
 
@@ -368,11 +369,10 @@ def fractional_kernel_1d(n: int, h: float, s: float, p: float, collar: int) -> K
         raise ConstructionError(f"collar = {collar} must be >= 1")
     n, collar = int(n), int(collar)
     a = 1.0 + p * s
-    pairs = [
-        (i, j, h * h * (h * (j - i)) ** (-a))
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
+    # w_ij depends on j - i alone: one weight per distance, gathered per pair
+    by_distance = np.array([h * h * (h * k) ** (-a) for k in range(1, n)])
+    i, j = np.triu_indices(n, 1)
+    pairs = np.column_stack([i, j, by_distance[j - i - 1]])
     exterior = []
     for i in range(n):
         k = i + 1  # 1-indexed interior position

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .energies import KernelEnergy, QuadraticEnergy, fractional_kernel_1d, graph_dirichlet
+from .energies import (KernelEnergy, QuadraticEnergy, fractional_kernel_1d, graph_dirichlet,
+                       laplacian, validate_edges)
 from .lattice import OrderInterval, UNBOUNDED
 from .metric import FiniteMetricSpace, GraphSpace, c_transform
 
@@ -75,16 +76,10 @@ def random_submodular_quadratic(rng: np.random.Generator, n: int,
                                 diag_lo: float = 0.3, diag_hi: float = 1.5,
                                 with_linear: bool = True) -> QuadraticEnergy:
     """Z-matrix PSD energy: random graph Laplacian plus a positive diagonal."""
-    if n == 1:
-        triplets = [(0, 0, float(rng.uniform(diag_lo, diag_hi)))]
-    else:
-        triplets = []
-        for i, j, w in random_connected_edges(rng, n):
-            triplets += [(i, i, w), (j, j, w), (i, j, -w), (j, i, -w)]
-        for i in range(n):
-            triplets.append((i, i, float(rng.uniform(diag_lo, diag_hi))))
+    edges = validate_edges(n, random_connected_edges(rng, n) if n > 1 else [])
+    a = laplacian(n, *edges, diag=rng.uniform(diag_lo, diag_hi, size=n))
     b = rng.normal(size=n) if with_linear else None
-    return QuadraticEnergy.from_triplets(n, triplets, b)
+    return QuadraticEnergy(a, b)
 
 
 def random_box(rng: np.random.Generator, n: int, min_gap: float = 0.2) -> OrderInterval:

@@ -133,27 +133,24 @@ class GraphSpace(FiniteMetricSpace):
     The graph both induces the metric (so the two constructions see
     consistent geometry) and supplies the quadratic energy minimized between
     the obstacles.  ``GraphSpace(nodes, edges)`` (alias :meth:`from_graph`)
-    checks the edges and connectivity once and stores ``edges`` and ``adj``,
-    the symmetric CSR matrix of edge lengths.  ``D`` is computed from it on
-    first access (all-pairs Dijkstra, symmetrized, read-only) and cached;
-    ``distance_to`` runs one multi-source Dijkstra and ``lipschitz`` reads
-    the edges, so neither builds the n x n matrix.
+    checks the edges and connectivity once and stores ``edges``, the checked
+    (i, j, w) arrays of ``validate_edges``, and ``adj``, the symmetric CSR
+    matrix of edge lengths.  ``D`` is computed from it on first access
+    (all-pairs Dijkstra, symmetrized, read-only) and cached; ``distance_to``
+    runs one multi-source Dijkstra and ``lipschitz`` reads the edges, so
+    neither builds the n x n matrix.
     """
 
     edges: tuple
 
     def __init__(self, nodes: int, edges):
         nodes = operator.index(nodes)
-        clean = validate_edges(nodes, edges)
-        rows, cols, vals = [], [], []
-        for i, j, w in clean:
-            rows += [i, j]
-            cols += [j, i]
-            vals += [w, w]
-        adj = sp.coo_matrix((vals, (rows, cols)), shape=(nodes, nodes)).tocsr()
+        i, j, w = edges = validate_edges(nodes, edges)
+        ends = (np.concatenate([i, j]), np.concatenate([j, i]))
+        adj = sp.coo_matrix((np.concatenate([w, w]), ends), shape=(nodes, nodes)).tocsr()
         if connected_components(adj, directed=False, return_labels=False) > 1:
             raise ConstructionError("graph is not connected; metric undefined")
-        object.__setattr__(self, "edges", tuple(clean))
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "adj", adj)
 
     @classmethod
@@ -161,7 +158,7 @@ class GraphSpace(FiniteMetricSpace):
         return cls(nodes, edges)
 
     def __repr__(self) -> str:
-        return f"GraphSpace(nodes={self.n}, edges={len(self.edges)})"
+        return f"GraphSpace(nodes={self.n}, edges={self.edges[0].size})"
 
     @property
     def n(self) -> int:
@@ -186,9 +183,8 @@ class GraphSpace(FiniteMetricSpace):
         w = d whose increments each stay within the largest edge ratio.
         """
         v = as_vector(v, "v")
-        adj = self.adj
-        rows = np.repeat(np.arange(self.n), np.diff(adj.indptr))
-        return float(np.max(np.abs(v[rows] - v[adj.indices]) / adj.data, initial=0.0))
+        i, j, w = self.edges
+        return float(np.max(np.abs(v[i] - v[j]) / w, initial=0.0))
 
     @cached_property
     def dirichlet_energy(self) -> QuadraticEnergy:

@@ -77,6 +77,25 @@ def test_solve_bad_schema(tmp_path):
         "box": {"lo": 0.0, "hi": 1.0},
     }, "repeated_pair.json")
     assert main(["solve", "--config", cfg3b, "--out", str(tmp_path)]) == 2
+    for weight in (float("nan"), float("inf")):  # JSON NaN and Infinity
+        cfg3c = write_config(tmp_path, {
+            "energy": {"kind": "kernel", "n": 3, "p": 2.0,
+                       "pairs": [[0, 1, 1.0], [1, 2, weight]]},
+            "box": {"lo": 0.0, "hi": 1.0},
+        }, "nonfinite_pair.json")
+        assert main(["solve", "--config", cfg3c, "--out", str(tmp_path)]) == 2
+    # an integer too large for a float is invalid input, not a crash
+    cfg3d = write_config(tmp_path, {
+        "energy": {"kind": "graph", "nodes": 3, "dirichlet": [0],
+                   "edges": [[0, 1, 1.0], [1, 2, 10**400]]},
+        "box": {"lo": 0.0, "hi": 1.0},
+    }, "overflow_weight.json")
+    assert main(["solve", "--config", cfg3d, "--out", str(tmp_path)]) == 2
+    cfg3e = write_config(tmp_path, {
+        "graph": {"nodes": 3, "edges": [[0, 1, 1.0], [1, 10**400, 1.0]]},
+        "core": [1], "region": [0, 1, 2],
+    }, "overflow_index.json")
+    assert main(["cutoff", "--config", cfg3e, "--out", str(tmp_path)]) == 2
     # malformed solver values are config errors in every command
     cfg4 = write_config(tmp_path, dict(TRIDIAG_CONFIG, solver={"max_iter": "abc"}),
                         "max_iter.json")

@@ -8,9 +8,11 @@ from obslat.energies import (
     QuadraticEnergy,
     fractional_kernel_1d,
     graph_dirichlet,
+    laplacian,
     scalar_submodularity_inequality,
     submodularity_check,
     t_monotonicity_check,
+    validate_edges,
     z_matrix_violation,
 )
 from obslat.errors import (
@@ -89,6 +91,50 @@ def test_graph_dirichlet_free_nodes_match_reference():
         assert np.array_equal(got.data, want.data)
 
 
+def test_graph_dirichlet_fields_are_read_only():
+    energy = graph_dirichlet(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], [0, 3])
+    assert energy.coupling.shape == (2, 2)
+    assert np.array_equal(energy.free_nodes, [1, 2])
+    for arr in (energy.coupling.data, energy.coupling.indices,
+                energy.coupling.indptr, energy.free_nodes):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    full = graph_dirichlet(2, [(0, 1, 1.0)])
+    assert full.coupling is None and np.array_equal(full.free_nodes, [0, 1])
+
+
+def test_validate_edges_returns_owned_arrays():
+    i, j, w = validate_edges(5, [(3, 1, 2.0), [0, 4, 0.5], (2.0, 1, 1)])
+    assert np.array_equal(i, [3, 0, 2]) and np.array_equal(j, [1, 4, 1])
+    assert np.array_equal(w, [2.0, 0.5, 1.0])
+    for arr, dtype in ((i, np.int64), (j, np.int64), (w, np.float64)):
+        assert arr.dtype == dtype and arr.flags.c_contiguous and arr.flags.owndata
+        assert not arr.flags.writeable
+    assert all(arr.size == 0 for arr in validate_edges(1, []))
+    for rows in ([(0, 1)], [(0, 1, 1.0), (1, 2)], [0, 1, 1.0], [(0, 1, 1.0, 2.0)]):
+        with pytest.raises(ValueError):
+            validate_edges(3, rows)  # every row must be one triple
+    with pytest.raises(ConstructionError, match=r"edge \(2,1\) repeats the pair \(1,2\)"):
+        validate_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
+
+
+def test_laplacian_sums_pair_by_pair():
+    # the (i,i), (j,j), (i,j), (j,i) per-pair order with the diagonal last
+    rng = np.random.default_rng(4)
+    edges = random_connected_edges(rng, 30, extra_frac=2.0)
+    diag = rng.uniform(0.0, 1.0, size=30)
+    rows, cols, vals = [], [], []
+    for i, j, w in edges:
+        rows += [i, j, i, j]
+        cols += [i, j, j, i]
+        vals += [w, w, -w, -w]
+    want = sp.coo_matrix((vals + list(diag), (rows + list(range(30)), cols + list(range(30)))),
+                         shape=(30, 30)).tocsr()
+    got = laplacian(30, *validate_edges(30, edges), diag)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_graph_dirichlet_rejects_bad_edges():
     with pytest.raises(ConstructionError):
         graph_dirichlet(3, [(0, 0, 1.0)])
@@ -98,6 +144,9 @@ def test_graph_dirichlet_rejects_bad_edges():
         graph_dirichlet(3, [(0, 5, 1.0)])
     with pytest.raises(ConstructionError):
         graph_dirichlet(3, [(0, 1, 1.0), (1, 0, 1.0)])  # one pair listed twice
+    for w in (np.inf, np.nan):
+        with pytest.raises(ConstructionError):
+            graph_dirichlet(3, [(0, 1, w)])
 
 
 def test_quadratic_rejects_asymmetry_and_indefinite():
@@ -306,10 +355,15 @@ def test_hessian_matches_gradient_differences():
 
 
 def test_kernel_hessian_cases():
-    p2 = fractional_kernel_1d(6, 0.25, 0.5, 2.0, collar=3)
-    u = np.random.default_rng(5).normal(size=6)
-    assert np.allclose(p2.hessian(u).toarray(), p2.induced_quadratic().a.toarray(),
-                       rtol=1e-14, atol=0)
+    # at p = 2 the Hessian and the induced matrix come from one assembly
+    rng = np.random.default_rng(5)
+    cases = [(6, 0.25, 0.5)] + [(n, 1.0 / (n + 1), s) for n in (6, 17, 40, 64)
+                                for s in (0.25, 0.5, 0.75)]
+    for n, h, s in cases:
+        p2 = fractional_kernel_1d(n, h, s, 2.0, collar=3)
+        got, want = p2.hessian(rng.normal(size=n)), p2.induced_quadratic().a
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (n, s, name)
     # p = 3: weight 2 w |u_i - u_j| per pair, 2 d_i |u_i| on the diagonal
     p3 = KernelEnergy(3, [(0, 1, 1.0), (1, 2, 1.0)], [(2, 0.5)], 3.0)
     h = p3.hessian(np.array([0.4, 0.4, -1.0])).toarray()
@@ -331,6 +385,11 @@ def test_kernel_validation():
         KernelEnergy(3, [(0, 1, 1.0)], [], 1.0)
     with pytest.raises(ConstructionError, match=r"pair \(0,1\)"):
         KernelEnergy(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 1, 2.0)], [], 2.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConstructionError):
+            KernelEnergy(3, [(0, 1, bad)], [], 2.0)
+        with pytest.raises(ConstructionError):
+            KernelEnergy(3, [(0, 1, 1.0)], [(2, bad)], 2.0)
 
 
 def test_kernel_nondifferentiable_below_two():

@@ -92,13 +92,15 @@ def test_graph_space_shortest_paths():
     for repeated in ([(0, 1, 1.0), (1, 0, 1.0)], [(0, 1, 1.0), (0, 1, 2.0)]):
         with pytest.raises(ConstructionError):
             GraphSpace.from_graph(2, repeated)
+    with pytest.raises(ConstructionError):
+        GraphSpace(3, [(0, 1, 1.0), (1, 2, np.inf)])  # at construction, not at first use
 
 
 def test_graph_space_constructor_is_from_graph():
     edges = [(0, 1, 1.0), (2, 1, 2.0), (0, 2, 5.0)]
     direct, built = GraphSpace(3, edges), GraphSpace.from_graph(3, edges)
     assert type(direct) is type(built) is GraphSpace
-    assert direct.n == built.n == 3 and direct.edges == built.edges
+    assert direct.n == built.n == 3 and np.array_equal(direct.edges, built.edges)
     assert repr(direct) == repr(built) == "GraphSpace(nodes=3, edges=3)"
     assert (direct.adj != built.adj).nnz == 0
     assert np.array_equal(direct.D, built.D)
