@@ -13,9 +13,11 @@ Flags: solve, oracle and kantorovich take --config, --out and --tol;
 cutoff also --paper-radius; suite takes --config, --seed, --out and
 --paper-radius.  Any other flag exits 2.
 
-Exit codes: 0 success; 1 failing suite rows; 2 config/parse error;
-3 solver failure (including non-convergence); 4 certificate or obstacle
-assertion failure.
+Exit codes: 0 success; 1 failing suite rows; 2 config error (a flag, file,
+key or value that could not be read, or is outside its documented range, or
+an unusable --out) or invalid problem data (a well-formed value the library
+rejects); 3 solver failure (including non-convergence); 4 certificate or
+obstacle assertion failure.
 
 Config schemas (JSON; all keys sorted in outputs, floats via repr)
 ------------------------------------------------------------------
@@ -70,11 +72,12 @@ overrides it), and "max_iter", the budget of Newton steps (each one Hessian
 solve or projected-gradient fallback step; default 1000).  "method" may be
 only "newton"; any other method or solver key exits 2.  oracle parses the
 same settings and uses "tol" only for the certificate.  The certificate
-tolerance is "certificate_tol", default 10 * tol.
+tolerance is "certificate_tol", default 10 * tol.  tol and certificate_tol
+must be finite and >= 0, max_iter >= 0.
 
 suite::
 
-    {"seed": int, "checks": [names...], "paper_radius": bool}
+    {"seed": int >= 0, "checks": [names...], "paper_radius": bool}
 
 Outputs are deterministic for a fixed config and seed: randomness comes
 only from numpy PCG64 generators seeded per check, reductions run in fixed
@@ -86,7 +89,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +103,7 @@ from .errors import (
     ConstructionError,
     DimensionMismatch,
     NondifferentiableError,
+    ObslatError,
     ObstacleOrderError,
     PreconditionError,
     SolverError,
@@ -123,17 +129,28 @@ class ConfigError(Exception):
     pass
 
 
+@contextmanager
+def _parsing(command: str):
+    """Turn a failure to read any outside value into a ConfigError.
+
+    Each command reads its config, converts every value (energy, box and
+    graph space included) and creates --out inside one such block; no solve,
+    cut-off or Kantorovich construction, suite check or output write runs
+    there.  Package errors pass unchanged: a well-formed value that the
+    library rejects is invalid problem data.
+    """
+    try:
+        yield
+    except ObslatError:
+        raise
+    except (LookupError, TypeError, ValueError, OverflowError, AttributeError, OSError) as err:
+        raise ConfigError(f"{command}: {type(err).__name__}: {err}") from err
+
+
 def _load_config(args) -> dict:
     if not args.config:
         raise ConfigError("--config PATH is required for this command")
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as err:
-        raise ConfigError(f"cannot read config: {err}") from err
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"malformed JSON in {args.config}: {err}") from err
+    cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     return cfg
@@ -149,30 +166,22 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _build_energy(cfg: dict):
-    try:
-        spec = cfg["energy"]
-        kind = spec["kind"]
-        if kind == "quadratic":
-            return QuadraticEnergy.from_triplets(int(spec["n"]), spec["triplets"],
-                                                 spec.get("b"))
-        if kind == "quadratic_file":
-            text = Path(spec["path"]).read_text(encoding="utf-8")
-            return QuadraticEnergy.from_triplet_text(text, spec.get("b"))
-        if kind == "graph":
-            return graph_dirichlet(int(spec["nodes"]), spec["edges"],
-                                   spec.get("dirichlet", ()))
-        if kind == "kernel":
-            return KernelEnergy.from_json_dict(spec)
-        if kind == "fractional_1d":
-            return fractional_kernel_1d(int(spec["n"]), float(spec["h"]),
-                                        float(spec["s"]), float(spec["p"]),
-                                        int(spec["collar"]))
-        raise ConfigError(f"unknown energy kind {kind!r}")
-    except (KeyError, TypeError, ValueError, OverflowError, OSError) as err:
-        if isinstance(err, ConfigError):
-            raise
-        raise ConfigError(f"bad energy specification: {err}") from err
+def _build_energy(spec: dict):
+    kind = spec["kind"]
+    if kind == "quadratic":
+        return QuadraticEnergy.from_triplets(int(spec["n"]), spec["triplets"], spec.get("b"))
+    if kind == "quadratic_file":
+        text = Path(spec["path"]).read_text(encoding="utf-8")
+        return QuadraticEnergy.from_triplet_text(text, spec.get("b"))
+    if kind == "graph":
+        return graph_dirichlet(int(spec["nodes"]), spec["edges"], spec.get("dirichlet", ()))
+    if kind == "kernel":
+        return KernelEnergy(int(spec["n"]), spec["pairs"], spec.get("exterior", ()),
+                            float(spec["p"]))
+    if kind == "fractional_1d":
+        return fractional_kernel_1d(int(spec["n"]), float(spec["h"]), float(spec["s"]),
+                                    float(spec["p"]), int(spec["collar"]))
+    raise ConfigError(f"unknown energy kind {kind!r}")
 
 
 def _box_side(spec, n: int, default: float) -> np.ndarray:
@@ -186,46 +195,41 @@ def _box_side(spec, n: int, default: float) -> np.ndarray:
     return arr
 
 
-def _build_box(cfg: dict, n: int) -> OrderInterval:
-    spec = cfg.get("box", {})
-    try:
-        lo = _box_side(spec.get("lo"), n, -UNBOUNDED)
-        hi = _box_side(spec.get("hi"), n, UNBOUNDED)
-        return OrderInterval(lo, hi)
-    except (TypeError, ValueError) as err:
-        if isinstance(err, ConfigError):
-            raise
-        raise ConfigError(f"bad box specification: {err}") from err
+def _build_box(spec: dict, n: int) -> OrderInterval:
+    return OrderInterval(_box_side(spec.get("lo"), n, -UNBOUNDED),
+                         _box_side(spec.get("hi"), n, UNBOUNDED))
 
 
 def _solver_params(cfg: dict, args) -> dict:
-    """Solver settings parsed once (bad values and unknown keys are config errors).
+    """Solver settings; unknown keys and values no solve can honour are config errors.
 
     ``certificate_tol`` is None when absent.
     """
-    try:
-        solver = cfg.get("solver", {})
-        unknown = sorted(set(solver) - {"method", "tol", "max_iter"})
-        if unknown:
-            raise ConfigError(f"unknown solver settings: {unknown}")
-        if solver.get("method") not in (None, "newton"):
-            raise ConfigError(f"solver method {solver['method']!r} is not 'newton'")
-        cert_tol = cfg.get("certificate_tol")
-        return {
-            "tol": float(args.tol if args.tol is not None else solver.get("tol", 1e-9)),
-            "max_iter": int(solver.get("max_iter", 1000)),
-            "certificate_tol": None if cert_tol is None else float(cert_tol),
-        }
-    except (AttributeError, TypeError, ValueError) as err:
-        raise ConfigError(f"bad solver settings: {err}") from err
+    solver = cfg.get("solver", {})
+    unknown = sorted(set(solver) - {"method", "tol", "max_iter"})
+    if unknown:
+        raise ConfigError(f"unknown solver settings: {unknown}")
+    if solver.get("method") not in (None, "newton"):
+        raise ConfigError(f"solver method {solver['method']!r} is not 'newton'")
+    cert_tol = cfg.get("certificate_tol")
+    params = {
+        "tol": float(args.tol if args.tol is not None else solver.get("tol", 1e-9)),
+        "max_iter": int(solver.get("max_iter", 1000)),
+        "certificate_tol": None if cert_tol is None else float(cert_tol),
+    }
+    for name, value in params.items():
+        if value is not None and not 0 <= value < math.inf:
+            raise ConfigError(f"{name} = {value} must be finite and >= 0")
+    return params
 
 
 def _cmd_solve(args, oracle: bool = False) -> int:
-    cfg = _load_config(args)
-    energy = _build_energy(cfg)
-    box = _build_box(cfg, energy.n)
-    params = _solver_params(cfg, args)
-    out = _out_dir(args)
+    with _parsing(args.command):
+        cfg = _load_config(args)
+        energy = _build_energy(cfg["energy"])
+        box = _build_box(cfg.get("box", {}), energy.n)
+        params = _solver_params(cfg, args)
+        out = _out_dir(args)
     if oracle:
         solution = brute_force_active_set(energy, box)
     else:
@@ -253,24 +257,19 @@ def cmd_oracle(args) -> int:
     return _cmd_solve(args, oracle=True)
 
 
-def _build_space(cfg: dict) -> GraphSpace:
-    try:
-        g = cfg["graph"]
-        return GraphSpace.from_graph(int(g["nodes"]), g["edges"])
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"bad graph specification: {err}") from err
+def _build_space(spec: dict) -> GraphSpace:
+    return GraphSpace.from_graph(int(spec["nodes"]), spec["edges"])
 
 
 def cmd_cutoff(args) -> int:
-    cfg = _load_config(args)
-    space = _build_space(cfg)
-    paper_radius = bool(args.paper_radius or cfg.get("paper_radius", False))
-    params = _solver_params(cfg, args)
-    try:
-        core, region = cfg["core"], cfg["region"]
-    except KeyError as err:
-        raise ConfigError(f"missing config key: {err}") from err
-    out = _out_dir(args)
+    with _parsing("cutoff"):
+        cfg = _load_config(args)
+        space = _build_space(cfg["graph"])
+        paper_radius = bool(args.paper_radius or cfg.get("paper_radius", False))
+        params = _solver_params(cfg, args)
+        core = [int(i) for i in cfg["core"]]
+        region = [int(i) for i in cfg["region"]]
+        out = _out_dir(args)
     cut = build_cutoff(space, core, region, tol=params["tol"], max_iter=params["max_iter"],
                        paper_radius=paper_radius, cert_tol=params["certificate_tol"])
     box = OrderInterval(cut.phi, cut.psi)
@@ -289,19 +288,17 @@ def cmd_cutoff(args) -> int:
 
 
 def cmd_kantorovich(args) -> int:
-    cfg = _load_config(args)
-    space = _build_space(cfg)
-    params = _solver_params(cfg, args)
-    try:
+    with _parsing("kantorovich"):
+        cfg = _load_config(args)
+        space = _build_space(cfg["graph"])
+        params = _solver_params(cfg, args)
         phi = np.asarray(cfg["potential"], dtype=float)
         t = float(cfg["t"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"bad potential specification: {err}") from err
-    out = _out_dir(args)
+        cc_regularize = bool(cfg.get("cc_regularize", False))
+        out = _out_dir(args)
     eta, pair, cert = kantorovich_regularize(
         space, phi, t, tol=params["tol"], max_iter=params["max_iter"],
-        cc_regularize=bool(cfg.get("cc_regularize", False)),
-        cert_tol=params["certificate_tol"])
+        cc_regularize=cc_regularize, cert_tol=params["certificate_tol"])
     box = OrderInterval(pair.lo, pair.hi)
     report = certificate_report(space.dirichlet_energy, box, eta, cert, metric=space)
     _write_json(out / "kantorovich.json", {
@@ -320,16 +317,19 @@ def cmd_kantorovich(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    cfg = _load_config(args) if args.config else {}
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    checks = cfg.get("checks")
-    if checks is not None:
-        unknown = [c for c in checks if c not in CHECKS]
-        if unknown:
-            raise ConfigError(f"unknown checks: {unknown}")
-    paper_radius = bool(args.paper_radius or cfg.get("paper_radius", False))
+    with _parsing("suite"):
+        cfg = _load_config(args) if args.config else {}
+        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        if seed < 0:
+            raise ConfigError(f"seed = {seed} must be >= 0")
+        checks = cfg.get("checks")
+        if checks is not None:
+            unknown = [c for c in checks if c not in CHECKS]
+            if unknown:
+                raise ConfigError(f"unknown checks: {unknown}")
+        paper_radius = bool(args.paper_radius or cfg.get("paper_radius", False))
+        out = _out_dir(args)
     rows, all_pass = run_suite(seed=seed, checks=checks, paper_radius=paper_radius)
-    out = _out_dir(args)
     with open(out / "suite.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["check_name", "n_instances", "worst_value", "threshold", "pass"])

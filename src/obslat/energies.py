@@ -259,8 +259,8 @@ class KernelEnergy:
     """
 
     def __init__(self, n: int, pairs, exterior, p: float):
-        if p <= 1:
-            raise ConstructionError(f"p must exceed 1, got {p}")
+        if not 1 < p < np.inf:
+            raise ConstructionError(f"p must be finite and exceed 1, got {p}")
         self.n = int(n)
         if self.n < 1:
             raise ConstructionError("n must be >= 1")
@@ -302,7 +302,8 @@ class KernelEnergy:
                     f"p = {self.p} < 2 gradient undefined at a tied difference"
                 )
         t = self.w * np.abs(diffs) ** (self.p - 2) * diffs
-        g = np.bincount(self.i, weights=t, minlength=self.n)
+        # without pairs bincount returns int64; the cast is a no-op on float
+        g = np.bincount(self.i, weights=t, minlength=self.n).astype(float, copy=False)
         g -= np.bincount(self.j, weights=t, minlength=self.n)
         g += self.d * np.abs(u) ** (self.p - 2) * u
         return g
@@ -333,19 +334,6 @@ class KernelEnergy:
             raise PreconditionError("induced quadratic form requires p = 2")
         return QuadraticEnergy(laplacian(self.n, self.i, self.j, self.w, self.d))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "kernel",
-            "n": self.n,
-            "p": self.p,
-            "pairs": list(map(list, zip(self.i.tolist(), self.j.tolist(), self.w.tolist()))),
-            "exterior": [[int(i), float(d)] for i, d in enumerate(self.d) if d != 0.0],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "KernelEnergy":
-        return cls(data["n"], data["pairs"], data.get("exterior", []), data["p"])
-
 
 def fractional_kernel_1d(n: int, h: float, s: float, p: float, collar: int) -> KernelEnergy:
     """1-D discrete fractional p-kernel on n interior grid points.
@@ -359,12 +347,12 @@ def fractional_kernel_1d(n: int, h: float, s: float, p: float, collar: int) -> K
     """
     if int(n) < 1:
         raise ConstructionError("n must be >= 1")
-    if h <= 0:
-        raise ConstructionError(f"grid spacing h = {h} must be positive")
+    if not 0 < h < np.inf:
+        raise ConstructionError(f"grid spacing h = {h} must be finite and positive")
     if not 0 < s < 1:
         raise ConstructionError(f"exponent s = {s} must lie in (0,1)")
-    if p <= 1:
-        raise ConstructionError(f"p = {p} must exceed 1")
+    if not 1 < p < np.inf:
+        raise ConstructionError(f"p = {p} must be finite and exceed 1")
     if int(collar) < 1:
         raise ConstructionError(f"collar = {collar} must be >= 1")
     n, collar = int(n), int(collar)

@@ -406,8 +406,8 @@ CHECKS = {
 def run_suite(seed: int = 0, checks=None, paper_radius: bool = False):
     """Run the selected checks (all by default); returns (rows, all_pass).
 
-    Rows come back sorted by check name.  Unknown check selections raise
-    KeyError so the CLI can map them to a config error.
+    Rows come back sorted by check name.  An unknown check name raises
+    KeyError.
     """
     selected = list(CHECKS) if checks is None else list(checks)
     rows = []

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import os
@@ -113,6 +114,34 @@ def test_solve_bad_schema(tmp_path):
         "core": [2], "region": [1, 2, 3], "certificate_tol": "abc",
     }, "certificate_tol.json")
     assert main(["cutoff", "--config", cfg6, "--out", str(tmp_path)]) == 2
+    # solver settings that parse but no solve can honour
+    for name, settings in [("tol_nan", {"solver": {"tol": float("nan")}}),
+                           ("tol_negative", {"solver": {"tol": -1}}),
+                           ("tol_overflow", {"solver": {"tol": 10**400}}),
+                           ("max_iter_negative", {"solver": {"max_iter": -3}}),
+                           ("certificate_tol_nan", {"certificate_tol": float("nan")}),
+                           ("certificate_tol_inf", {"certificate_tol": float("inf")})]:
+        out = tmp_path / name
+        cfg7 = write_config(tmp_path, dict(TRIDIAG_CONFIG, **settings), f"{name}.json")
+        assert main(["solve", "--config", cfg7, "--out", str(out)]) == 2, name
+        assert not (out / "solution.json").exists(), name
+    cfg8 = write_config(tmp_path, TRIDIAG_CONFIG, "tridiag.json")
+    assert main(["solve", "--config", cfg8, "--out", str(tmp_path), "--tol", "-1"]) == 2
+    assert main(["solve", "--config", cfg8, "--out", str(tmp_path), "--tol", "nan"]) == 2
+    # a --out that cannot be a directory
+    (tmp_path / "a_file").write_text("")
+    assert main(["solve", "--config", cfg8, "--out", str(tmp_path / "a_file")]) == 2
+
+
+def test_solve_single_point_fractional_kernel(tmp_path):
+    # n = 1 has no pairs; its gradient once failed on numpy's int64 bincount
+    cfg = {"energy": {"kind": "fractional_1d", "n": 1, "h": 0.5, "s": 0.5, "p": 3.0,
+                      "collar": 2},
+           "box": {"lo": 0.1, "hi": 1.0}}
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "solution.json").read_text())["u"] == [0.1]
+    assert json.loads((out / "certificate.json").read_text())["pass"] is True
 
 
 def test_solve_refuses_dense_psd_check_above_cap(tmp_path, monkeypatch, capsys):
@@ -351,6 +380,14 @@ def test_suite_unknown_check(tmp_path):
     assert main(["suite", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+def test_suite_negative_seed(tmp_path):
+    out = tmp_path / "out"
+    assert main(["suite", "--seed", "-1", "--out", str(out)]) == 2
+    cfg = write_config(tmp_path, {"seed": -1, "checks": ["zmatrix"]})
+    assert main(["suite", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_suite_single_check_deterministic(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     cfg = write_config(tmp_path, {"checks": ["lattice", "zmatrix"]})
@@ -403,3 +440,75 @@ def test_suite_passes_on_former_stall_seeds(tmp_path, seed):
     assert main(["suite", "--seed", str(seed), "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "suite_summary.json").read_text())
     assert summary["all_pass"] is True and summary["failed_checks"] == []
+
+
+_PATH5 = [[i, i + 1, 1.0] for i in range(4)]
+#: One valid config per command; the sweep corrupts one value of each at a time.
+SWEEP_BASES = {
+    "solve_graph": ("solve", {
+        "energy": {"kind": "graph", "nodes": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+                   "dirichlet": [0]},
+        "box": {"lo": 0.0, "hi": [1.0, 1.0]},
+        "solver": {"method": "newton", "tol": 1e-9, "max_iter": 100},
+        "certificate_tol": 1e-8,
+    }),
+    "solve_kernel": ("solve", {
+        "energy": {"kind": "kernel", "n": 3, "p": 3.0, "pairs": [[0, 1, 1.0], [1, 2, 1.0]],
+                   "exterior": [[0, 1.0]]},
+        "box": {"lo": 0.0, "hi": 1.0},
+    }),
+    "cutoff": ("cutoff", {
+        "graph": {"nodes": 5, "edges": _PATH5},
+        "core": [2], "region": [1, 2, 3], "paper_radius": False,
+        "solver": {"max_iter": 100},
+    }),
+    "kantorovich": ("kantorovich", {
+        "graph": {"nodes": 5, "edges": _PATH5},
+        "potential": [0.0, -0.1, 0.0, -0.1, 0.0], "t": 0.5,
+    }),
+    "suite": ("suite", {"checks": ["zmatrix"], "seed": 0}),
+}
+SWEEP_VALUES = ["x", [], None, 10**400, -1, float("nan")]
+
+
+def _value_paths(obj, prefix=()):
+    """The path of every dict value and of the first element of every list."""
+    if isinstance(obj, dict):
+        items = list(obj.items())
+    elif isinstance(obj, list) and obj:
+        items = [(0, obj[0])]
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _value_paths(value, prefix + (key,))
+
+
+def _replaced(cfg, path, value):
+    cfg = copy.deepcopy(cfg)
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("base", list(SWEEP_BASES))
+def test_config_mutation_sweep_exits_with_documented_codes(tmp_path, base):
+    """No one-value corruption of a valid config escapes main as a traceback."""
+    command, cfg = SWEEP_BASES[base]
+    allowed = {0, 1, 2} if command == "suite" else {0, 2, 3, 4}
+    assert main([command, "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "base")]) == 0
+    bad = []
+    for path in _value_paths(cfg):
+        for value in SWEEP_VALUES:
+            config = write_config(tmp_path, _replaced(cfg, path, value), "mutant.json")
+            try:
+                code = main([command, "--config", config, "--out", str(tmp_path / "out")])
+            except Exception as err:  # the sweep reports every escape, not the first
+                bad.append((path, value, type(err).__name__))
+            else:
+                if code not in allowed:
+                    bad.append((path, value, code))
+    assert bad == []
