@@ -29,9 +29,9 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .energies import QuadraticEnergy
-from .errors import CertificateError, DimensionMismatch, PreconditionError
+from .errors import CertificateError, PreconditionError
 from .lattice import OrderInterval, as_vector
-from .solvers import Solution
+from .solvers import Solution, _check_box_dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,8 +90,7 @@ def ls_certificate(energy, box: OrderInterval, solution: Solution, tol: float) -
     """
     if not solution.converged:
         raise CertificateError("refusing to certify an unconverged solution")
-    if box.n != energy.n:
-        raise DimensionMismatch(f"interval length {box.n} != energy dimension {energy.n}")
+    _check_box_dim(energy, box)
     g_u = np.asarray(energy.gradient(solution.u))
     g_lo = None if box.lower_absent else np.asarray(energy.gradient(box.lo))
     g_hi = None if box.upper_absent else np.asarray(energy.gradient(box.hi))
@@ -118,7 +117,7 @@ def free_set_harmonicity(energy, box: OrderInterval, solution,
     ``solvers.classify_active`` calls free.  ``solution`` may be a Solution
     or the minimizer vector itself.
     """
-    u = solution.u if isinstance(solution, Solution) else as_vector(solution, "u")
+    u = as_vector(solution.u if isinstance(solution, Solution) else solution, "u", box.n)
     return _free_harmonicity(box, u, np.asarray(energy.gradient(u)), tol)
 
 
@@ -141,11 +140,7 @@ def harmonic_extension(energy: QuadraticEnergy, boundary_values) -> np.ndarray:
         raise PreconditionError(
             "harmonic extension needs an energy built by graph_dirichlet with a boundary"
         )
-    vals = as_vector(boundary_values, "boundary_values")
-    if vals.shape[0] != energy.coupling.shape[1]:
-        raise DimensionMismatch(
-            f"{vals.shape[0]} boundary values for {energy.coupling.shape[1]} boundary nodes"
-        )
+    vals = as_vector(boundary_values, "boundary_values", energy.coupling.shape[1])
     rhs = -energy.coupling @ vals
     return spla.spsolve(energy.a.tocsc(), rhs)
 
@@ -163,10 +158,8 @@ def maximum_principle_check(energy: QuadraticEnergy, boundary_values,
         raise PreconditionError(
             "maximum principle check needs an energy built by graph_dirichlet with a boundary"
         )
-    vals = as_vector(boundary_values, "boundary_values")
-    u = as_vector(interior_solution, "interior_solution")
-    if u.shape[0] != energy.n:
-        raise DimensionMismatch(f"interior length {u.shape[0]} != free node count {energy.n}")
+    vals = as_vector(boundary_values, "boundary_values", energy.coupling.shape[1])
+    u = as_vector(interior_solution, "interior_solution", energy.n)
     rhs = -energy.coupling @ vals
     residual = float(np.max(np.abs(energy.a @ u - rhs)))
     scale = 1.0 + float(np.max(np.abs(rhs)))
@@ -196,11 +189,8 @@ def lipschitz_ratio(metric, u, lo, hi) -> float:
     This is a measurement, not a certified bound: the constants in the
     corresponding continuum estimate are not computable here.
     """
-    u = as_vector(u, "u")
-    lo = as_vector(lo, "lo")
-    hi = as_vector(hi, "hi")
-    if not (u.shape[0] == lo.shape[0] == hi.shape[0] == metric.n):
-        raise DimensionMismatch("vectors and metric have inconsistent sizes")
+    u = as_vector(u, "u", metric.n)
+    lo, hi = as_vector(lo, "lo", metric.n), as_vector(hi, "hi", metric.n)
     lip_u = metric.lipschitz(u)
     lip_obs = max(metric.lipschitz(lo), metric.lipschitz(hi))
     if lip_obs == 0.0:
@@ -220,7 +210,7 @@ def certificate_report(energy, box: OrderInterval, solution,
     is measured only when a metric is supplied and both obstacle sides are
     present; it is a report field, never an asserted bound.
     """
-    u = solution.u if isinstance(solution, Solution) else as_vector(solution, "u")
+    u = as_vector(solution.u if isinstance(solution, Solution) else solution, "u", box.n)
     if not np.array_equal(cert.u, u):
         raise CertificateError("the certificate was issued for another point")
     harm_ok, _, harm_worst = _free_harmonicity(box, u, cert.g_u, 10 * cert.tol)

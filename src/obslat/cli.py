@@ -79,6 +79,9 @@ suite::
 
     {"seed": int >= 0, "checks": [names...], "paper_radius": bool}
 
+paper_radius and cc_regularize take only JSON true or false, and core,
+region and dirichlet only JSON arrays; "false" or "56" exits 2.
+
 Outputs are deterministic for a fixed config and seed: randomness comes
 only from numpy PCG64 generators seeded per check, reductions run in fixed
 order, and JSON/CSV serialization is canonical.
@@ -101,14 +104,13 @@ from .energies import KernelEnergy, QuadraticEnergy, fractional_kernel_1d, graph
 from .errors import (
     CertificateError,
     ConstructionError,
-    DimensionMismatch,
     NondifferentiableError,
     ObslatError,
     ObstacleOrderError,
     PreconditionError,
     SolverError,
 )
-from .lattice import UNBOUNDED, OrderInterval
+from .lattice import UNBOUNDED, OrderInterval, as_vector
 from .metric import (
     GraphSpace,
     build_cutoff,
@@ -166,6 +168,19 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _flag(cfg: dict, key: str) -> bool:
+    value = cfg.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _index_list(value, key: str) -> list[int]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be an array of indices, got {value!r}")
+    return [int(i) for i in value]
+
+
 def _build_energy(spec: dict):
     kind = spec["kind"]
     if kind == "quadratic":
@@ -174,7 +189,8 @@ def _build_energy(spec: dict):
         text = Path(spec["path"]).read_text(encoding="utf-8")
         return QuadraticEnergy.from_triplet_text(text, spec.get("b"))
     if kind == "graph":
-        return graph_dirichlet(int(spec["nodes"]), spec["edges"], spec.get("dirichlet", ()))
+        return graph_dirichlet(int(spec["nodes"]), spec["edges"],
+                               _index_list(spec.get("dirichlet", []), "dirichlet"))
     if kind == "kernel":
         return KernelEnergy(int(spec["n"]), spec["pairs"], spec.get("exterior", ()),
                             float(spec["p"]))
@@ -189,10 +205,7 @@ def _box_side(spec, n: int, default: float) -> np.ndarray:
         return np.full(n, default)
     if isinstance(spec, (int, float)):
         return np.full(n, float(spec))
-    arr = np.asarray(spec, dtype=float)
-    if arr.shape != (n,):
-        raise ConfigError(f"box side has length {arr.size}, expected {n}")
-    return arr
+    return as_vector(spec, "box side", n)
 
 
 def _build_box(spec: dict, n: int) -> OrderInterval:
@@ -265,10 +278,10 @@ def cmd_cutoff(args) -> int:
     with _parsing("cutoff"):
         cfg = _load_config(args)
         space = _build_space(cfg["graph"])
-        paper_radius = bool(args.paper_radius or cfg.get("paper_radius", False))
+        paper_radius = _flag(cfg, "paper_radius") or args.paper_radius
         params = _solver_params(cfg, args)
-        core = [int(i) for i in cfg["core"]]
-        region = [int(i) for i in cfg["region"]]
+        core = _index_list(cfg["core"], "core")
+        region = _index_list(cfg["region"], "region")
         out = _out_dir(args)
     cut = build_cutoff(space, core, region, tol=params["tol"], max_iter=params["max_iter"],
                        paper_radius=paper_radius, cert_tol=params["certificate_tol"])
@@ -294,7 +307,7 @@ def cmd_kantorovich(args) -> int:
         params = _solver_params(cfg, args)
         phi = np.asarray(cfg["potential"], dtype=float)
         t = float(cfg["t"])
-        cc_regularize = bool(cfg.get("cc_regularize", False))
+        cc_regularize = _flag(cfg, "cc_regularize")
         out = _out_dir(args)
     eta, pair, cert = kantorovich_regularize(
         space, phi, t, tol=params["tol"], max_iter=params["max_iter"],
@@ -327,7 +340,7 @@ def cmd_suite(args) -> int:
             unknown = [c for c in checks if c not in CHECKS]
             if unknown:
                 raise ConfigError(f"unknown checks: {unknown}")
-        paper_radius = bool(args.paper_radius or cfg.get("paper_radius", False))
+        paper_radius = _flag(cfg, "paper_radius") or args.paper_radius
         out = _out_dir(args)
     rows, all_pass = run_suite(seed=seed, checks=checks, paper_radius=paper_radius)
     with open(out / "suite.csv", "w", newline="", encoding="utf-8") as fh:
@@ -394,7 +407,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConstructionError, PreconditionError, DimensionMismatch) as err:
+    except (ConstructionError, PreconditionError) as err:
         print(f"invalid problem data: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverError, NondifferentiableError) as err:

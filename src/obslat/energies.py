@@ -30,8 +30,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConstructionError, DimensionMismatch, NondifferentiableError, PreconditionError
-from .lattice import as_vector
+from .errors import ConstructionError, NondifferentiableError, PreconditionError
+from .lattice import as_index_set, as_vector
 
 #: Off-diagonal entries above this threshold count as Z-matrix violations.
 Z_TOL = 1e-12
@@ -139,11 +139,7 @@ class QuadraticEnergy:
             if np.linalg.eigvalsh(a.toarray())[0] < -tol:
                 raise ConstructionError("matrix failed the positive-semidefiniteness check")
         self.submodular = bool(offdiag.nnz == 0 or offdiag.data.max() <= Z_TOL)
-        if b is None:
-            b = np.zeros(self.n)
-        b = as_vector(b, "b")
-        if b.shape[0] != self.n:
-            raise DimensionMismatch(f"linear term length {b.shape[0]} != n {self.n}")
+        b = as_vector(np.zeros(self.n) if b is None else b, "b", self.n)
         frozen = [b, a.data, a.indices, a.indptr]
         if coupling is not None:
             frozen += [coupling.data, coupling.indices, coupling.indptr]
@@ -154,8 +150,6 @@ class QuadraticEnergy:
         self.a = a
         self.b = b
         self.coupling, self.free_nodes = coupling, free_nodes
-        # solvers.solve_psor caches its row lists here on first use.
-        self.psor_rows: list | None = None
 
     @classmethod
     def from_triplets(cls, n: int, triplets, b=None):
@@ -172,15 +166,11 @@ class QuadraticEnergy:
         return cls(a, b)
 
     def value(self, u) -> float:
-        u = as_vector(u, "u")
-        if u.shape[0] != self.n:
-            raise DimensionMismatch(f"vector length {u.shape[0]} != n {self.n}")
+        u = as_vector(u, "u", self.n)
         return float(0.5 * (u @ (self.a @ u)) + self.b @ u)
 
     def gradient(self, u) -> np.ndarray:
-        u = as_vector(u, "u")
-        if u.shape[0] != self.n:
-            raise DimensionMismatch(f"vector length {u.shape[0]} != n {self.n}")
+        u = as_vector(u, "u", self.n)
         return self.a @ u + self.b
 
     def hessian(self, u) -> sp.csr_matrix:
@@ -235,10 +225,7 @@ def graph_dirichlet(nodes: int, edges, dirichlet_set=()) -> QuadraticEnergy:
 
 def assemble_dirichlet(nodes: int, clean_edges, dirichlet_set=()) -> QuadraticEnergy:
     """:func:`graph_dirichlet` for edges that :func:`validate_edges` already returned."""
-    dirichlet = sorted(set(int(i) for i in dirichlet_set))
-    for i in dirichlet:
-        if not 0 <= i < nodes:
-            raise ConstructionError(f"dirichlet node {i} out of range")
+    dirichlet = as_index_set(dirichlet_set, nodes, "dirichlet")
     free = np.setdiff1d(np.arange(nodes), dirichlet)
     if free.size == 0:
         raise ConstructionError("dirichlet_set covers every node; nothing to solve for")
@@ -281,20 +268,14 @@ class KernelEnergy:
         for arr in (self.i, self.j, self.w, self.d):
             arr.setflags(write=False)
 
-    def _check_dim(self, u: np.ndarray) -> None:
-        if u.shape[0] != self.n:
-            raise DimensionMismatch(f"vector length {u.shape[0]} != n {self.n}")
-
     def value(self, u) -> float:
-        u = as_vector(u, "u")
-        self._check_dim(u)
+        u = as_vector(u, "u", self.n)
         diffs = u[self.i] - u[self.j]
         total = self.w @ np.abs(diffs) ** self.p + self.d @ np.abs(u) ** self.p
         return float(total / self.p)
 
     def gradient(self, u) -> np.ndarray:
-        u = as_vector(u, "u")
-        self._check_dim(u)
+        u = as_vector(u, "u", self.n)
         diffs = u[self.i] - u[self.j]
         if self.p < 2:
             if np.any(diffs == 0.0) or np.any((self.d > 0) & (u == 0.0)):
@@ -317,8 +298,7 @@ class KernelEnergy:
         """
         if self.p < 2:
             raise PreconditionError(f"the Hessian requires p >= 2, got p = {self.p}")
-        u = as_vector(u, "u")
-        self._check_dim(u)
+        u = as_vector(u, "u", self.n)
         q = self.p - 2.0
         c = (self.p - 1.0) * self.w * np.abs(u[self.i] - u[self.j]) ** q
         diag = (self.p - 1.0) * self.d * np.abs(u) ** q
@@ -384,9 +364,8 @@ def submodularity_check(energy, u, v, tol: float = 0.0) -> CheckResult:
     ``energy`` may be an energy object or a plain callable u -> E(u), which
     allows probing quadratic forms that would fail PSD certification.
     """
-    u, v = as_vector(u, "u"), as_vector(v, "v")
-    if u.shape[0] != v.shape[0]:
-        raise DimensionMismatch("u and v must have equal length")
+    u = as_vector(u, "u")
+    v = as_vector(v, "v", u.shape[0])
     f = _value_fn(energy)
     delta = f(np.minimum(u, v)) + f(np.maximum(u, v)) - f(u) - f(v)
     return CheckResult(bool(delta <= tol), float(delta))
@@ -394,9 +373,8 @@ def submodularity_check(energy, u, v, tol: float = 0.0) -> CheckResult:
 
 def t_monotonicity_check(energy, u, v, tol: float = 0.0) -> CheckResult:
     """mu = <grad E(u) - grad E(v), (u-v) ∨ 0>; passes iff mu >= -tol."""
-    u, v = as_vector(u, "u"), as_vector(v, "v")
-    if u.shape[0] != v.shape[0]:
-        raise DimensionMismatch("u and v must have equal length")
+    u = as_vector(u, "u")
+    v = as_vector(v, "v", u.shape[0])
     g = _gradient_fn(energy)
     mu = float((np.asarray(g(u)) - np.asarray(g(v))) @ np.maximum(u - v, 0.0))
     return CheckResult(bool(mu >= -tol), mu)

@@ -1,16 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package (DimensionMismatch is a PreconditionError)."""
 
 
 class ObslatError(Exception):
     """Base class for all package errors."""
 
 
-class DimensionMismatch(ObslatError, ValueError):
-    """Operands have incompatible lengths or shapes."""
-
-
 class PreconditionError(ObslatError, ValueError):
     """A documented precondition of an operation was violated."""
+
+
+class DimensionMismatch(PreconditionError):
+    """Operands have incompatible lengths or shapes, the precondition all vectors share."""
 
 
 class ConstructionError(ObslatError, ValueError):

@@ -18,35 +18,42 @@ from .errors import ConstructionError, DimensionMismatch, PreconditionError
 UNBOUNDED = 1e30
 
 
-def as_vector(x, name: str = "vector") -> np.ndarray:
-    """Validate and convert ``x`` to a finite 1-D float array (length >= 1)."""
+def as_vector(x, name: str = "vector", n: int | None = None) -> np.ndarray:
+    """Validate and convert ``x`` to a finite 1-D float array (length >= 1).
+
+    With ``n`` given, a length other than n raises DimensionMismatch.
+    """
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ConstructionError(f"{name} must be one-dimensional, got shape {v.shape}")
     if v.size < 1:
         raise ConstructionError(f"{name} must have length >= 1")
+    if n is not None and v.shape[0] != n:
+        raise DimensionMismatch(f"{name} has length {v.shape[0]}, expected {n}")
     if not np.all(np.isfinite(v)):
         raise ConstructionError(f"{name} contains NaN or infinite entries")
     return v
 
 
-def _check_same_length(u: np.ndarray, v: np.ndarray) -> None:
-    if u.shape[0] != v.shape[0]:
-        raise DimensionMismatch(f"length mismatch: {u.shape[0]} vs {v.shape[0]}")
+def as_index_set(indices, n: int, name: str) -> list[int]:
+    """Sorted distinct ``int(i)`` of ``indices``; one outside range(n) raises ConstructionError."""
+    out = sorted(set(int(i) for i in indices))
+    for i in out:
+        if not 0 <= i < n:
+            raise ConstructionError(f"{name} index {i} out of range for {n} points")
+    return out
 
 
 def meet(u, v) -> np.ndarray:
     """Componentwise minimum u ∧ v."""
-    u, v = as_vector(u, "u"), as_vector(v, "v")
-    _check_same_length(u, v)
-    return np.minimum(u, v)
+    u = as_vector(u, "u")
+    return np.minimum(u, as_vector(v, "v", u.shape[0]))
 
 
 def join(u, v) -> np.ndarray:
     """Componentwise maximum u ∨ v."""
-    u, v = as_vector(u, "u"), as_vector(v, "v")
-    _check_same_length(u, v)
-    return np.maximum(u, v)
+    u = as_vector(u, "u")
+    return np.maximum(u, as_vector(v, "v", u.shape[0]))
 
 
 def positive_part(u) -> np.ndarray:
@@ -71,8 +78,7 @@ class OrderInterval:
 
     def __post_init__(self):
         lo = as_vector(self.lo, "lo")
-        hi = as_vector(self.hi, "hi")
-        _check_same_length(lo, hi)
+        hi = as_vector(self.hi, "hi", lo.shape[0])
         if np.any(lo > hi):
             i = int(np.argmax(lo - hi))
             raise ConstructionError(
@@ -98,22 +104,18 @@ class OrderInterval:
         return bool(np.all(self.hi >= UNBOUNDED))
 
     def contains(self, u, tol: float = 0.0) -> bool:
-        u = as_vector(u, "u")
-        _check_same_length(u, self.lo)
+        u = as_vector(u, "u", self.n)
         return bool(np.all(u >= self.lo - tol) and np.all(u <= self.hi + tol))
 
 
 def clamp(u, box: OrderInterval) -> np.ndarray:
     """Project u onto the box: componentwise median(lo, u, hi)."""
-    u = as_vector(u, "u")
-    _check_same_length(u, box.lo)
-    return np.clip(u, box.lo, box.hi)
+    return np.clip(as_vector(u, "u", box.n), box.lo, box.hi)
 
 
 def _rk_extremum(l, m, x, kind: str) -> float:
-    l, m, x = as_vector(l, "l"), as_vector(m, "m"), as_vector(x, "x")
-    _check_same_length(l, m)
-    _check_same_length(l, x)
+    l = as_vector(l, "l")
+    m, x = as_vector(m, "m", l.shape[0]), as_vector(x, "x", l.shape[0])
     if np.any(x < 0):
         raise PreconditionError("Riesz-Kantorovich formula requires x >= 0 componentwise")
     # The objective z -> <l,z> + <m,x-z> is linear, so its extremum over the

@@ -42,12 +42,11 @@ from .energies import CheckResult, QuadraticEnergy, assemble_dirichlet, validate
 from .errors import (
     CertificateError,
     ConstructionError,
-    DimensionMismatch,
     ObstacleOrderError,
     PreconditionError,
     SolverError,
 )
-from .lattice import OrderInterval, as_vector
+from .lattice import OrderInterval, as_index_set, as_vector
 from .solvers import Solution, solve_newton
 
 #: Distance matrices may violate symmetry and the triangle inequality by at
@@ -110,7 +109,7 @@ class FiniteMetricSpace:
 
     def lipschitz(self, v) -> float:
         """Lip(v) = max over x != y of |v_x - v_y| / d(x, y); 0.0 on one point."""
-        v = as_vector(v, "v")
+        v = as_vector(v, "v", self.n)
         diff = np.abs(v[:, None] - v[None, :])
         off = ~np.eye(v.shape[0], dtype=bool)
         ratios = diff[off] / self.D[off]
@@ -182,7 +181,7 @@ class GraphSpace(FiniteMetricSpace):
         has d(i, j) <= w_ij, and a shortest path is a chain of edges with
         w = d whose increments each stay within the largest edge ratio.
         """
-        v = as_vector(v, "v")
+        v = as_vector(v, "v", self.n)
         i, j, w = self.edges
         return float(np.max(np.abs(v[i] - v[j]) / w, initial=0.0))
 
@@ -196,9 +195,7 @@ def hopf_lax(space: FiniteMetricSpace, psi, t: float) -> np.ndarray:
     """(Q_t psi)_x = min_y d(x,y)^2/(2t) + psi_y.  Requires t > 0."""
     if t <= 0:
         raise PreconditionError(f"Hopf-Lax time t = {t} must be positive")
-    psi = as_vector(psi, "psi")
-    if psi.shape[0] != space.n:
-        raise DimensionMismatch(f"psi length {psi.shape[0]} != {space.n} points")
+    psi = as_vector(psi, "psi", space.n)
     d, scale = space.D, 2.0 * t
     out = np.empty(space.n)
     for s in range(0, space.n, HOPF_LAX_BLOCK):
@@ -226,14 +223,6 @@ def is_c_concave(space: FiniteMetricSpace, phi, tol: float = CC_TOL) -> CheckRes
     return CheckResult(defect <= tol, defect)
 
 
-def _index_set(indices, n: int, name: str) -> list[int]:
-    out = sorted(set(int(i) for i in indices))
-    for i in out:
-        if not 0 <= i < n:
-            raise ConstructionError(f"{name} index {i} out of range")
-    return out
-
-
 def cutoff_obstacles(space: FiniteMetricSpace, core, region,
                      paper_radius: bool = False):
     """Distance-profile obstacles for the cut-off construction.
@@ -253,8 +242,8 @@ def cutoff_obstacles(space: FiniteMetricSpace, core, region,
     Returns (phi, psi, r2).
     """
     n = space.n
-    c_idx = _index_set(core, n, "core")
-    o_idx = _index_set(region, n, "region")
+    c_idx = as_index_set(core, n, "core")
+    o_idx = as_index_set(region, n, "region")
     if not c_idx:
         raise ConstructionError("core set must be nonempty")
     if not set(c_idx) <= set(o_idx):

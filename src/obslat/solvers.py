@@ -36,7 +36,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .energies import KernelEnergy, QuadraticEnergy
-from .errors import PreconditionError, SolverError
+from .errors import DimensionMismatch, PreconditionError, SolverError
 from .lattice import OrderInterval, as_vector, clamp
 
 #: Containment slack for precondition checks (relative to bound magnitude).
@@ -105,7 +105,7 @@ def _on_bounds(u: np.ndarray, box: OrderInterval):
 
 def classify_active(u, box: OrderInterval):
     """Partition indices into (active_lower, active_upper, free)."""
-    lower, upper = _on_bounds(as_vector(u, "u"), box)
+    lower, upper = _on_bounds(as_vector(u, "u", box.n), box)
     return np.flatnonzero(lower), np.flatnonzero(upper), np.flatnonzero(~(lower | upper))
 
 
@@ -133,7 +133,7 @@ def kkt_residual(energy, box: OrderInterval, u) -> float:
     Free indices contribute |grad_i|, lower-active ones max(0, -grad_i),
     upper-active ones max(0, grad_i), pinned (lo = hi) indices nothing.
     """
-    u = as_vector(u, "u")
+    u = as_vector(u, "u", box.n)
     floor, ceil = _slack_bounds(box.lo, box.hi)
     if np.any(u < floor) or np.any(u > ceil):
         raise PreconditionError("point lies outside the interval")
@@ -184,8 +184,9 @@ def _psor_sweep(rows, diag, b, lo, hi, u, omega):
 
 
 def _check_box_dim(energy, box: OrderInterval) -> None:
+    """The one check that a box and an energy live on the same n points."""
     if box.n != energy.n:
-        raise PreconditionError(f"interval length {box.n} != energy dimension {energy.n}")
+        raise DimensionMismatch(f"interval length {box.n} != energy dimension {energy.n}")
 
 
 def solve_psor(energy: QuadraticEnergy, box: OrderInterval, tol: float = 1e-9,
@@ -222,9 +223,7 @@ def solve_psor(energy: QuadraticEnergy, box: OrderInterval, tol: float = 1e-9,
             )
     a = energy.a
     u_arr = clamp(np.zeros(energy.n) if u0 is None else as_vector(u0, "u0"), box)
-    if energy.psor_rows is None:
-        energy.psor_rows = _psor_rows(a)
-    rows = energy.psor_rows
+    rows = _psor_rows(a)
     b, lo, hi = energy.b.tolist(), box.lo.tolist(), box.hi.tolist()
     diag, u, omega = diag.tolist(), u_arr.tolist(), float(omega)
     sweeps = 0

@@ -16,11 +16,14 @@ the cutoff check alone with ``--paper-radius``, the runs of
 the only check here is the exit code: every row passes in the first run, and
 the paper's radius fails in the second.
 
-Run from the repository root:  PYTHONPATH=src python3 tests/golden/generate.py
+Run from the repository root:  PYTHONPATH=src python3 tests/golden/generate.py [OUT_DIR]
+OUT_DIR defaults to this directory; ``test_goldens_regenerate_byte_for_byte``
+regenerates into a temporary one and compares.
 """
 
 import json
 import shutil
+import sys
 import tempfile
 from collections import deque
 from pathlib import Path
@@ -36,15 +39,13 @@ from obslat.lattice import OrderInterval
 from obslat.metric import cutoff_obstacles
 from obslat.solvers import brute_force_active_set, solve_projected_gradient, solve_psor
 
-OUT = Path(__file__).parent
 
-
-def write(name, payload):
-    (OUT / name).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def write(out, name, payload):
+    (out / name).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     print(f"wrote {name}")
 
 
-def fractional_p3():
+def fractional_p3(out):
     energy = fractional_kernel_1d(3, 1.0, 0.5, 3.0, collar=2)
     box = OrderInterval([0.2, 0.2, 0.2], [1.0, 1.0, 1.0])
     sol = solve_projected_gradient(energy, box, tol=1e-10)
@@ -58,7 +59,7 @@ def fractional_p3():
     assert gap <= 1e-7, f"projected gradient vs L-BFGS-B gap {gap}"
     cert = ls_certificate(energy, box, sol, tol=1e-7)
     assert cert.passed
-    write("fractional_p3_n3.json", {
+    write(out, "fractional_p3_n3.json", {
         "params": {"n": 3, "h": 1.0, "s": 0.5, "p": 3.0, "collar": 2},
         "lo": box.lo.tolist(),
         "hi": box.hi.tolist(),
@@ -70,7 +71,7 @@ def fractional_p3():
     })
 
 
-def cutoff_path11():
+def cutoff_path11(out):
     space = path_space(11)
     core, region = [5], list(range(2, 9))
     phi, psi, r2 = cutoff_obstacles(space, core, region)
@@ -82,7 +83,7 @@ def cutoff_path11():
     assert gap <= 1e-9, f"PSOR vs enumeration gap {gap}"
     cert = ls_certificate(energy, box, sol, tol=1e-9)
     assert cert.passed
-    write("cutoff_path11.json", {
+    write(out, "cutoff_path11.json", {
         "core": core,
         "region": region,
         "r2": r2,
@@ -94,7 +95,7 @@ def cutoff_path11():
     })
 
 
-def cutoff_grid5x5():
+def cutoff_grid5x5(out):
     # 5x5 unit grid, core = center node, region = everything but one corner.
     nx = ny = 5
     n = nx * ny
@@ -130,7 +131,7 @@ def cutoff_grid5x5():
     lib_phi, lib_psi, lib_r2 = cutoff_obstacles(space, core, region)
     assert lib_r2 == r2
     assert np.array_equal(lib_phi, phi) and np.array_equal(lib_psi, psi)
-    write("cutoff_grid5x5.json", {
+    write(out, "cutoff_grid5x5.json", {
         "core": core,
         "region": region,
         "r2": r2,
@@ -139,20 +140,21 @@ def cutoff_grid5x5():
     })
 
 
-def suite_csv(name, cfg, flags, expected_code):
+def suite_csv(out, name, cfg, flags, expected_code):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(cfg))
         code = main(["suite", "--seed", "0", "--config", str(config), "--out", tmp, *flags])
         assert code == expected_code, f"{name}: suite exited {code}"
-        shutil.copyfile(Path(tmp) / "suite.csv", OUT / name)
+        shutil.copyfile(Path(tmp) / "suite.csv", out / name)
     print(f"wrote {name}")
 
 
 if __name__ == "__main__":
-    fractional_p3()
-    cutoff_path11()
-    cutoff_grid5x5()
-    suite_csv("suite_seed0.csv", {}, [], 0)
-    suite_csv("suite_seed0_paper_radius_cutoff.csv", {"checks": ["cutoff"]},
+    out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent
+    fractional_p3(out)
+    cutoff_path11(out)
+    cutoff_grid5x5(out)
+    suite_csv(out, "suite_seed0.csv", {}, [], 0)
+    suite_csv(out, "suite_seed0_paper_radius_cutoff.csv", {"checks": ["cutoff"]},
               ["--paper-radius"], 1)

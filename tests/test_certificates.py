@@ -10,16 +10,23 @@ from obslat.certificates import (
     maximum_principle_check,
 )
 from obslat.energies import QuadraticEnergy, graph_dirichlet
-from obslat.errors import CertificateError, PreconditionError
+from obslat.errors import CertificateError, DimensionMismatch, PreconditionError
 from obslat.instances import (
     grid_boundary,
     grid_edges,
     random_box,
     random_submodular_quadratic,
 )
-from obslat.lattice import UNBOUNDED, OrderInterval
+from obslat.lattice import UNBOUNDED, OrderInterval, clamp
 from obslat.metric import FiniteMetricSpace
-from obslat.solvers import solve_psor
+from obslat.solvers import (
+    brute_force_active_set,
+    classify_active,
+    kkt_residual,
+    solve_newton,
+    solve_projected_gradient,
+    solve_psor,
+)
 
 TRIDIAG = [(0, 0, 2.0), (1, 1, 2.0), (2, 2, 2.0),
            (0, 1, -1.0), (1, 0, -1.0), (1, 2, -1.0), (2, 1, -1.0)]
@@ -183,6 +190,8 @@ def test_maximum_principle_rejects_unsolved():
     values = np.full(8, 0.5)
     with pytest.raises(CertificateError):
         maximum_principle_check(energy, values, np.array([3.0]))
+    with pytest.raises(DimensionMismatch):
+        maximum_principle_check(energy, values[1:], np.array([3.0]))
     plain = QuadraticEnergy(np.eye(2))
     with pytest.raises(PreconditionError):
         maximum_principle_check(plain, values, np.zeros(2))
@@ -196,3 +205,29 @@ def test_lipschitz_ratio_conventions():
     assert lipschitz_ratio(space, const, v, v) == 0.0
     assert lipschitz_ratio(space, v, const, const) == float("inf")
     assert lipschitz_ratio(space, const, const, const) == 0.0
+
+
+#: Each public (energy, box, u) entry point, called as f(energy, box, solution, cert).
+SHORT_BOX_CALLS = {
+    "kkt_residual": lambda e, box, sol, cert: kkt_residual(e, box, sol.u),
+    "free_set_harmonicity": lambda e, box, sol, cert: free_set_harmonicity(e, box, sol, 1e-9),
+    "certificate_report": lambda e, box, sol, cert: certificate_report(e, box, sol, cert),
+    "ls_certificate": lambda e, box, sol, cert: ls_certificate(e, box, sol, 1e-8),
+    "clamp": lambda e, box, sol, cert: clamp(sol.u, box),
+    "classify_active": lambda e, box, sol, cert: classify_active(sol.u, box),
+    "solve_newton": lambda e, box, sol, cert: solve_newton(e, box),
+    "solve_psor": lambda e, box, sol, cert: solve_psor(e, box),
+    "solve_projected_gradient": lambda e, box, sol, cert: solve_projected_gradient(e, box),
+    "brute_force_active_set": lambda e, box, sol, cert: brute_force_active_set(e, box),
+}
+
+
+@pytest.mark.parametrize("name", list(SHORT_BOX_CALLS))
+def test_box_shorter_than_energy_raises_dimension_mismatch(name):
+    # 3 free nodes of a 4-node path pinned at node 0; u is its minimizer on [0, 1]^3
+    energy = graph_dirichlet(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], [0])
+    box = OrderInterval([0.2, 0.0, 0.0], [1.0, 1.0, 1.0])
+    sol = solve_newton(energy, box)
+    cert = ls_certificate(energy, box, sol, 1e-8)
+    with pytest.raises(DimensionMismatch):
+        SHORT_BOX_CALLS[name](energy, OrderInterval([0.0], [1.0]), sol, cert)

@@ -27,6 +27,12 @@ TRIDIAG_CONFIG = {
 }
 
 
+def _env_with_src() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -339,8 +345,7 @@ def test_constructions_exit_3_when_unconverged(tmp_path):
     ["kantorovich", "--paper-radius"],
 ])
 def test_commands_reject_flags_they_do_not_read(tmp_path, argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    env = _env_with_src()
     proc = subprocess.run([sys.executable, "-m", "obslat.cli", *argv, "--out", str(tmp_path)],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
@@ -434,6 +439,18 @@ def test_suite_matches_golden(tmp_path, golden, cfg, flags):
             float(e["worst_value"]), rel=1e-12, abs=1e-12), g["check_name"]
 
 
+def test_goldens_regenerate_byte_for_byte(tmp_path):
+    """generate.py, with its L-BFGS-B and enumeration cross-checks, rewrites every golden."""
+    env = _env_with_src()
+    proc = subprocess.run([sys.executable, str(GOLDEN / "generate.py"), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    committed = sorted(p.name for p in GOLDEN.iterdir() if p.suffix in (".json", ".csv"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == committed
+    for name in committed:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("seed", [1, 8, 14, 25])
 def test_suite_passes_on_former_stall_seeds(tmp_path, seed):
     # projected gradient stalled on s = 0.75 kernel instances of these seeds
@@ -512,3 +529,19 @@ def test_config_mutation_sweep_exits_with_documented_codes(tmp_path, base):
                 if code not in allowed:
                     bad.append((path, value, code))
     assert bad == []
+
+
+@pytest.mark.parametrize("base, path, value", [
+    ("cutoff", ("paper_radius",), "false"),
+    ("kantorovich", ("cc_regularize",), "false"),
+    ("cutoff", ("core",), "2"),
+    ("cutoff", ("region",), "123"),
+    ("solve_graph", ("energy", "dirichlet"), "0"),
+], ids=["paper_radius", "cc_regularize", "core", "region", "dirichlet"])
+def test_flags_and_index_lists_take_only_json_booleans_and_arrays(tmp_path, base, path, value):
+    # each string would pass as a flag under bool(...) or as indices when iterated
+    command, cfg = SWEEP_BASES[base]
+    out = tmp_path / "out"
+    config = write_config(tmp_path, _replaced(cfg, path, value))
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    assert not out.exists()

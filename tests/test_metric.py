@@ -18,6 +18,7 @@ from obslat.energies import QuadraticEnergy
 from obslat.errors import (
     CertificateError,
     ConstructionError,
+    DimensionMismatch,
     ObstacleOrderError,
     PreconditionError,
 )
@@ -175,6 +176,15 @@ def test_graph_lipschitz_matches_pairwise_ratio():
     assert detour.lipschitz(v) == FiniteMetricSpace(detour.D).lipschitz(v) == 1.0
     assert GraphSpace.from_graph(1, []).lipschitz([3.0]) == 0.0
     assert FiniteMetricSpace(np.zeros((1, 1))).lipschitz([3.0]) == 0.0
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_lipschitz_needs_one_value_per_point(length):
+    # the edge form would ignore a fourth value and index past a second
+    space = GraphSpace.from_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    for metric in (space, FiniteMetricSpace(space.D)):
+        with pytest.raises(DimensionMismatch):
+            metric.lipschitz(np.zeros(length))
 
 
 def test_cutoff_builds_no_all_pairs_matrix(tmp_path, monkeypatch):
