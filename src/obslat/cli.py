@@ -80,7 +80,10 @@ suite::
     {"seed": int >= 0, "checks": [names...], "paper_radius": bool}
 
 paper_radius and cc_regularize take only JSON true or false, and core,
-region and dirichlet only JSON arrays; "false" or "56" exits 2.
+region and dirichlet only JSON arrays; "false" or "56" exits 2.  Every
+node index (in edges, pairs, triplets, exterior, core, region and
+dirichlet) is an integer: a string such as "2" or a fraction such as 2.7
+exits 2, where 2.0 counts as 2.
 
 Outputs are deterministic for a fixed config and seed: randomness comes
 only from numpy PCG64 generators seeded per check, reductions run in fixed
@@ -175,10 +178,10 @@ def _flag(cfg: dict, key: str) -> bool:
     return value
 
 
-def _index_list(value, key: str) -> list[int]:
+def _index_list(value, key: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{key} must be an array of indices, got {value!r}")
-    return [int(i) for i in value]
+    return value
 
 
 def _build_energy(spec: dict):

@@ -10,12 +10,15 @@ Two families are provided:
   + sum_i d_i |u_i|^p ], the discrete analogue of a (fractional) Gagliardo
   p-energy with a truncated zero-extension collar carried by the d_i.
 
-A is certified PSD at construction by Gershgorin's theorem (diagonal
-dominance, O(nnz), true of every graph Laplacian) or, failing that and only
-up to n = PSD_DENSE_MAX_N, by its smallest eigenvalue.  A is read-only.
+A is stored canonical (sorted indices, duplicates summed) and read-only.
+Its certificate is one O(nnz) pass over the CSR arrays: squareness,
+symmetry, finiteness, the Z-matrix test behind ``submodular``, and PSD by
+Gershgorin's theorem (diagonal dominance, true of every graph Laplacian) or,
+failing that and only up to n = PSD_DENSE_MAX_N, by its smallest eigenvalue.
 
 :func:`validate_edges` is the one check of an (i, j, w) list, returned as
-arrays, and :func:`laplacian` the one assembly of a weighted graph Laplacian.
+arrays, :func:`laplacian` the one assembly of a weighted graph Laplacian and
+:func:`csr_block` the one extraction of a submatrix.
 
 Both expose ``value``, ``gradient`` and ``hessian``; the module-level checks
 (:func:`submodularity_check`, :func:`t_monotonicity_check`,
@@ -31,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConstructionError, NondifferentiableError, PreconditionError
-from .lattice import as_index_set, as_vector
+from .lattice import as_index, as_index_set, as_vector
 
 #: Off-diagonal entries above this threshold count as Z-matrix violations.
 Z_TOL = 1e-12
@@ -59,16 +62,24 @@ def validate_edges(nodes: int, edges) -> tuple:
     """Checked (i, j, w) arrays of an undirected weighted edge list.
 
     Each row is one (i, j, w) triple; (i, j) and (j, i) are one pair, which
-    may be listed once.  i != j must lie in range(nodes), truncated as by
-    ``int``, and w must be positive and finite.  Returns read-only int64,
-    int64 and float64 arrays of i, j and w in list order, each owning its data.
+    may be listed once.  i != j must be integers in range(nodes) (a string
+    or a fractional end is refused), and w must be positive and finite.
+    Returns read-only int64, int64 and float64 arrays of i, j and w in list
+    order, each owning its data.
     """
-    rows = np.array(edges, dtype=float)
+    rows = np.asarray(edges)
+    if rows.dtype.kind not in "biuf":
+        raise ConstructionError(f"edges must hold numbers, got {rows.dtype} entries")
+    rows = rows.astype(float, copy=False)
     if rows.shape == (0,):
         rows = rows.reshape(0, 3)
     if rows.ndim != 2 or rows.shape[1] != 3:
         raise ConstructionError(f"edges must be (i, j, w) triples, got shape {rows.shape}")
-    ends, w = np.trunc(rows[:, :2]), rows[:, 2].copy()
+    ends, w = rows[:, :2], rows[:, 2].copy()
+    fractional = np.any(ends != np.trunc(ends), axis=1)
+    if fractional.any():
+        k = int(fractional.argmax())
+        raise ConstructionError(f"edge {k} has a non-integer end: ({ends[k, 0]!r}, {ends[k, 1]!r})")
     lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
     order = np.lexsort((hi, lo))  # stable: a pair's first row comes first
     repeats = np.zeros(len(w), dtype=bool)
@@ -90,8 +101,10 @@ def validate_edges(nodes: int, edges) -> tuple:
 def laplacian(n: int, i, j, w, diag=None) -> sp.csr_matrix:
     """sum_k w_k (e_i - e_j)(e_i - e_j)^T + diag(d) as an n x n CSR matrix.
 
-    Entries are summed pair by pair, (i,i), (j,j), (i,j), (j,i), with the
-    diagonal d last, so equal inputs give bit-equal matrices everywhere.
+    The entries are listed pair by pair, (i,i), (j,j), (i,j), (j,i), with
+    the diagonal d last, and summed in the order that scipy's COO to CSR
+    conversion gives that list, which need not be the list order.  Equal
+    inputs give bit-equal matrices.
     """
     d = np.zeros(0) if diag is None else diag
     k = np.arange(len(d))
@@ -101,33 +114,59 @@ def laplacian(n: int, i, j, w, diag=None) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
+def csr_block(a: sp.csr_matrix, row_mask: np.ndarray, col_mask: np.ndarray) -> sp.csr_matrix:
+    """``a[row_mask][:, col_mask]`` for boolean masks, with the same arrays.
+
+    One masked copy of the CSR arrays; entries keep their storage order.
+    """
+    keep = np.repeat(row_mask, np.diff(a.indptr)) & col_mask[a.indices]
+    kept = np.concatenate(([0], np.cumsum(keep)))[a.indptr]  # kept entries before each row
+    indptr = np.concatenate(([0], np.cumsum(np.diff(kept)[row_mask])))
+    new_col = np.cumsum(col_mask) - 1
+    return sp.csr_matrix((a.data[keep], new_col[a.indices[keep]], indptr),
+                         shape=(int(np.count_nonzero(row_mask)), int(np.count_nonzero(col_mask))))
+
+
 class QuadraticEnergy:
     """E(u) = 1/2 <Au,u> + <b,u> with symmetric PSD A stored sparse.
 
     ``submodular`` is True exactly when all off-diagonal entries of A are
     nonpositive (up to ``Z_TOL``).  The discrete Laplacian associated with
     the energy is L(u) = -(Au + b) = -gradient(u); it has no method of its
-    own.  The CSR arrays of ``a`` are private copies and read-only, as are
-    ``coupling`` (free-to-pinned block) and ``free_nodes``, which only
+    own.  ``a`` is a private copy in canonical CSR form (sorted indices,
+    duplicates summed) with read-only arrays, as are ``coupling``
+    (free-to-pinned block) and ``free_nodes``, which only
     :func:`graph_dirichlet` sets.
+
+    The certificate is one pass over the arrays of ``a`` and its transpose.
+    Asymmetry is max |A_ij - A_ji| entry by entry when both share one
+    sparsity pattern (every graph Laplacian does) and is read from A - A^T
+    otherwise.
     """
 
     def __init__(self, a, b=None, *, coupling=None, free_nodes=None):
         a = sp.csr_matrix(a, dtype=float, copy=True)
+        a.sum_duplicates()
         if a.shape[0] != a.shape[1]:
             raise ConstructionError(f"matrix must be square, got {a.shape}")
         self.n = a.shape[0]
-        asym = abs(a - a.T)
-        if asym.nnz and asym.max() > SYMMETRY_TOL:
-            raise ConstructionError(
-                f"matrix asymmetry {asym.max():.3e} exceeds {SYMMETRY_TOL}"
-            )
+        at = a.tocsc()  # the canonical CSR arrays of a.T
+        if np.array_equal(at.indptr, a.indptr) and np.array_equal(at.indices, a.indices):
+            with np.errstate(invalid="ignore"):  # inf - inf: NaN, refused as not finite
+                asym = np.max(np.abs(a.data - at.data), initial=0.0)
+        else:
+            asym = np.max(abs(a - a.T).data, initial=0.0)
+        if asym > SYMMETRY_TOL:
+            raise ConstructionError(f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
         if not np.all(np.isfinite(a.data)):
             raise ConstructionError("matrix entries must be finite")
-        diag = a.diagonal()
-        offdiag = a - sp.diags(diag)
+        rows = np.repeat(np.arange(self.n), np.diff(a.indptr))
+        on_diag = rows == a.indices
+        diag = np.zeros(self.n)
+        diag[rows[on_diag]] = a.data[on_diag]
+        off = a.data[~on_diag]
         tol = PSD_TOL * max(1.0, float(np.max(np.abs(diag), initial=0.0)))
-        radius = np.asarray(abs(offdiag).sum(axis=1)).ravel()
+        radius = np.bincount(rows[~on_diag], weights=np.abs(off), minlength=self.n)
         # Gershgorin: a weakly diagonally dominant symmetric matrix is PSD.
         if not np.all(diag - radius >= -tol):
             if self.n > PSD_DENSE_MAX_N:
@@ -138,7 +177,7 @@ class QuadraticEnergy:
                 )
             if np.linalg.eigvalsh(a.toarray())[0] < -tol:
                 raise ConstructionError("matrix failed the positive-semidefiniteness check")
-        self.submodular = bool(offdiag.nnz == 0 or offdiag.data.max() <= Z_TOL)
+        self.submodular = bool(np.max(off, initial=-np.inf) <= Z_TOL)
         b = as_vector(np.zeros(self.n) if b is None else b, "b", self.n)
         frozen = [b, a.data, a.indices, a.indptr]
         if coupling is not None:
@@ -156,7 +195,7 @@ class QuadraticEnergy:
         """Build from (i, j, value) entries; duplicate positions are summed."""
         rows, cols, vals = [], [], []
         for i, j, v in triplets:
-            i, j = int(i), int(j)
+            i, j = as_index(i, "triplet"), as_index(j, "triplet")
             if not (0 <= i < n and 0 <= j < n):
                 raise ConstructionError(f"triplet index ({i},{j}) out of range for n={n}")
             rows.append(i)
@@ -226,12 +265,14 @@ def graph_dirichlet(nodes: int, edges, dirichlet_set=()) -> QuadraticEnergy:
 def assemble_dirichlet(nodes: int, clean_edges, dirichlet_set=()) -> QuadraticEnergy:
     """:func:`graph_dirichlet` for edges that :func:`validate_edges` already returned."""
     dirichlet = as_index_set(dirichlet_set, nodes, "dirichlet")
-    free = np.setdiff1d(np.arange(nodes), dirichlet)
-    if free.size == 0:
+    is_free = np.ones(nodes, dtype=bool)
+    is_free[dirichlet] = False
+    if not is_free.any():
         raise ConstructionError("dirichlet_set covers every node; nothing to solve for")
-    free_rows = laplacian(nodes, *clean_edges)[free]
-    coupling = sp.csr_matrix(free_rows[:, np.array(dirichlet, dtype=int)]) if dirichlet else None
-    return QuadraticEnergy(free_rows[:, free], coupling=coupling, free_nodes=free)
+    lap = laplacian(nodes, *clean_edges)
+    coupling = csr_block(lap, is_free, ~is_free) if dirichlet else None
+    return QuadraticEnergy(csr_block(lap, is_free, is_free), coupling=coupling,
+                           free_nodes=np.flatnonzero(is_free))
 
 
 class KernelEnergy:
@@ -257,7 +298,7 @@ class KernelEnergy:
             raise ConstructionError(f"pair ({self.i[k]},{self.j[k]}) must satisfy i < j")
         d = np.zeros(self.n)
         for i, di in exterior:
-            i, di = int(i), float(di)
+            i, di = as_index(i, "exterior"), float(di)
             if not 0 <= i < self.n:
                 raise ConstructionError(f"exterior index {i} out of range")
             if not 0 <= di < np.inf:

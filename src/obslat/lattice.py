@@ -8,6 +8,7 @@ can be evaluated directly via the Riesz-Kantorovich box optimization.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +36,16 @@ def as_vector(x, name: str = "vector", n: int | None = None) -> np.ndarray:
     return v
 
 
+def as_index(i, name: str) -> int:
+    """``i`` as an int; a string or a number with a fractional part raises ConstructionError."""
+    if isinstance(i, numbers.Integral) or (isinstance(i, numbers.Real) and float(i).is_integer()):
+        return int(i)
+    raise ConstructionError(f"{name} index {i!r} is not an integer")
+
+
 def as_index_set(indices, n: int, name: str) -> list[int]:
-    """Sorted distinct ``int(i)`` of ``indices``; one outside range(n) raises ConstructionError."""
-    out = sorted(set(int(i) for i in indices))
+    """Sorted distinct :func:`as_index` of ``indices``; one outside range(n) raises ConstructionError."""
+    out = sorted(set(as_index(i, name) for i in indices))
     for i in out:
         if not 0 <= i < n:
             raise ConstructionError(f"{name} index {i} out of range for {n} points")

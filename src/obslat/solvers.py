@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .energies import KernelEnergy, QuadraticEnergy
+from .energies import KernelEnergy, QuadraticEnergy, csr_block
 from .errors import DimensionMismatch, PreconditionError, SolverError
 from .lattice import OrderInterval, as_vector, clamp
 
@@ -316,7 +316,7 @@ def _newton_direction(energy, u: np.ndarray, g: np.ndarray, free: np.ndarray):
         return None
     h = energy.hessian(u)
     if not np.all(free):
-        h = h[free][:, free]
+        h = csr_block(h, free, free)
     h = h.tocsc()
     lu = _factor_psd(h)
     if lu is None:

@@ -72,8 +72,7 @@ def check_lattice_identities(seed: int, n_pairs: int = 200) -> list:
         l, m = rng.normal(size=n), rng.normal(size=n)
         x = np.abs(rng.normal(size=n))
         best_hi, best_lo = -math.inf, math.inf
-        for mask in range(1 << n):
-            z = np.array([x[i] if mask >> i & 1 else 0.0 for i in range(n)])
+        for z in np.where((np.arange(1 << n)[:, None] >> np.arange(n)) & 1, x, 0.0):
             val = float(l @ z + m @ (x - z))
             best_hi, best_lo = max(best_hi, val), min(best_lo, val)
         worst_rk = max(

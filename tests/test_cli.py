@@ -545,3 +545,41 @@ def test_flags_and_index_lists_take_only_json_booleans_and_arrays(tmp_path, base
     config = write_config(tmp_path, _replaced(cfg, path, value))
     assert main([command, "--config", config, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+_PATH5_FRACTIONAL = [[0, 1.9, 1.0], *_PATH5[1:]]
+_PATH5_STRING = [_PATH5[0], [1, "2", 1.0], *_PATH5[2:]]
+
+
+@pytest.mark.parametrize("base, changes", [
+    ("cutoff", {("core",): [2.7], ("region",): [1, "2", 3.9]}),
+    ("cutoff", {("core",): [2.7]}),
+    ("cutoff", {("region",): [1, "2", 3]}),
+    ("cutoff", {("graph", "edges"): _PATH5_FRACTIONAL}),
+    ("cutoff", {("graph", "edges"): _PATH5_STRING}),
+    ("kantorovich", {("graph", "edges"): _PATH5_STRING}),
+    ("solve_graph", {("energy", "dirichlet"): [0.5]}),
+    ("solve_graph", {("energy", "edges"): [[0, 1, 1.0], [1.5, 2, 1.0]]}),
+    ("solve_kernel", {("energy", "pairs"): [[0, "1", 1.0], [1, 2, 1.0]]}),
+    ("solve_kernel", {("energy", "exterior"): [[0.5, 1.0]]}),
+    ("solve_kernel", {("energy", "exterior"): [["0", 1.0]]}),
+], ids=["core_and_region", "core", "region", "edge_fraction", "edge_string", "kantorovich_edge",
+        "dirichlet", "energy_edge", "pair_string", "exterior_fraction", "exterior_string"])
+def test_fractional_or_string_indices_exit_2(tmp_path, base, changes):
+    # int(...) used to truncate 2.7 to 2 and parse "2" as 2, and the command exited 0
+    command, cfg = SWEEP_BASES[base]
+    for path, value in changes.items():
+        cfg = _replaced(cfg, path, value)
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+
+
+def test_integral_float_indices_read_as_ints(tmp_path):
+    command, cfg = SWEEP_BASES["cutoff"]
+    floats = _replaced(_replaced(cfg, ("core",), [2.0]), ("region",), [1.0, 2, 3.0])
+    floats = _replaced(floats, ("graph", "edges"), [[float(i), float(j), w] for i, j, w in _PATH5])
+    for name, c in (("ints", cfg), ("floats", floats)):
+        config = write_config(tmp_path, c, f"{name}.json")
+        assert main([command, "--config", config, "--out", str(tmp_path / name)]) == 0
+    for name in ("cutoff.json", "certificate.json"):
+        assert (tmp_path / "ints" / name).read_bytes() == (tmp_path / "floats" / name).read_bytes()

@@ -4,8 +4,12 @@ import scipy.sparse as sp
 
 from obslat.energies import (
     PSD_DENSE_MAX_N,
+    PSD_TOL,
+    SYMMETRY_TOL,
+    Z_TOL,
     KernelEnergy,
     QuadraticEnergy,
+    csr_block,
     fractional_kernel_1d,
     graph_dirichlet,
     laplacian,
@@ -118,8 +122,25 @@ def test_validate_edges_returns_owned_arrays():
         validate_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
 
 
+def test_indices_are_integers_not_truncated():
+    for edges in ([(0, 1.9, 1.0)], [(0.5, 1, 1.0)], [(0, np.nan, 1.0)]):
+        with pytest.raises(ConstructionError, match="non-integer end"):
+            validate_edges(3, edges)
+    with pytest.raises(ConstructionError, match="must hold numbers"):
+        validate_edges(3, [(0, 1, 1.0), (1, "2", 1.0)])
+    with pytest.raises(ConstructionError, match="exterior index 0.5 is not"):
+        KernelEnergy(2, [(0, 1, 1.0)], [(0.5, 1.0)], 2.0)
+    with pytest.raises(ConstructionError, match="triplet index '1' is not"):
+        QuadraticEnergy.from_triplets(2, [(0, 0, 1.0), ("1", 1, 1.0)])
+    with pytest.raises(ConstructionError, match="dirichlet index 1.5 is not"):
+        graph_dirichlet(3, [(0, 1, 1.0), (1, 2, 1.0)], [1.5])
+    exact = QuadraticEnergy.from_triplets(2, [(0.0, 0, 1.0), (1, 1.0, 1.0)])
+    assert np.array_equal(exact.a.toarray(), np.eye(2))
+
+
 def test_laplacian_sums_pair_by_pair():
-    # the (i,i), (j,j), (i,j), (j,i) per-pair order with the diagonal last
+    # the (i,i), (j,j), (i,j), (j,i) per-pair list with the diagonal last,
+    # summed in the order of scipy's COO to CSR conversion
     rng = np.random.default_rng(4)
     edges = random_connected_edges(rng, 30, extra_frac=2.0)
     diag = rng.uniform(0.0, 1.0, size=30)
@@ -207,6 +228,126 @@ def test_quadratic_matrix_is_read_only():
             arr[0] = 1
     a.data[0] = 5.0  # the caller's matrix stays its own
     assert energy.a[0, 0] == 2.0
+
+
+def _reference_certificate(a):
+    """The certificate as scipy.sparse operations on the matrix as given.
+
+    Returns (error message or None, submodular or None); the energy must
+    reach the same verdicts from one pass over its canonical CSR arrays.
+    """
+    a = sp.csr_matrix(a, dtype=float, copy=True)
+    if a.shape[0] != a.shape[1]:
+        return f"matrix must be square, got {a.shape}", None
+    asym = abs(a - a.T)
+    if asym.nnz and asym.max() > SYMMETRY_TOL:
+        return f"matrix asymmetry {asym.max():.3e} exceeds {SYMMETRY_TOL}", None
+    if not np.all(np.isfinite(a.data)):
+        return "matrix entries must be finite", None
+    diag = a.diagonal()
+    offdiag = a - sp.diags(diag)
+    tol = PSD_TOL * max(1.0, float(np.max(np.abs(diag), initial=0.0)))
+    radius = np.asarray(abs(offdiag).sum(axis=1)).ravel()
+    if not np.all(diag - radius >= -tol):
+        if np.linalg.eigvalsh(a.toarray())[0] < -tol:
+            return "matrix failed the positive-semidefiniteness check", None
+    return None, bool(offdiag.nnz == 0 or offdiag.data.max() <= Z_TOL)
+
+
+def _messy_csr(rng, dense, explicit_zeros=0):
+    """CSR of ``dense`` with split duplicates, unsorted columns and explicit zeros.
+
+    Entries are multiples of 1/4, so every split sums back exactly.
+    """
+    n = dense.shape[0]
+    r, c = np.nonzero(dense)
+    v = dense[r, c]
+    split = rng.random(len(v)) < 0.3
+    part = rng.integers(-4, 5, size=int(split.sum())) / 4.0
+    v[split] -= part
+    r, c, v = np.concatenate([r, r[split]]), np.concatenate([c, c[split]]), np.concatenate([v, part])
+    zr, zc = rng.integers(0, n, size=(2, explicit_zeros))
+    r, c, v = np.concatenate([r, zr]), np.concatenate([c, zc]), np.concatenate([v, np.zeros(explicit_zeros)])
+    perm = rng.permutation(len(r))
+    idx = perm[np.argsort(r[perm], kind="stable")]  # rows in order, columns shuffled
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=n))])
+    return sp.csr_matrix((v[idx], c[idx], indptr), shape=(n, n))
+
+
+def _certificate_cases():
+    rng = np.random.default_rng(15)
+    for k in range(240):
+        n = int(rng.integers(1, 9))
+        dense = rng.integers(-4, 5, size=(n, n)) / 4.0
+        dense[rng.random((n, n)) < 0.5] = 0.0
+        dense = np.triu(dense) + np.triu(dense, 1).T  # symmetric
+        kind = k % 7
+        if kind == 1:  # diagonally dominant, mostly a Z-matrix like a Laplacian
+            flip = np.triu(rng.random((n, n)) < 0.2, 1)
+            dense = np.where(flip | flip.T, 1.0, -1.0) * np.abs(dense)
+            np.fill_diagonal(dense, 0.0)
+            np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + rng.integers(0, 3, size=n) / 4.0)
+        elif kind == 2 and n > 1:  # asymmetric within or above the tolerance
+            i, j = rng.choice(n, size=2, replace=False)
+            dense[i, j] += rng.choice([0.5, 4.0, 1e3]) * SYMMETRY_TOL
+        elif kind == 3 and n > 1:  # structurally asymmetric: one side missing
+            i, j = rng.choice(n, size=2, replace=False)
+            dense[i, j], dense[j, i] = rng.choice([0.0, 0.25]), 0.0
+        elif kind == 4:  # diagonal only, any signs
+            dense = np.diag(rng.integers(-2, 5, size=n) / 4.0)
+        elif kind == 5:  # PSD of rank <= 2, rarely dominant
+            half = rng.integers(-2, 3, size=(n, 2)) / 2.0
+            dense = half @ half.T
+        yield _messy_csr(rng, dense, explicit_zeros=int(rng.integers(0, 3)) * (k % 2))
+    yield sp.csr_matrix(np.ones((3, 3)))  # PSD, not dominant
+    yield sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # not PSD
+    for x in (-1.0, 0.0, 2.0):
+        yield sp.csr_matrix(np.array([[x]]))
+    yield sp.csr_matrix((2, 2))
+    yield sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0 + 1e-13]]))  # sub-tolerance asymmetry inside an entry
+    yield sp.csr_matrix(np.ones((2, 3)))
+    for bad in (np.nan, np.inf):
+        yield sp.csr_matrix(np.array([[1.0, bad], [0.0, 1.0]]))
+        yield sp.csr_matrix(np.array([[1.0, bad], [bad, 1.0]]))
+        yield sp.csr_matrix(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+def test_certificate_verdicts_match_the_scipy_formulation():
+    kinds = dict.fromkeys(["accepted", "asymmetry", "must be finite", "semidefinite", "square"], 0)
+    for a in _certificate_cases():
+        want_error, want_submodular = _reference_certificate(a)
+        try:
+            energy = QuadraticEnergy(a, np.ones(a.shape[0]) if a.shape[0] else None)
+        except ConstructionError as err:
+            assert str(err) == want_error, a.toarray()
+            kinds[next(k for k in kinds if k in str(err))] += 1
+            continue
+        assert want_error is None and energy.submodular == want_submodular, a.toarray()
+        stored = energy.a
+        assert stored.has_canonical_format
+        assert np.array_equal(stored.toarray(), a.toarray())
+        kinds["accepted"] += 1
+    assert min(kinds.values()) >= 1, kinds
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 5), (12, 12)])
+def test_csr_block_equals_scipy_fancy_indexing(shape):
+    rng = np.random.default_rng(shape[0])
+    for k in range(40):
+        a = sp.random(*shape, density=0.4, random_state=rng, format="csr")
+        a.data[:] = rng.normal(size=a.nnz)
+        rows = rng.random(shape[0]) < 0.6
+        cols = rng.random(shape[1]) < 0.6
+        if k == 0:
+            rows[:], cols[:] = False, False
+        elif k == 1:
+            rows[:], cols[:] = True, True
+        got = csr_block(a, rows, cols)
+        want = a[np.flatnonzero(rows)][:, np.flatnonzero(cols)]
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
 
 
 def test_value_gradient_example():

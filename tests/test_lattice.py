@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from obslat.errors import ConstructionError, DimensionMismatch, PreconditionError
 from obslat.lattice import (
     OrderInterval,
+    as_index_set,
     as_vector,
     clamp,
     join,
@@ -156,3 +157,12 @@ def test_rk_against_vertex_enumeration():
             vals.append(float(l @ z + m @ (x - z)))
         assert rk_join(l, m, x) == pytest.approx(max(vals), abs=1e-9)
         assert rk_meet(l, m, x) == pytest.approx(min(vals), abs=1e-9)
+
+
+def test_index_sets_take_integers_only():
+    assert as_index_set([3, 1.0, np.int64(1), np.float64(0.0), True], 4, "core") == [0, 1, 3]
+    for bad in (2.5, "2", np.nan, np.inf, None, np.float64(-0.5)):
+        with pytest.raises(ConstructionError, match="core index .* is not an integer"):
+            as_index_set([0, bad], 4, "core")
+    with pytest.raises(ConstructionError, match="out of range"):
+        as_index_set([4.0], 4, "core")
