@@ -44,8 +44,6 @@ from .lattice import (
     clamp,
     join,
     meet,
-    negative_part,
-    positive_part,
     rk_join,
     rk_meet,
 )
@@ -119,8 +117,6 @@ __all__ = [
     "ls_certificate",
     "maximum_principle_check",
     "meet",
-    "negative_part",
-    "positive_part",
     "rk_join",
     "rk_meet",
     "run_suite",

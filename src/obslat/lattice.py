@@ -64,16 +64,6 @@ def join(u, v) -> np.ndarray:
     return np.maximum(u, as_vector(v, "v", u.shape[0]))
 
 
-def positive_part(u) -> np.ndarray:
-    """u ∨ 0."""
-    return np.maximum(as_vector(u, "u"), 0.0)
-
-
-def negative_part(u) -> np.ndarray:
-    """u ∧ 0 (nonpositive, and positive_part(u) + negative_part(u) == u)."""
-    return np.minimum(as_vector(u, "u"), 0.0)
-
-
 @dataclass(frozen=True, eq=False)
 class OrderInterval:
     """Box [lo, hi] in the componentwise order; the feasible set of a solve.

@@ -6,7 +6,10 @@ lengths in a connected graph are a metric by construction.  A GraphSpace
 answers from its sparse adjacency: distances to a set come from one
 multi-source Dijkstra (``distance_to``) and Lipschitz constants from the
 edges (``lipschitz``), so the dense all-pairs matrix ``D`` is built only
-on first access (Hopf-Lax) and then cached.
+on first access (Hopf-Lax) and then cached.  That costs one n x n float64
+buffer, filled HOPF_LAX_BLOCK source rows per Dijkstra call and symmetrized
+in place a pair of blocks at a time; each Hopf-Lax transform adds one
+HOPF_LAX_BLOCK x n scratch array.
 
 The Hopf-Lax operator on a finite metric space (X, d),
 
@@ -62,9 +65,30 @@ COINCIDENCE_TOL = 1e-9
 #: A potential with max|phi^cc - phi| up to this counts as c-concave.
 CC_TOL = 1e-9
 
-#: Rows of D per block in hopf_lax, which bounds its temporaries to
-#: HOPF_LAX_BLOCK x n.
+#: Rows of D per block: in GraphSpace.D's Dijkstra calls and symmetrization
+#: and in hopf_lax, which bounds their temporaries to HOPF_LAX_BLOCK x n.
 HOPF_LAX_BLOCK = 128
+
+
+def _symmetrize(d: np.ndarray) -> float:
+    """Replace the square d by 0.5 * (d + d.T) in place and make it read-only.
+
+    Works on one pair of HOPF_LAX_BLOCK x HOPF_LAX_BLOCK blocks at a time,
+    so it needs no n x n temporary; every entry is the same 0.5 * (a + b)
+    as the one-shot formula.  Returns max |d - d.T| of the input.
+    """
+    n, asymmetry = d.shape[0], 0.0
+    for s in range(0, n, HOPF_LAX_BLOCK):
+        rows = slice(s, s + HOPF_LAX_BLOCK)
+        for r in range(s, n, HOPF_LAX_BLOCK):
+            cols = slice(r, r + HOPF_LAX_BLOCK)
+            upper, lower = d[rows, cols], d[cols, rows].T
+            asymmetry = max(asymmetry, float(np.max(np.abs(upper - lower))))
+            mean = (upper + lower) * 0.5
+            d[rows, cols] = mean
+            d[cols, rows] = mean.T
+    d.setflags(write=False)
+    return asymmetry
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,16 +98,15 @@ class FiniteMetricSpace:
     D: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.D, dtype=float)
+        d = np.array(self.D, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ConstructionError(f"distance matrix must be square, got {d.shape}")
         n = d.shape[0]
         if not np.all(np.isfinite(d)):
             raise ConstructionError("distances must be finite")
         tol = METRIC_RTOL * (1.0 + float(np.max(np.abs(d))))
-        if np.max(np.abs(d - d.T)) > tol:
+        if _symmetrize(d) > tol:
             raise ConstructionError("distance matrix is not symmetric")
-        d = 0.5 * (d + d.T)
         if np.any(np.diag(d) != 0.0):
             raise ConstructionError("diagonal distances must be exactly zero")
         off = ~np.eye(n, dtype=bool)
@@ -96,7 +119,6 @@ class FiniteMetricSpace:
         for k in mids:
             if np.max(d - (d[:, [k]] + d[[k], :])) > tol:
                 raise ConstructionError(f"triangle inequality fails through point {k}")
-        d.setflags(write=False)
         object.__setattr__(self, "D", d)
 
     @property
@@ -134,10 +156,12 @@ class GraphSpace(FiniteMetricSpace):
     the obstacles.  ``GraphSpace(nodes, edges)`` (alias :meth:`from_graph`)
     checks the edges and connectivity once and stores ``edges``, the checked
     (i, j, w) arrays of ``validate_edges``, and ``adj``, the symmetric CSR
-    matrix of edge lengths.  ``D`` is computed from it on first access
-    (all-pairs Dijkstra, symmetrized, read-only) and cached; ``distance_to``
-    runs one multi-source Dijkstra and ``lipschitz`` reads the edges, so
-    neither builds the n x n matrix.
+    matrix of edge lengths.  ``D`` is computed from it on first access and
+    cached: one n x n float64 buffer, filled by Dijkstra HOPF_LAX_BLOCK
+    source rows at a time, then symmetrized in place to 0.5 * (d + d.T) and
+    made read-only, so its peak is n x n plus HOPF_LAX_BLOCK x n floats.
+    ``distance_to`` runs one multi-source Dijkstra and ``lipschitz`` reads
+    the edges, so neither builds the n x n matrix.
     """
 
     edges: tuple
@@ -165,9 +189,12 @@ class GraphSpace(FiniteMetricSpace):
 
     @cached_property
     def D(self) -> np.ndarray:
-        d = dijkstra(self.adj, directed=False)
-        d = 0.5 * (d + d.T)
-        d.setflags(write=False)
+        n = self.n
+        d = np.empty((n, n))
+        for s in range(0, n, HOPF_LAX_BLOCK):
+            stop = min(s + HOPF_LAX_BLOCK, n)
+            d[s:stop] = dijkstra(self.adj, directed=False, indices=np.arange(s, stop))
+        _symmetrize(d)
         return d
 
     def distance_to(self, indices) -> np.ndarray:
@@ -192,14 +219,21 @@ class GraphSpace(FiniteMetricSpace):
 
 
 def hopf_lax(space: FiniteMetricSpace, psi, t: float) -> np.ndarray:
-    """(Q_t psi)_x = min_y d(x,y)^2/(2t) + psi_y.  Requires t > 0."""
+    """(Q_t psi)_x = min_y d(x,y)^2/(2t) + psi_y.  Requires t > 0.
+
+    Reads D HOPF_LAX_BLOCK rows at a time through one reused
+    HOPF_LAX_BLOCK x n scratch array, its only temporary.
+    """
     if t <= 0:
         raise PreconditionError(f"Hopf-Lax time t = {t} must be positive")
     psi = as_vector(psi, "psi", space.n)
     d, scale = space.D, 2.0 * t
     out = np.empty(space.n)
+    scratch = np.empty((min(HOPF_LAX_BLOCK, space.n), space.n))
     for s in range(0, space.n, HOPF_LAX_BLOCK):
-        block = d[s:s + HOPF_LAX_BLOCK] ** 2
+        rows = d[s:s + HOPF_LAX_BLOCK]
+        block = scratch[:rows.shape[0]]
+        np.square(rows, out=block)
         block /= scale
         block += psi
         np.min(block, axis=1, out=out[s:s + HOPF_LAX_BLOCK])
@@ -233,11 +267,16 @@ def cutoff_obstacles(space: FiniteMetricSpace, core, region,
         phi = 1 - min(1, d(., core)^2 / (2 r^2)),
         psi = min(1, d(., X \\ region)^2 / (2 r^2))
 
-    satisfy phi <= psi on every metric space, are both exactly 1 on the core
-    and exactly 0 off the region.  ``paper_radius=True`` selects r^2 = D0^2/2
-    instead, which admits phi > psi at metric midpoints (e.g. a 5-node path
-    with core {2} and region {1,2,3}); the violation then raises
-    ObstacleOrderError carrying the offending obstacles.
+    are both exactly 1 on the core and exactly 0 off the region.  In exact
+    arithmetic phi <= psi on every metric space: d(., core) + d(., X \\ region)
+    >= D0 gives d(., core)^2 + d(., X \\ region)^2 >= D0^2/2 = 2 r^2, with
+    equality at metric midpoints.  In floats the two sides round apart
+    there, so phi may exceed psi by a few ulps; since both lie in [0, 1], a
+    crossing of at most 4 eps is absorbed by psi = max(psi, phi), which
+    leaves the pins as they are.  ``paper_radius=True`` selects
+    r^2 = D0^2/2 instead, which admits phi > psi by O(1) at metric midpoints
+    (e.g. 0.5 on a 5-node path with core {2} and region {1,2,3}); a crossing
+    above 4 eps raises ObstacleOrderError carrying the offending obstacles.
 
     Returns (phi, psi, r2).
     """
@@ -257,15 +296,16 @@ def cutoff_obstacles(space: FiniteMetricSpace, core, region,
     r2 = d0 * d0 / 2.0 if paper_radius else d0 * d0 / 4.0
     phi = 1.0 - np.minimum(1.0, d_core ** 2 / (2.0 * r2))
     psi = np.minimum(1.0, d_out ** 2 / (2.0 * r2))
-    if np.any(phi > psi):
+    violation = float(np.max(phi - psi))
+    if violation > 4.0 * np.finfo(float).eps:
         raise ObstacleOrderError(
             "cut-off obstacles violate phi <= psi"
             + (" (expected with the alternative radius)" if paper_radius else ""),
-            violation=float(np.max(phi - psi)),
+            violation=violation,
             lo=phi,
             hi=psi,
         )
-    return phi, psi, r2
+    return phi, np.maximum(psi, phi), r2
 
 
 def _require_graph_space(space) -> GraphSpace:

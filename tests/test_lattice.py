@@ -10,8 +10,6 @@ from obslat.lattice import (
     clamp,
     join,
     meet,
-    negative_part,
-    positive_part,
     rk_join,
     rk_meet,
 )
@@ -57,19 +55,6 @@ def test_vector_validation():
         as_vector([np.inf])
     with pytest.raises(ConstructionError):
         as_vector([[1.0, 2.0]])
-
-
-def test_positive_negative_parts():
-    assert np.array_equal(positive_part([1, -2]), [1, 0])
-    assert np.array_equal(negative_part([1, -2]), [0, -2])
-    u = np.array([3.0, 0.5])
-    assert np.array_equal(positive_part(u), u)
-
-
-@given(st.data())
-def test_part_decomposition(data):
-    u, _ = vec_pair(data.draw)
-    assert np.array_equal(positive_part(u) + negative_part(u), u)
 
 
 @given(st.data())

@@ -85,6 +85,22 @@ def test_metric_symmetry_tolerance_is_relative():
     assert not space.D.flags.writeable
 
 
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 2 * HOPF_LAX_BLOCK + 45])
+def test_graph_space_D_is_symmetrized_one_shot_dijkstra(n):
+    # D is filled by row blocks and symmetrized in place, block pair by
+    # block pair; it must equal the one-shot formula bit for bit, also
+    # where the raw Dijkstra matrix is asymmetric by rounding
+    rng = np.random.default_rng(n)
+    edges = [(i, j, float(10.0 ** rng.uniform(-3.0, 3.0)))
+             for i, j, _ in random_connected_edges(rng, n)] if n > 1 else []
+    space = GraphSpace(n, edges)
+    d = dijkstra(space.adj, directed=False)
+    if n == 2 * HOPF_LAX_BLOCK + 45:
+        assert not np.array_equal(d, d.T)
+    assert np.array_equal(space.D, 0.5 * (d + d.T))
+    assert not space.D.flags.writeable
+
+
 def test_graph_space_shortest_paths():
     space = path_space(4, weight=2.0)
     assert space.D[0, 3] == 6.0
@@ -188,11 +204,12 @@ def test_lipschitz_needs_one_value_per_point(length):
 
 
 def test_cutoff_builds_no_all_pairs_matrix(tmp_path, monkeypatch):
-    # every Dijkstra call must be multi-source; D would call it without indices
+    # every Dijkstra call must be a multi-source distance to a set; D's row
+    # blocks ask for one full row per source instead
     dijkstra_ = obslat.metric.dijkstra
 
     def sources_only(*args, **kwargs):
-        if kwargs.get("indices") is None:
+        if not kwargs.get("min_only"):
             raise AssertionError("all-pairs Dijkstra called")
         return dijkstra_(*args, **kwargs)
 
@@ -302,6 +319,31 @@ def test_cutoff_preconditions():
         cutoff_obstacles(space, [4], [1, 2, 3])  # core not inside region
     with pytest.raises(ConstructionError):
         cutoff_obstacles(space, [2], list(range(5)))  # empty complement
+
+
+def test_cutoff_obstacles_absorb_rounding_crossings(tmp_path):
+    # every edge 0.37: at metric midpoints d(., core)^2 + d(., out)^2 rounds
+    # below 2 r^2, so the raw phi exceeds psi by 3.9e-16 and the obstacles
+    # used to raise ObstacleOrderError (obslat cutoff exited 4)
+    side, weight = 38, 0.37
+    rows, cols = np.divmod(np.arange(side * side), side)
+    dist = np.maximum(np.abs(rows - 12), np.abs(cols - 12))
+    core, region = np.flatnonzero(dist <= 3), np.flatnonzero(dist <= 8)
+    space = grid_space(side, side, weight)
+    phi, psi, r2 = cutoff_obstacles(space, core, region)
+    raw_psi = np.minimum(1.0, space.distance_to(np.flatnonzero(dist > 8)) ** 2 / (2.0 * r2))
+    assert 0.0 < np.max(phi - raw_psi) <= 4.0 * np.finfo(float).eps
+    assert np.all(phi <= psi)
+    assert np.array_equal(psi, np.maximum(raw_psi, phi))
+    assert np.all(psi[core] == 1.0) and np.all(phi[dist > 8] == 0.0)
+    config = tmp_path / "cutoff.json"
+    config.write_text(json.dumps({
+        "graph": {"nodes": side * side, "edges": grid_edges(side, side, weight)},
+        "core": core.tolist(), "region": region.tolist(),
+    }))
+    out = tmp_path / "out"
+    assert main(["cutoff", "--config", str(config), "--out", str(out)]) == 0
+    assert json.loads((out / "certificate.json").read_text())["pass"] is True
 
 
 def test_cutoff_grid5x5_golden():

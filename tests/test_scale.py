@@ -13,7 +13,7 @@ import pytest
 
 from obslat.cli import main
 from obslat.instances import grid_boundary, grid_edges, grid_space
-from obslat.metric import build_cutoff
+from obslat.metric import build_cutoff, kantorovich_regularize
 
 SIDE = 100
 
@@ -64,6 +64,19 @@ def test_cli_solve_100x100_newton(tmp_path):
     assert np.all(np.asarray(solution["u"]).reshape(lo.shape)[:, 60] == 0.2)
     assert json.loads((out / "certificate.json").read_text())["pass"] is True
     assert peak < PEAK_BYTES
+
+
+def test_kantorovich_40x40_holds_one_distance_matrix():
+    # Hopf-Lax reads the dense D (8 n^2 bytes); building it and every
+    # transform together may add at most 30% on top
+    side = 40
+    n = side * side
+    space = grid_space(side, side)
+    phi = np.random.default_rng(40).uniform(-0.2, 0.2, n)
+    (eta, pair, cert), peak = _traced(
+        lambda: kantorovich_regularize(space, phi, 0.4, cc_regularize=True))
+    assert cert.passed and np.all((pair.lo <= eta) & (eta <= pair.hi))
+    assert peak < 1.3 * 8 * n * n
 
 
 SCALE_SIDE = 15
