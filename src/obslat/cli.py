@@ -80,9 +80,10 @@ suite::
     {"seed": int >= 0, "checks": [names...], "paper_radius": bool}
 
 paper_radius and cc_regularize take only JSON true or false, and core,
-region and dirichlet only JSON arrays; "false" or "56" exits 2.  Every
-node index (in edges, pairs, triplets, exterior, core, region and
-dirichlet) is an integer: a string such as "2" or a fraction such as 2.7
+region and dirichlet only JSON arrays; "false" or "56" exits 2.  A number
+is a JSON number, never a string: "0.1" or "2" exits 2.  Node indices (in
+edges, pairs, triplets, exterior, core, region and dirichlet) and counts
+(n, nodes, collar, max_iter, seed) are integers: a fraction such as 2.7
 exits 2, where 2.0 counts as 2.
 
 Outputs are deterministic for a fixed config and seed: randomness comes
@@ -113,7 +114,7 @@ from .errors import (
     PreconditionError,
     SolverError,
 )
-from .lattice import UNBOUNDED, OrderInterval, as_vector
+from .lattice import UNBOUNDED, OrderInterval, as_index, as_real, as_vector
 from .metric import (
     GraphSpace,
     build_cutoff,
@@ -187,19 +188,17 @@ def _index_list(value, key: str) -> list:
 def _build_energy(spec: dict):
     kind = spec["kind"]
     if kind == "quadratic":
-        return QuadraticEnergy.from_triplets(int(spec["n"]), spec["triplets"], spec.get("b"))
+        return QuadraticEnergy.from_triplets(spec["n"], spec["triplets"], spec.get("b"))
     if kind == "quadratic_file":
         text = Path(spec["path"]).read_text(encoding="utf-8")
         return QuadraticEnergy.from_triplet_text(text, spec.get("b"))
     if kind == "graph":
-        return graph_dirichlet(int(spec["nodes"]), spec["edges"],
+        return graph_dirichlet(as_index(spec["nodes"], "nodes"), spec["edges"],
                                _index_list(spec.get("dirichlet", []), "dirichlet"))
     if kind == "kernel":
-        return KernelEnergy(int(spec["n"]), spec["pairs"], spec.get("exterior", ()),
-                            float(spec["p"]))
+        return KernelEnergy(spec["n"], spec["pairs"], spec.get("exterior", ()), spec["p"])
     if kind == "fractional_1d":
-        return fractional_kernel_1d(int(spec["n"]), float(spec["h"]), float(spec["s"]),
-                                    float(spec["p"]), int(spec["collar"]))
+        return fractional_kernel_1d(spec["n"], spec["h"], spec["s"], spec["p"], spec["collar"])
     raise ConfigError(f"unknown energy kind {kind!r}")
 
 
@@ -229,9 +228,9 @@ def _solver_params(cfg: dict, args) -> dict:
         raise ConfigError(f"solver method {solver['method']!r} is not 'newton'")
     cert_tol = cfg.get("certificate_tol")
     params = {
-        "tol": float(args.tol if args.tol is not None else solver.get("tol", 1e-9)),
-        "max_iter": int(solver.get("max_iter", 1000)),
-        "certificate_tol": None if cert_tol is None else float(cert_tol),
+        "tol": as_real(args.tol if args.tol is not None else solver.get("tol", 1e-9), "tol"),
+        "max_iter": as_index(solver.get("max_iter", 1000), "max_iter"),
+        "certificate_tol": None if cert_tol is None else as_real(cert_tol, "certificate_tol"),
     }
     for name, value in params.items():
         if value is not None and not 0 <= value < math.inf:
@@ -274,7 +273,15 @@ def cmd_oracle(args) -> int:
 
 
 def _build_space(spec: dict) -> GraphSpace:
-    return GraphSpace.from_graph(int(spec["nodes"]), spec["edges"])
+    return GraphSpace.from_graph(as_index(spec["nodes"], "nodes"), spec["edges"])
+
+
+def _write_construction(out: Path, name: str, fields: dict, space, box, solution, cert) -> int:
+    """Write ``<name>.json`` (fields plus sup_laplacian) and certificate.json."""
+    report = certificate_report(space.dirichlet_energy, box, solution, cert, metric=space)
+    _write_json(out / f"{name}.json", {**fields, "sup_laplacian": report["sup_laplacian"]})
+    _write_json(out / "certificate.json", report)
+    return EXIT_OK
 
 
 def cmd_cutoff(args) -> int:
@@ -288,19 +295,13 @@ def cmd_cutoff(args) -> int:
         out = _out_dir(args)
     cut = build_cutoff(space, core, region, tol=params["tol"], max_iter=params["max_iter"],
                        paper_radius=paper_radius, cert_tol=params["certificate_tol"])
-    box = OrderInterval(cut.phi, cut.psi)
-    report = certificate_report(space.dirichlet_energy, box, cut.solution, cut.certificate,
-                                metric=space)
-    _write_json(out / "cutoff.json", {
+    return _write_construction(out, "cutoff", {
         "omega": cut.solution.u.tolist(),
         "phi": cut.phi.tolist(),
         "psi": cut.psi.tolist(),
         "r2": cut.r2,
         "paper_radius": paper_radius,
-        "sup_laplacian": report["sup_laplacian"],
-    })
-    _write_json(out / "certificate.json", report)
-    return EXIT_OK
+    }, space, OrderInterval(cut.phi, cut.psi), cut.solution, cut.certificate)
 
 
 def cmd_kantorovich(args) -> int:
@@ -308,16 +309,14 @@ def cmd_kantorovich(args) -> int:
         cfg = _load_config(args)
         space = _build_space(cfg["graph"])
         params = _solver_params(cfg, args)
-        phi = np.asarray(cfg["potential"], dtype=float)
-        t = float(cfg["t"])
+        phi = as_vector(cfg["potential"], "potential")
+        t = as_real(cfg["t"], "t")
         cc_regularize = _flag(cfg, "cc_regularize")
         out = _out_dir(args)
     eta, pair, cert = kantorovich_regularize(
         space, phi, t, tol=params["tol"], max_iter=params["max_iter"],
         cc_regularize=cc_regularize, cert_tol=params["certificate_tol"])
-    box = OrderInterval(pair.lo, pair.hi)
-    report = certificate_report(space.dirichlet_energy, box, eta, cert, metric=space)
-    _write_json(out / "kantorovich.json", {
+    return _write_construction(out, "kantorovich", {
         "eta": eta.tolist(),
         "phi": pair.phi.tolist(),
         "phi_c": pair.phi_c.tolist(),
@@ -326,16 +325,13 @@ def cmd_kantorovich(args) -> int:
         "t": pair.t,
         "coincidence_set": pair.coincidence_set.tolist(),
         "cc_report": coincidence_cc_report(space, pair, eta),
-        "sup_laplacian": report["sup_laplacian"],
-    })
-    _write_json(out / "certificate.json", report)
-    return EXIT_OK
+    }, space, OrderInterval(pair.lo, pair.hi), eta, cert)
 
 
 def cmd_suite(args) -> int:
     with _parsing("suite"):
         cfg = _load_config(args) if args.config else {}
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = args.seed if args.seed is not None else as_index(cfg.get("seed", 0), "seed")
         if seed < 0:
             raise ConfigError(f"seed = {seed} must be >= 0")
         checks = cfg.get("checks")

@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConstructionError, NondifferentiableError, PreconditionError
-from .lattice import as_index, as_index_set, as_vector
+from .lattice import as_index, as_index_set, as_real, as_vector
 
 #: Off-diagonal entries above this threshold count as Z-matrix violations.
 Z_TOL = 1e-12
@@ -193,14 +193,15 @@ class QuadraticEnergy:
     @classmethod
     def from_triplets(cls, n: int, triplets, b=None):
         """Build from (i, j, value) entries; duplicate positions are summed."""
+        n = as_index(n, "n")
         rows, cols, vals = [], [], []
         for i, j, v in triplets:
-            i, j = as_index(i, "triplet"), as_index(j, "triplet")
+            i, j = as_index(i, "triplet index"), as_index(j, "triplet index")
             if not (0 <= i < n and 0 <= j < n):
                 raise ConstructionError(f"triplet index ({i},{j}) out of range for n={n}")
             rows.append(i)
             cols.append(j)
-            vals.append(float(v))
+            vals.append(as_real(v, "triplet value"))
         a = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
         return cls(a, b)
 
@@ -287,9 +288,10 @@ class KernelEnergy:
     """
 
     def __init__(self, n: int, pairs, exterior, p: float):
+        self.p = p = as_real(p, "p")
         if not 1 < p < np.inf:
             raise ConstructionError(f"p must be finite and exceed 1, got {p}")
-        self.n = int(n)
+        self.n = as_index(n, "n")
         if self.n < 1:
             raise ConstructionError("n must be >= 1")
         self.i, self.j, self.w = validate_edges(self.n, pairs)
@@ -298,14 +300,13 @@ class KernelEnergy:
             raise ConstructionError(f"pair ({self.i[k]},{self.j[k]}) must satisfy i < j")
         d = np.zeros(self.n)
         for i, di in exterior:
-            i, di = as_index(i, "exterior"), float(di)
+            i, di = as_index(i, "exterior index"), as_real(di, "exterior weight")
             if not 0 <= i < self.n:
                 raise ConstructionError(f"exterior index {i} out of range")
             if not 0 <= di < np.inf:
                 raise ConstructionError(f"exterior weight d_{i} = {di} must be finite and >= 0")
             d[i] += di
         self.d = d
-        self.p = float(p)
         for arr in (self.i, self.j, self.w, self.d):
             arr.setflags(write=False)
 
@@ -366,7 +367,9 @@ def fractional_kernel_1d(n: int, h: float, s: float, p: float, collar: int) -> K
     tail per endpoint is sum_{m > collar} (h m')^(-(1+p*s)) over the
     remaining exterior points.
     """
-    if int(n) < 1:
+    n, collar = as_index(n, "n"), as_index(collar, "collar")
+    h, s, p = as_real(h, "h"), as_real(s, "s"), as_real(p, "p")
+    if n < 1:
         raise ConstructionError("n must be >= 1")
     if not 0 < h < np.inf:
         raise ConstructionError(f"grid spacing h = {h} must be finite and positive")
@@ -374,9 +377,8 @@ def fractional_kernel_1d(n: int, h: float, s: float, p: float, collar: int) -> K
         raise ConstructionError(f"exponent s = {s} must lie in (0,1)")
     if not 1 < p < np.inf:
         raise ConstructionError(f"p = {p} must be finite and exceed 1")
-    if int(collar) < 1:
+    if collar < 1:
         raise ConstructionError(f"collar = {collar} must be >= 1")
-    n, collar = int(n), int(collar)
     a = 1.0 + p * s
     # w_ij depends on j - i alone: one weight per distance, gathered per pair
     by_distance = np.array([h * h * (h * k) ** (-a) for k in range(1, n)])

@@ -1,15 +1,15 @@
 """Finite metric spaces, the Hopf-Lax operator, and obstacle constructions.
 
 ``FiniteMetricSpace(D)`` checks the metric axioms on a given matrix.
-``GraphSpace(nodes, edges)`` does not: shortest paths over positive edge
-lengths in a connected graph are a metric by construction.  A GraphSpace
-answers from its sparse adjacency: distances to a set come from one
-multi-source Dijkstra (``distance_to``) and Lipschitz constants from the
-edges (``lipschitz``), so the dense all-pairs matrix ``D`` is built only
-on first access (Hopf-Lax) and then cached.  That costs one n x n float64
-buffer, filled HOPF_LAX_BLOCK source rows per Dijkstra call and symmetrized
-in place a pair of blocks at a time; each Hopf-Lax transform adds one
-HOPF_LAX_BLOCK x n scratch array.
+``GraphSpace(nodes, edges)``, its own class with the same interface, does
+not: shortest paths over positive edge lengths in a connected graph are a
+metric by construction.  It answers from its sparse adjacency: distances to
+a set come from one multi-source Dijkstra (``distance_to``) and Lipschitz
+constants from the edges (``lipschitz``), so the dense matrix ``D`` is
+built only on first access (Hopf-Lax) and then cached.  That costs one
+n x n float64 buffer, filled HOPF_LAX_BLOCK source rows per Dijkstra call
+and symmetrized in place a pair of blocks at a time; each Hopf-Lax
+transform adds one HOPF_LAX_BLOCK x n scratch array.
 
 The Hopf-Lax operator on a finite metric space (X, d),
 
@@ -127,7 +127,7 @@ class FiniteMetricSpace:
 
     def distance_to(self, indices) -> np.ndarray:
         """d(x, S) = min over s in S of d(x, s), for every point x (S nonempty)."""
-        return np.min(self.D[:, list(indices)], axis=1)
+        return np.min(self.D[:, as_index_set(indices, self.n, "distance_to")], axis=1)
 
     def lipschitz(self, v) -> float:
         """Lip(v) = max over x != y of |v_x - v_y| / d(x, y); 0.0 on one point."""
@@ -147,34 +147,30 @@ class FiniteMetricSpace:
         return cls(np.sqrt(np.sum(diff * diff, axis=2)))
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class GraphSpace(FiniteMetricSpace):
+class GraphSpace:
     """Shortest-path metric of a weighted graph, with its Dirichlet energy.
 
-    The graph both induces the metric (so the two constructions see
-    consistent geometry) and supplies the quadratic energy minimized between
-    the obstacles.  ``GraphSpace(nodes, edges)`` (alias :meth:`from_graph`)
-    checks the edges and connectivity once and stores ``edges``, the checked
-    (i, j, w) arrays of ``validate_edges``, and ``adj``, the symmetric CSR
-    matrix of edge lengths.  ``D`` is computed from it on first access and
-    cached: one n x n float64 buffer, filled by Dijkstra HOPF_LAX_BLOCK
-    source rows at a time, then symmetrized in place to 0.5 * (d + d.T) and
-    made read-only, so its peak is n x n plus HOPF_LAX_BLOCK x n floats.
-    ``distance_to`` runs one multi-source Dijkstra and ``lipschitz`` reads
-    the edges, so neither builds the n x n matrix.
+    A class of its own with the interface of FiniteMetricSpace.  The graph
+    induces the metric and supplies the quadratic energy minimized between
+    the obstacles, so the two constructions see consistent geometry.
+    ``GraphSpace(nodes, edges)`` (alias :meth:`from_graph`) checks the edges
+    and connectivity once and stores ``edges``, the checked (i, j, w) arrays
+    of ``validate_edges``, and ``adj``, the symmetric CSR matrix of edge
+    lengths.  ``D`` is computed from it on first access and cached: one
+    n x n float64 buffer, filled by Dijkstra HOPF_LAX_BLOCK source rows at a
+    time, then symmetrized in place to 0.5 * (d + d.T) and made read-only,
+    so its peak is n x n plus HOPF_LAX_BLOCK x n floats.  ``distance_to``
+    runs one multi-source Dijkstra and ``lipschitz`` reads the edges, so
+    neither builds the n x n matrix.
     """
-
-    edges: tuple
 
     def __init__(self, nodes: int, edges):
         nodes = operator.index(nodes)
-        i, j, w = edges = validate_edges(nodes, edges)
+        i, j, w = self.edges = validate_edges(nodes, edges)
         ends = (np.concatenate([i, j]), np.concatenate([j, i]))
-        adj = sp.coo_matrix((np.concatenate([w, w]), ends), shape=(nodes, nodes)).tocsr()
-        if connected_components(adj, directed=False, return_labels=False) > 1:
+        self.adj = sp.coo_matrix((np.concatenate([w, w]), ends), shape=(nodes, nodes)).tocsr()
+        if connected_components(self.adj, directed=False, return_labels=False) > 1:
             raise ConstructionError("graph is not connected; metric undefined")
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "adj", adj)
 
     @classmethod
     def from_graph(cls, nodes: int, edges) -> "GraphSpace":
@@ -199,7 +195,8 @@ class GraphSpace(FiniteMetricSpace):
 
     def distance_to(self, indices) -> np.ndarray:
         """d(x, S) for every x by one multi-source Dijkstra, O(m log n)."""
-        return dijkstra(self.adj, directed=False, indices=list(indices), min_only=True)
+        return dijkstra(self.adj, directed=False, min_only=True,
+                        indices=as_index_set(indices, self.n, "distance_to"))
 
     def lipschitz(self, v) -> float:
         """Lip(v) = max over edges (i, j) of |v_i - v_j| / w_ij; 0.0 without edges.
@@ -224,7 +221,7 @@ def hopf_lax(space: FiniteMetricSpace, psi, t: float) -> np.ndarray:
     Reads D HOPF_LAX_BLOCK rows at a time through one reused
     HOPF_LAX_BLOCK x n scratch array, its only temporary.
     """
-    if t <= 0:
+    if not t > 0:
         raise PreconditionError(f"Hopf-Lax time t = {t} must be positive")
     psi = as_vector(psi, "psi", space.n)
     d, scale = space.D, 2.0 * t
@@ -257,6 +254,18 @@ def is_c_concave(space: FiniteMetricSpace, phi, tol: float = CC_TOL) -> CheckRes
     return CheckResult(defect <= tol, defect)
 
 
+def _absorb_crossing(lo: np.ndarray, hi: np.ndarray, bound: float, message: str) -> np.ndarray:
+    """max(hi, lo) if lo crosses hi by at most ``bound``, else ObstacleOrderError.
+
+    Cut-off obstacles lie in [0, 1] and take 4 eps; Kantorovich bounds scale
+    with the potential and take 1e-12 (1 + max|lo| + max|hi|).
+    """
+    violation = float(np.max(lo - hi))
+    if violation > bound:
+        raise ObstacleOrderError(message, violation=violation, lo=lo, hi=hi)
+    return np.maximum(hi, lo)
+
+
 def cutoff_obstacles(space: FiniteMetricSpace, core, region,
                      paper_radius: bool = False):
     """Distance-profile obstacles for the cut-off construction.
@@ -271,10 +280,10 @@ def cutoff_obstacles(space: FiniteMetricSpace, core, region,
     arithmetic phi <= psi on every metric space: d(., core) + d(., X \\ region)
     >= D0 gives d(., core)^2 + d(., X \\ region)^2 >= D0^2/2 = 2 r^2, with
     equality at metric midpoints.  In floats the two sides round apart
-    there, so phi may exceed psi by a few ulps; since both lie in [0, 1], a
-    crossing of at most 4 eps is absorbed by psi = max(psi, phi), which
-    leaves the pins as they are.  ``paper_radius=True`` selects
-    r^2 = D0^2/2 instead, which admits phi > psi by O(1) at metric midpoints
+    there, so phi may exceed psi by a few ulps; :func:`_absorb_crossing`
+    lifts psi to phi where they cross by at most 4 eps, which leaves the
+    pins as they are.  ``paper_radius=True`` selects r^2 = D0^2/2 instead,
+    which admits phi > psi by O(1) at metric midpoints
     (e.g. 0.5 on a 5-node path with core {2} and region {1,2,3}); a crossing
     above 4 eps raises ObstacleOrderError carrying the offending obstacles.
 
@@ -296,16 +305,10 @@ def cutoff_obstacles(space: FiniteMetricSpace, core, region,
     r2 = d0 * d0 / 2.0 if paper_radius else d0 * d0 / 4.0
     phi = 1.0 - np.minimum(1.0, d_core ** 2 / (2.0 * r2))
     psi = np.minimum(1.0, d_out ** 2 / (2.0 * r2))
-    violation = float(np.max(phi - psi))
-    if violation > 4.0 * np.finfo(float).eps:
-        raise ObstacleOrderError(
-            "cut-off obstacles violate phi <= psi"
-            + (" (expected with the alternative radius)" if paper_radius else ""),
-            violation=violation,
-            lo=phi,
-            hi=psi,
-        )
-    return phi, np.maximum(psi, phi), r2
+    psi = _absorb_crossing(phi, psi, 4.0 * np.finfo(float).eps,
+                           "cut-off obstacles violate phi <= psi"
+                           + (" (expected with the alternative radius)" if paper_radius else ""))
+    return phi, psi, r2
 
 
 def _require_graph_space(space) -> GraphSpace:
@@ -374,7 +377,7 @@ class PotentialPair:
 
     ``lo = -Q_t(-phi)`` and ``hi = Q_{1-t}(-phi^c)``; the coincidence set
     collects the indices where the two bounds agree to COINCIDENCE_TOL.
-    Built by :func:`kantorovich_regularize` from :func:`_potential_bounds`,
+    Built by :func:`kantorovich_regularize` through :func:`_absorb_crossing`,
     whose ``np.maximum(hi, lo)`` makes lo <= hi hold bit for bit, so the
     pair does not check it again.
     """
@@ -387,20 +390,25 @@ class PotentialPair:
     coincidence_set: np.ndarray
 
 
-def _potential_bounds(space: FiniteMetricSpace, phi: np.ndarray, phi_c: np.ndarray, t: float):
-    lo = -hopf_lax(space, -phi, t)
-    hi = hopf_lax(space, -phi_c, 1.0 - t)
-    gap = hi - lo
-    scale = 1.0 + float(np.max(np.abs(lo)) + np.max(np.abs(hi)))
-    if float(np.min(gap)) < -1e-12 * scale:
-        raise ObstacleOrderError(
-            "interpolation bounds crossed beyond rounding; metric invariant bug",
-            violation=float(np.max(lo - hi)),
-            lo=lo,
-            hi=hi,
-        )
-    hi = np.maximum(hi, lo)  # absorb sub-1e-12 rounding
-    return lo, hi
+def _interpolation_bounds(space: FiniteMetricSpace, phi, t: float, cc_regularize: bool = False):
+    """(phi, phi^c, lo, hi) with unabsorbed bounds lo = -Q_t(-phi), hi = Q_{1-t}(-phi^c).
+
+    t must lie in (0, 1); phi becomes phi^cc with ``cc_regularize``, else a defect
+    above CC_TOL raises an error naming cc_regularize, also the CLI config key.
+    hi - lo is the duality slack bit for bit: b - (-a) == b + a.
+    """
+    if not 0.0 < t < 1.0:
+        raise PreconditionError(f"interpolation time t = {t} must lie in (0, 1)")
+    phi = as_vector(phi, "phi")
+    if cc_regularize:
+        phi = c_transform(space, c_transform(space, phi))
+        phi_c = c_transform(space, phi)
+    else:
+        phi_c, defect = _c_transform_and_defect(space, phi)
+        if defect > CC_TOL:
+            raise PreconditionError(f"phi is not c-concave (defect {defect:.3e}); "
+                                    "pass cc_regularize=True to project it")
+    return phi, phi_c, -hopf_lax(space, -phi, t), hopf_lax(space, -phi_c, 1.0 - t)
 
 
 def kantorovich_regularize(space: GraphSpace, phi, t: float, tol: float = 1e-9,
@@ -422,25 +430,13 @@ def kantorovich_regularize(space: GraphSpace, phi, t: float, tol: float = 1e-9,
     CertificateError (failed certificate).  Returns (eta, PotentialPair, certificate).
     """
     space = _require_graph_space(space)
-    if not 0.0 < t < 1.0:
-        raise PreconditionError(f"interpolation time t = {t} must lie in (0, 1)")
-    phi = as_vector(phi, "phi")
-    if cc_regularize:
-        phi = c_transform(space, c_transform(space, phi))
-        phi_c = c_transform(space, phi)
-    else:
-        phi_c, defect = _c_transform_and_defect(space, phi)
-        if defect > CC_TOL:
-            raise PreconditionError(
-                f"phi is not c-concave (defect {defect:.3e}); "
-                "pass cc_regularize=True to project it"
-            )
-    lo, hi = _potential_bounds(space, phi, phi_c, t)
-    coincidence = np.flatnonzero(np.abs(hi - lo) <= COINCIDENCE_TOL)
+    phi, phi_c, lo, hi = _interpolation_bounds(space, phi, t, cc_regularize)
+    scale = 1.0 + float(np.max(np.abs(lo)) + np.max(np.abs(hi)))
+    hi = _absorb_crossing(lo, hi, 1e-12 * scale,
+                          "interpolation bounds crossed beyond rounding; metric invariant bug")
     pair = PotentialPair(phi=phi, phi_c=phi_c, t=float(t), lo=lo, hi=hi,
-                         coincidence_set=coincidence)
-    box = OrderInterval(lo, hi)
-    sol, cert = _certified_solve(space, box, tol, max_iter, cert_tol)
+                         coincidence_set=np.flatnonzero(np.abs(hi - lo) <= COINCIDENCE_TOL))
+    sol, cert = _certified_solve(space, OrderInterval(lo, hi), tol, max_iter, cert_tol)
     return sol.u, pair, cert
 
 
@@ -449,16 +445,10 @@ def interpolation_duality_check(space: FiniteMetricSpace, phi, t: float,
     """Q_t(-phi) + Q_{1-t}(-phi^c) >= 0 everywhere, for c-concave phi.
 
     Holds on any metric space since d(y,z)^2 <= d(x,y)^2/t + d(x,z)^2/(1-t).
-    Returns the minimum slack.
+    Returns the minimum slack, the least hi - lo of the unabsorbed bounds.
     """
-    if not 0.0 < t < 1.0:
-        raise PreconditionError(f"interpolation time t = {t} must lie in (0, 1)")
-    phi = as_vector(phi, "phi")
-    phi_c, defect = _c_transform_and_defect(space, phi)
-    if defect > CC_TOL:
-        raise PreconditionError(f"phi is not c-concave (defect {defect:.3e})")
-    slack = hopf_lax(space, -phi, t) + hopf_lax(space, -phi_c, 1.0 - t)
-    m = float(np.min(slack))
+    _, _, lo, hi = _interpolation_bounds(space, phi, t)
+    m = float(np.min(hi - lo))
     return CheckResult(m >= -tol, m)
 
 

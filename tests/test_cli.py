@@ -583,3 +583,49 @@ def test_integral_float_indices_read_as_ints(tmp_path):
         assert main([command, "--config", config, "--out", str(tmp_path / name)]) == 0
     for name in ("cutoff.json", "certificate.json"):
         assert (tmp_path / "ints" / name).read_bytes() == (tmp_path / "floats" / name).read_bytes()
+
+
+_FRACTIONAL = {"energy": {"kind": "fractional_1d", "n": 8, "h": 0.125, "s": 0.5, "p": 3.0,
+                          "collar": 2},
+               "box": {"lo": 0.1, "hi": 1.0}}
+_STRICT_BASES = {**SWEEP_BASES, "solve_quadratic": ("solve", TRIDIAG_CONFIG),
+                 "solve_fractional": ("solve", _FRACTIONAL)}
+
+
+_STRICT_CASES = [
+    ("cutoff", ("graph", "nodes"), 5.9),
+    ("solve_graph", ("energy", "nodes"), 3.9),
+    ("solve_quadratic", ("energy", "n"), 3.7),
+    ("solve_kernel", ("energy", "n"), 3.5),
+    ("solve_fractional", ("energy", "n"), 8.7),
+    ("solve_fractional", ("energy", "collar"), 2.9),
+    ("cutoff", ("solver", "max_iter"), 100.5),
+    ("suite", ("seed",), 2.5),
+    ("solve_graph", ("solver", "tol"), "1e-9"),
+    ("solve_graph", ("certificate_tol",), "1e-8"),
+    ("solve_graph", ("solver", "max_iter"), "100"),
+    ("solve_fractional", ("energy", "h"), "0.125"),
+    ("solve_fractional", ("energy", "s"), "0.5"),
+    ("solve_fractional", ("energy", "p"), "3"),
+    ("solve_kernel", ("energy", "p"), "3"),
+    ("solve_quadratic", ("box", "lo"), ["0.5", "1.0", "0.5"]),
+    ("solve_graph", ("box", "hi"), ["1", 1.0]),
+    ("solve_quadratic", ("energy", "b"), ["1", "0", "0"]),
+    ("solve_quadratic", ("energy", "triplets"),
+     [[0, 0, "2.0"], *TRIDIAG_CONFIG["energy"]["triplets"][1:]]),
+    ("solve_kernel", ("energy", "exterior"), [[0, "1.0"]]),
+    ("kantorovich", ("t",), "0.5"),
+    ("kantorovich", ("potential",), ["0.0", -0.1, 0.0, -0.1, 0.0]),
+]
+
+
+@pytest.mark.parametrize("base, path, value", _STRICT_CASES,
+                         ids=[f"{base}-{path[-1]}" for base, path, _ in _STRICT_CASES])
+def test_numbers_are_read_strictly(tmp_path, base, path, value):
+    # int(...) truncated a fractional count and float(...) parsed a string,
+    # and each of these configs used to run and exit 0
+    command, cfg = _STRICT_BASES[base]
+    out = tmp_path / "out"
+    config = write_config(tmp_path, _replaced(cfg, path, value))
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    assert not out.exists()

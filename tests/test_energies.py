@@ -134,6 +134,10 @@ def test_indices_are_integers_not_truncated():
         QuadraticEnergy.from_triplets(2, [(0, 0, 1.0), ("1", 1, 1.0)])
     with pytest.raises(ConstructionError, match="dirichlet index 1.5 is not"):
         graph_dirichlet(3, [(0, 1, 1.0), (1, 2, 1.0)], [1.5])
+    with pytest.raises(ConstructionError, match="triplet value '1.0' is not a number"):
+        QuadraticEnergy.from_triplets(2, [(0, 0, 1.0), (1, 1, "1.0")])
+    with pytest.raises(ConstructionError, match="n 2.5 is not an integer"):
+        QuadraticEnergy.from_triplets(2.5, [(0, 0, 1.0)])
     exact = QuadraticEnergy.from_triplets(2, [(0.0, 0, 1.0), (1, 1.0, 1.0)])
     assert np.array_equal(exact.a.toarray(), np.eye(2))
 
@@ -421,7 +425,8 @@ def test_fractional_kernel_single_point():
 
 def test_fractional_kernel_parameter_validation():
     for bad in [dict(n=0), dict(h=0.0), dict(h=np.nan), dict(h=np.inf), dict(s=0.0),
-                dict(s=1.0), dict(p=1.0), dict(p=np.nan), dict(p=np.inf), dict(collar=0)]:
+                dict(s=1.0), dict(p=1.0), dict(p=np.nan), dict(p=np.inf), dict(collar=0),
+                dict(n=3.5), dict(collar=2.5), dict(h="1.0"), dict(s="0.5"), dict(p="2")]:
         kwargs = dict(n=3, h=1.0, s=0.5, p=2.0, collar=2)
         kwargs.update(bad)
         with pytest.raises(ConstructionError):
@@ -524,7 +529,7 @@ def test_kernel_validation():
         KernelEnergy(3, [(0, 1, 0.0)], [], 2.0)
     with pytest.raises(ConstructionError):
         KernelEnergy(3, [], [(0, -1.0)], 2.0)
-    for bad_p in (1.0, np.nan, np.inf):
+    for bad_p in (1.0, np.nan, np.inf, "2"):
         with pytest.raises(ConstructionError):
             KernelEnergy(3, [(0, 1, 1.0)], [], bad_p)
     with pytest.raises(ConstructionError, match=r"pair \(0,1\)"):
@@ -534,6 +539,10 @@ def test_kernel_validation():
             KernelEnergy(3, [(0, 1, bad)], [], 2.0)
         with pytest.raises(ConstructionError):
             KernelEnergy(3, [(0, 1, 1.0)], [(2, bad)], 2.0)
+    with pytest.raises(ConstructionError, match="n 3.5 is not an integer"):
+        KernelEnergy(3.5, [(0, 1, 1.0)], [], 2.0)
+    with pytest.raises(ConstructionError, match="exterior weight '1.0' is not a number"):
+        KernelEnergy(3, [(0, 1, 1.0)], [(2, "1.0")], 2.0)
 
 
 def test_kernel_nondifferentiable_below_two():

@@ -55,6 +55,12 @@ def test_vector_validation():
         as_vector([np.inf])
     with pytest.raises(ConstructionError):
         as_vector([[1.0, 2.0]])
+    for strings in (["1.0", "2"], [1.0, "2"], np.array(["1.0"])):
+        with pytest.raises(ConstructionError, match="must hold finite numbers"):
+            as_vector(strings)
+    v = np.array([0.5, 1.5])
+    assert as_vector(v) is v
+    assert np.array_equal(as_vector([True, 0, 2]), [1.0, 0.0, 2.0])
 
 
 @given(st.data())

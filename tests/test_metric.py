@@ -128,6 +128,11 @@ def test_graph_space_constructor_is_from_graph():
         GraphSpace(built.D, edges=edges)  # a distance matrix is no node count
     with pytest.raises(TypeError):
         GraphSpace(D=built.D, edges=edges)
+    # a plain class: no dataclass fields, no inherited from_points
+    assert not dataclasses.is_dataclass(GraphSpace)
+    assert not issubclass(GraphSpace, FiniteMetricSpace)
+    assert not hasattr(GraphSpace, "from_points")
+    assert sorted(vars(GraphSpace(3, edges))) == ["adj", "edges"]
 
 
 def _count_calls(monkeypatch, name, *modules) -> list:
@@ -168,12 +173,23 @@ def test_distance_to_matches_dense_column_min():
         for size in (1, 2, max(1, space.n // 3)):
             idx = sorted(rng.choice(space.n, size=size, replace=False).tolist())
             dense = np.min(space.D[:, idx], axis=1)
+            assert space.n == FiniteMetricSpace(space.D).n
             assert np.array_equal(FiniteMetricSpace(space.D).distance_to(idx), dense)
             got = space.distance_to(idx)
             if exact:
                 assert np.array_equal(got, dense)
             else:
                 assert np.allclose(got, dense, rtol=1e-12, atol=0)
+
+
+def test_distance_to_checks_its_index_set():
+    # list(indices) used to answer [1.5] for node 1 and [-1] for the last node
+    space = path_space(4)
+    for metric in (space, FiniteMetricSpace(space.D)):
+        for bad in ([1.5], [-1], [4], ["1"]):
+            with pytest.raises(ConstructionError):
+                metric.distance_to(bad)
+        assert np.array_equal(metric.distance_to([3.0, 0, 3]), [0.0, 1.0, 1.0, 0.0])
 
 
 def test_graph_lipschitz_matches_pairwise_ratio():
@@ -261,8 +277,10 @@ def test_hopf_lax_blocks_match_one_shot():
 
 
 def test_hopf_lax_requires_positive_time(two_points):
-    with pytest.raises(PreconditionError):
-        hopf_lax(two_points, [0.0, 0.0], 0.0)
+    for t in (0.0, -1.0, np.nan):  # t <= 0 used to let NaN through: an all-NaN answer
+        with pytest.raises(PreconditionError):
+            hopf_lax(two_points, [0.0, 0.0], t)
+    assert np.array_equal(hopf_lax(two_points, [0.5, -2.0], np.inf), [-2.0, -2.0])
 
 
 def test_c_transform_examples(two_points):
@@ -482,6 +500,44 @@ def test_interpolation_duality():
         assert ok, slack
     with pytest.raises(PreconditionError):
         interpolation_duality_check(space, [0.0, 10.0], 0.5)
+
+
+def test_duality_slack_is_the_unabsorbed_kantorovich_gap():
+    rng = np.random.default_rng(21)
+    space = path_space(21, weight=1.0 / 20.0)
+    for t in (0.25, 0.5, 0.75):
+        phi = random_c_concave(rng, space, scale=0.2)
+        phi_c = c_transform(space, phi)
+        lo, hi = -hopf_lax(space, -phi, t), hopf_lax(space, -phi_c, 1.0 - t)
+        slack = interpolation_duality_check(space, phi, t).value
+        assert slack == float(np.min(hi - lo))
+        assert slack == float(np.min(hopf_lax(space, -phi, t) + hopf_lax(space, -phi_c, 1.0 - t)))
+        _, pair, _ = kantorovich_regularize(space, phi, t)
+        assert np.array_equal(pair.lo, lo) and np.array_equal(pair.hi, np.maximum(hi, lo))
+
+
+@pytest.mark.parametrize("drop, raises", [(1e-15, False), (1e-6, True)])
+def test_kantorovich_crossing_rule(monkeypatch, drop, raises):
+    # lowering hi at one node crosses it below lo; within 1e-12 (1 + max|lo|
+    # + max|hi|) hi is lifted to lo, above that the order error reports max(lo - hi)
+    space = path_space(9)
+    phi = random_c_concave(np.random.default_rng(17), space, scale=0.3)
+    bounds = obslat.metric._interpolation_bounds
+
+    def crossed(*args):
+        phi, phi_c, lo, hi = bounds(*args)
+        hi = hi.copy()
+        hi[4] = lo[4] - drop
+        return phi, phi_c, lo, hi
+
+    monkeypatch.setattr(obslat.metric, "_interpolation_bounds", crossed)
+    if raises:
+        with pytest.raises(ObstacleOrderError) as err:
+            kantorovich_regularize(space, phi, 0.4)
+        assert err.value.violation == float(np.max(err.value.lo - err.value.hi)) > 0.0
+    else:
+        _, pair, _ = kantorovich_regularize(space, phi, 0.4)
+        assert pair.hi[4] == pair.lo[4] and 4 in pair.coincidence_set
 
 
 def test_hopf_lax_calls_per_construction(tmp_path, monkeypatch):
