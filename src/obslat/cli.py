@@ -46,7 +46,9 @@ side (encoded at +-1e30).
 
 A quadratic matrix must be symmetric PSD.  One that is not diagonally
 dominant is certified by a dense eigenvalue check only up to n = 2000
-(``energies.PSD_DENSE_MAX_N``); above that cap it exits 2.
+(``energies.PSD_DENSE_MAX_N``); above that cap it exits 2.  A fractional_1d
+energy couples every pair of its n points and takes n only up to 2048
+(``energies.FRACTIONAL_1D_MAX_N``); a larger n exits 2.
 
 Graph edges [i, j, w] are undirected ([j, i, w] is the same pair), each
 pair listed at most once (a repeat exits 2), with finite w > 0: a conductance
@@ -79,6 +81,9 @@ suite::
 
     {"seed": int >= 0, "checks": [names...], "paper_radius": bool}
 
+The checks run in forked worker processes, one per CPU in the affinity
+mask; suite.csv and suite_summary.json do not depend on that count.
+
 paper_radius and cc_regularize take only JSON true or false, and core,
 region and dirichlet only JSON arrays; "false" or "56" exits 2.  A number
 is a JSON number, never a string: "0.1" or "2" exits 2.  Node indices (in
@@ -95,6 +100,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -363,7 +369,14 @@ def cmd_suite(args) -> int:
     return EXIT_OK if all_pass else EXIT_SUITE_FAIL
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    It holds no handler: :func:`main` calls ``cmd_<command>`` by name, so a
+    handler replaced after the first call (a test double, a tracing wrapper)
+    is the one that runs.
+    """
     parser = argparse.ArgumentParser(
         prog="obslat",
         description="Double obstacle problems on finite lattices with "
@@ -380,19 +393,17 @@ def _build_parser() -> argparse.ArgumentParser:
     }
     solve_flags = ("--config", "--out", "--tol")
     commands = {
-        "solve": (cmd_solve, "solve an obstacle problem and certify it", solve_flags),
-        "oracle": (cmd_oracle, "solve by brute-force enumeration (n <= 12)", solve_flags),
-        "cutoff": (cmd_cutoff, "build a certified cut-off function",
-                   (*solve_flags, "--paper-radius")),
-        "kantorovich": (cmd_kantorovich, "regularize a Kantorovich potential", solve_flags),
-        "suite": (cmd_suite, "run the property suites and write a CSV report",
+        "solve": ("solve an obstacle problem and certify it", solve_flags),
+        "oracle": ("solve by brute-force enumeration (n <= 12)", solve_flags),
+        "cutoff": ("build a certified cut-off function", (*solve_flags, "--paper-radius")),
+        "kantorovich": ("regularize a Kantorovich potential", solve_flags),
+        "suite": ("run the property suites and write a CSV report",
                   ("--config", "--seed", "--out", "--paper-radius")),
     }
-    for name, (fn, help_text, names) in commands.items():
+    for name, (help_text, names) in commands.items():
         sp = sub.add_parser(name, help=help_text)
         for flag in names:
             sp.add_argument(flag, **flags[flag])
-        sp.set_defaults(func=fn)
     return parser
 
 
@@ -402,7 +413,7 @@ def main(argv=None) -> int:
     except SystemExit as exit_:  # argparse: 2 on a parse error, 0 after --help
         return exit_.code
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

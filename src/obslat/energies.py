@@ -50,6 +50,12 @@ PSD_TOL = 1e-10
 #: one is refused with a ConstructionError.
 PSD_DENSE_MAX_N = 2000
 
+#: Largest n that :func:`fractional_kernel_1d` builds; a larger one is
+#: refused with a ConstructionError before any array is made.  Every pair
+#: interacts, so memory grows as n^2: at the cap, 2,096,128 pairs keep
+#: 48 MiB of i, j, w arrays, and building them peaks near 170 MiB.
+FRACTIONAL_1D_MAX_N = 2048
+
 
 class CheckResult(NamedTuple):
     """Outcome of a pass/fail check together with the measured quantity."""
@@ -365,12 +371,15 @@ def fractional_kernel_1d(n: int, h: float, s: float, p: float, collar: int) -> K
     interior is truncated to ``collar`` grid points on each side, whose
     interactions accumulate into the exterior weights d_i.  The neglected
     tail per endpoint is sum_{m > collar} (h m')^(-(1+p*s)) over the
-    remaining exterior points.
+    remaining exterior points.  n may not exceed FRACTIONAL_1D_MAX_N.
     """
     n, collar = as_index(n, "n"), as_index(collar, "collar")
     h, s, p = as_real(h, "h"), as_real(s, "s"), as_real(p, "p")
     if n < 1:
         raise ConstructionError("n must be >= 1")
+    if n > FRACTIONAL_1D_MAX_N:
+        raise ConstructionError(f"n exceeds FRACTIONAL_1D_MAX_N = {FRACTIONAL_1D_MAX_N}, "
+                                "the size cap of the all-pairs fractional kernel")
     if not 0 < h < np.inf:
         raise ConstructionError(f"grid spacing h = {h} must be finite and positive")
     if not 0 < s < 1:

@@ -161,7 +161,9 @@ class GraphSpace:
     time, then symmetrized in place to 0.5 * (d + d.T) and made read-only,
     so its peak is n x n plus HOPF_LAX_BLOCK x n floats.  ``distance_to``
     runs one multi-source Dijkstra and ``lipschitz`` reads the edges, so
-    neither builds the n x n matrix.
+    neither builds the n x n matrix.  Dijkstra runs in directed mode: ``adj``
+    holds both arcs of every edge, and the undirected mode would scan each
+    arc twice for the same distances.
     """
 
     def __init__(self, nodes: int, edges):
@@ -189,13 +191,13 @@ class GraphSpace:
         d = np.empty((n, n))
         for s in range(0, n, HOPF_LAX_BLOCK):
             stop = min(s + HOPF_LAX_BLOCK, n)
-            d[s:stop] = dijkstra(self.adj, directed=False, indices=np.arange(s, stop))
+            d[s:stop] = dijkstra(self.adj, directed=True, indices=np.arange(s, stop))
         _symmetrize(d)
         return d
 
     def distance_to(self, indices) -> np.ndarray:
         """d(x, S) for every x by one multi-source Dijkstra, O(m log n)."""
-        return dijkstra(self.adj, directed=False, min_only=True,
+        return dijkstra(self.adj, directed=True, min_only=True,
                         indices=as_index_set(indices, self.n, "distance_to"))
 
     def lipschitz(self, v) -> float:

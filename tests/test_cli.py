@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -159,6 +160,22 @@ def test_solve_refuses_dense_psd_check_above_cap(tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert "PSD_DENSE_MAX_N = 3" in capsys.readouterr().err
+    # the all-pairs fractional kernel is refused before any array is built:
+    # 100000 points would ask for 9.3 GiB of pair indices, 10**400 for a list
+    # without end; the child's address space is capped in case that returns
+    env = dict(_env_with_src(), OPENBLAS_NUM_THREADS="1")
+    cap = (resource.RLIMIT_AS, (2**31, 2**31))
+    for n in (100000, 10**400):
+        cfg = {"energy": {"kind": "fractional_1d", "n": n, "h": 0.5, "s": 0.5, "p": 3.0,
+                          "collar": 2},
+               "box": {"lo": 0.0, "hi": 1.0}}
+        path = write_config(tmp_path, cfg, "fractional.json")
+        proc = subprocess.run([sys.executable, "-m", "obslat.cli", "solve", "--config", path,
+                               "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=60,
+                              preexec_fn=lambda: resource.setrlimit(*cap))
+        assert proc.returncode == 2, proc.stderr
+        assert f"FRACTIONAL_1D_MAX_N = {obslat.energies.FRACTIONAL_1D_MAX_N}" in proc.stderr
 
 
 def _path_laplacian_triplets(n):

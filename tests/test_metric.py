@@ -170,8 +170,14 @@ def _graph_cases():
 def test_distance_to_matches_dense_column_min():
     rng = np.random.default_rng(12)
     for space, exact in _graph_cases():
+        # Dijkstra runs directed on the two-arc adjacency; scipy's undirected
+        # mode gives the same distances bit for bit
+        d = dijkstra(space.adj, directed=False)
+        assert np.array_equal(space.D, 0.5 * (d + d.T))
         for size in (1, 2, max(1, space.n // 3)):
             idx = sorted(rng.choice(space.n, size=size, replace=False).tolist())
+            assert np.array_equal(space.distance_to(idx), dijkstra(
+                space.adj, directed=False, min_only=True, indices=idx))
             dense = np.min(space.D[:, idx], axis=1)
             assert space.n == FiniteMetricSpace(space.D).n
             assert np.array_equal(FiniteMetricSpace(space.D).distance_to(idx), dense)
