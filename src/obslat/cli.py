@@ -47,8 +47,8 @@ side (encoded at +-1e30).
 A quadratic matrix must be symmetric PSD.  One that is not diagonally
 dominant is certified by a dense eigenvalue check only up to n = 2000
 (``energies.PSD_DENSE_MAX_N``); above that cap it exits 2.  A fractional_1d
-energy couples every pair of its n points and takes n only up to 2048
-(``energies.FRACTIONAL_1D_MAX_N``); a larger n exits 2.
+energy couples every pair of its n points; n above 2048 or a collar above
+4096 exits 2 (``energies.FRACTIONAL_1D_MAX_N`` and ``FRACTIONAL_1D_MAX_COLLAR``).
 
 Graph edges [i, j, w] are undirected ([j, i, w] is the same pair), each
 pair listed at most once (a repeat exits 2), with finite w > 0: a conductance

@@ -50,11 +50,13 @@ PSD_TOL = 1e-10
 #: one is refused with a ConstructionError.
 PSD_DENSE_MAX_N = 2000
 
-#: Largest n that :func:`fractional_kernel_1d` builds; a larger one is
-#: refused with a ConstructionError before any array is made.  Every pair
-#: interacts, so memory grows as n^2: at the cap, 2,096,128 pairs keep
-#: 48 MiB of i, j, w arrays, and building them peaks near 170 MiB.
+#: Largest n and collar that :func:`fractional_kernel_1d` builds; a larger
+#: one is refused with a ConstructionError before any array is made.  Every
+#: pair interacts, so memory grows as n^2: at the cap, 2,096,128 pairs keep
+#: 48 MiB of i, j, w arrays, and building them peaks near 170 MiB.  The
+#: exterior sum is an O(n * collar) Python loop: 3 s at both caps.
 FRACTIONAL_1D_MAX_N = 2048
+FRACTIONAL_1D_MAX_COLLAR = 4096
 
 
 class CheckResult(NamedTuple):
@@ -371,7 +373,7 @@ def fractional_kernel_1d(n: int, h: float, s: float, p: float, collar: int) -> K
     interior is truncated to ``collar`` grid points on each side, whose
     interactions accumulate into the exterior weights d_i.  The neglected
     tail per endpoint is sum_{m > collar} (h m')^(-(1+p*s)) over the
-    remaining exterior points.  n may not exceed FRACTIONAL_1D_MAX_N.
+    remaining exterior points.  n and collar are capped (FRACTIONAL_1D_MAX_*).
     """
     n, collar = as_index(n, "n"), as_index(collar, "collar")
     h, s, p = as_real(h, "h"), as_real(s, "s"), as_real(p, "p")
@@ -386,8 +388,9 @@ def fractional_kernel_1d(n: int, h: float, s: float, p: float, collar: int) -> K
         raise ConstructionError(f"exponent s = {s} must lie in (0,1)")
     if not 1 < p < np.inf:
         raise ConstructionError(f"p = {p} must be finite and exceed 1")
-    if collar < 1:
-        raise ConstructionError(f"collar = {collar} must be >= 1")
+    if not 1 <= collar <= FRACTIONAL_1D_MAX_COLLAR:
+        raise ConstructionError("collar must lie in [1, FRACTIONAL_1D_MAX_COLLAR = "
+                                f"{FRACTIONAL_1D_MAX_COLLAR}]")
     a = 1.0 + p * s
     # w_ij depends on j - i alone: one weight per distance, gathered per pair
     by_distance = np.array([h * h * (h * k) ** (-a) for k in range(1, n)])

@@ -32,7 +32,7 @@ def as_vector(x, name: str = "vector", n: int | None = None) -> np.ndarray:
         raise ConstructionError(f"{name} must have length >= 1")
     if n is not None and v.shape[0] != n:
         raise DimensionMismatch(f"{name} has length {v.shape[0]}, expected {n}")
-    if v.dtype.kind not in "biuf" or not np.all(np.isfinite(v)):
+    if v.dtype.kind not in "biuf" or not np.isfinite(v).all():
         raise ConstructionError(f"{name} must hold finite numbers (dtype {v.dtype})")
     return v.astype(float, copy=False)
 
@@ -118,7 +118,7 @@ class OrderInterval:
 
 def clamp(u, box: OrderInterval) -> np.ndarray:
     """Project u onto the box: componentwise median(lo, u, hi)."""
-    return np.clip(as_vector(u, "u", box.n), box.lo, box.hi)
+    return as_vector(u, "u", box.n).clip(box.lo, box.hi)
 
 
 def _rk_extremum(l, m, x, kind: str) -> float:

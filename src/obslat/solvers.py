@@ -13,18 +13,19 @@ Four routes with very different trust profiles:
   monotone on M-matrices, which the suite's monotone-iteration check uses.
   Its sweep is exact lexicographic Gauss-Seidel on Python floats, so every
   iterate is bit-identical to the same sweep on numpy float64 scalars.
-* :func:`solve_projected_gradient` -- projected gradient with Armijo
-  backtracking for any differentiable energy (kernel energies need p >= 2).
+* :func:`solve_projected_gradient` -- projected gradient, searched like
+  projected Newton, for any differentiable energy (kernels need p >= 2).
 * :func:`brute_force_active_set` -- enumeration of all activity patterns for
   n <= 12; slow and completely independent of the iterative solvers, used as
   the audit oracle (``obslat oracle``).
 
-PSOR and projected gradient are library routes, called by the suite, the
-benchmark and the demos; no CLI command reaches them.  All solvers report
-their first-order optimality through :func:`kkt_residual`.  Every solver
-returns ``clamp(u, box)``, so an index sits on its obstacle exactly when it
-equals the bound: the active sets, the KKT residual and the Newton step all
-decide that by exact comparison with the bounds (:func:`_on_bounds`).
+PSOR (suite, benchmark, demos, ``tests/golden/generate.py``) and projected
+gradient (all of them but the suite) are library routes, reached by no CLI
+command.  All solvers report their first-order optimality through
+:func:`kkt_residual`.  Every solver returns ``clamp(u, box)``, so an index
+sits on its obstacle exactly when it equals the bound: the active sets, the
+KKT residual and the Newton step all decide that by exact comparison with
+the bounds (:func:`_on_bounds`).
 """
 
 from __future__ import annotations
@@ -242,47 +243,40 @@ def solve_psor(energy: QuadraticEnergy, box: OrderInterval, tol: float = 1e-9,
 
 def solve_projected_gradient(energy, box: OrderInterval, tol: float = 1e-8,
                              max_iter: int = 50000, step_callback=None) -> Solution:
-    """Projected gradient with Armijo backtracking along the projection arc.
+    """Projected gradient with Armijo search along the projection arc.
 
     Accepts any energy exposing ``value`` and ``gradient``; kernel energies
     must have p >= 2 so the gradient exists everywhere.  Starts from
-    clamp(0, box).  Each step tries
-    u_new = clamp(u - alpha grad) from alpha = 1, halving until the Armijo
-    sufficient-decrease test passes; the energy therefore never increases.
-    Stops when both the unit-step projected-gradient norm
-    ||u - clamp(u - grad)||_inf and the KKT residual fall below ``tol``.
+    clamp(0, box).  Each step searches clamp(u - alpha grad) from alpha = 1
+    as projected Newton does (see :func:`_arc_search`); the energy therefore
+    rises at most by rounding.  Stops when both the unit-step
+    projected-gradient norm ||u - clamp(u - grad)||_inf and the KKT residual
+    fall below ``tol``.
     """
     if isinstance(energy, KernelEnergy) and energy.p < 2:
         raise SolverError(f"projected gradient requires p >= 2, got p = {energy.p}")
     _check_box_dim(energy, box)
     u = clamp(np.zeros(energy.n), box)
     f = energy.value(u)
+    g = np.asarray(energy.gradient(u))
+    res = _kkt_from_gradient(u, box, g)
     steps = 0
     converged = False
     while steps < max_iter:
-        g = np.asarray(energy.gradient(u))
         pg_norm = float(np.max(np.abs(u - clamp(u - g, box))))
-        if max(pg_norm, _kkt_from_gradient(u, box, g)) <= tol:
+        if max(pg_norm, res) <= tol:
             converged = True
             break
-        alpha = ARMIJO_STEP0
-        accepted = False
-        while alpha >= ARMIJO_FLOOR:
-            cand = clamp(u - alpha * g, box)
-            f_cand = energy.value(cand)
-            if f_cand <= f + ARMIJO_DECREASE * float(g @ (cand - u)):
-                accepted = True
-                break
-            alpha *= ARMIJO_SHRINK
-        if not accepted:
+        step = _arc_search(energy, box, u, f, g, res, -g)
+        if step is None:
             raise SolverError(
                 "line search hit the backtracking floor without an energy decrease"
             )
-        u, f = cand, f_cand
+        u, f, g, res = step
         steps += 1
         if step_callback is not None:
             step_callback(u.copy(), f)
-    return _make_solution(energy, box, u, steps, converged)
+    return _make_solution(energy, box, u, steps, converged, g)
 
 
 def _factor_psd(h):
@@ -341,11 +335,14 @@ def _arc_search(energy, box: OrderInterval, u, f, g, res, d):
     (ENERGY_ROUND_RTOL |E|) and its KKT residual is below ``res``: with
     bounds 1e-17 apart the true energy drop of a step onto the other bound
     lies far below the rounding of E.  Returns (cand, E, gradient, KKT
-    residual), or None when alpha falls below ARMIJO_FLOOR.
+    residual), or None when alpha falls below ARMIJO_FLOOR.  Only u + d is
+    checked to be finite, as :func:`clamp` would: for alpha = 2^-k <= 1,
+    alpha d is exact and u + alpha d lies between u and u + d.
     """
+    as_vector(u + d, "u", box.n)
     alpha = ARMIJO_STEP0
     while alpha >= ARMIJO_FLOOR:
-        cand = clamp(u + alpha * d, box)
+        cand = (u + alpha * d).clip(box.lo, box.hi)
         f_cand = energy.value(cand)
         slope = float(g @ (cand - u))
         armijo = slope < 0.0 and f_cand <= f + ARMIJO_DECREASE * slope

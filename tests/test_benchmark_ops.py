@@ -25,6 +25,12 @@ def test_smoke_ops_certify(tmp_path, name):
     assert ops
     for op in ops:
         outcome = op.check(op.run())
-        # the documented projected-gradient stall must stay a verified stall
-        expected = "stall" if op.label.startswith("pg_stall_") else "certified"
-        assert (op.label, outcome.status, outcome.problems) == (op.label, expected, [])
+        assert (op.label, outcome.status, outcome.problems) == (op.label, "certified", [])
+
+
+def test_documented_stall_is_verified_as_stall():
+    # suite seed 25, instance 0 still freezes above PG_TOL within the budget
+    energy, box = workloads._stall_instance(25, 0)
+    outcome = workloads._check_library(energy, box, workloads.PG_TOL, True,
+                                       workloads._pg_op(energy, box))
+    assert (outcome.status, outcome.problems) == ("stall", [])

@@ -178,6 +178,22 @@ def test_solve_refuses_dense_psd_check_above_cap(tmp_path, monkeypatch, capsys):
         assert f"FRACTIONAL_1D_MAX_N = {obslat.energies.FRACTIONAL_1D_MAX_N}" in proc.stderr
 
 
+def test_solve_refuses_fractional_collar_above_cap(tmp_path):
+    # the exterior weights are summed point by point over the collar: 10**9
+    # points would take hours and 10**400 would never end
+    env = _env_with_src()
+    for collar in (10**9, 10**400):
+        cfg = {"energy": {"kind": "fractional_1d", "n": 8, "h": 0.125, "s": 0.5, "p": 3.0,
+                          "collar": collar},
+               "box": {"lo": 0.0, "hi": 1.0}}
+        path = write_config(tmp_path, cfg, "fractional.json")
+        proc = subprocess.run([sys.executable, "-m", "obslat.cli", "solve", "--config", path,
+                               "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert f"FRACTIONAL_1D_MAX_COLLAR = {obslat.energies.FRACTIONAL_1D_MAX_COLLAR}" in proc.stderr
+
+
 def _path_laplacian_triplets(n):
     triplets = []
     for i in range(n - 1):

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from obslat.energies import (
+    FRACTIONAL_1D_MAX_COLLAR,
     FRACTIONAL_1D_MAX_N,
     PSD_DENSE_MAX_N,
     PSD_TOL,
@@ -428,7 +429,8 @@ def test_fractional_kernel_parameter_validation():
     for bad in [dict(n=0), dict(h=0.0), dict(h=np.nan), dict(h=np.inf), dict(s=0.0),
                 dict(s=1.0), dict(p=1.0), dict(p=np.nan), dict(p=np.inf), dict(collar=0),
                 dict(n=3.5), dict(collar=2.5), dict(h="1.0"), dict(s="0.5"), dict(p="2"),
-                dict(n=FRACTIONAL_1D_MAX_N + 1), dict(n=10**400)]:
+                dict(n=FRACTIONAL_1D_MAX_N + 1), dict(n=10**400),
+                dict(collar=FRACTIONAL_1D_MAX_COLLAR + 1), dict(collar=10**400)]:
         kwargs = dict(n=3, h=1.0, s=0.5, p=2.0, collar=2)
         kwargs.update(bad)
         with pytest.raises(ConstructionError):

@@ -1,3 +1,4 @@
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import obslat.solvers
 from obslat.certificates import ls_certificate
 from obslat.energies import KernelEnergy, QuadraticEnergy, fractional_kernel_1d, graph_dirichlet
-from obslat.errors import PreconditionError, SolverError
+from obslat.errors import ConstructionError, PreconditionError, SolverError
 from obslat.instances import (
     grid_boundary,
     grid_edges,
@@ -14,12 +15,14 @@ from obslat.instances import (
     path_space,
     random_box,
     random_c_concave,
+    random_fractional_instance,
     random_lower_obstacle_box,
     random_submodular_quadratic,
 )
 from obslat.lattice import UNBOUNDED, OrderInterval, clamp
 from obslat.metric import kantorovich_regularize
 from obslat.solvers import (
+    ENERGY_ROUND_RTOL,
     brute_force_active_set,
     classify_active,
     kkt_residual,
@@ -148,6 +151,36 @@ def test_projected_gradient_rejects_small_p():
     energy = KernelEnergy(2, [(0, 1, 1.0)], [], 1.5)
     with pytest.raises(SolverError):
         solve_projected_gradient(energy, OrderInterval([0.0, 0.0], [1.0, 1.0]))
+
+
+def test_overflowing_full_step_raises_in_newton_and_projected_gradient():
+    # the minimizer 3.4e308 lies beyond the largest float: from u = 1e308,
+    # Newton's step -g / 0.5 and the gradient step -g both overflow
+    energy = QuadraticEnergy(np.array([[0.5]]), np.array([-1.7e308]))
+    box = OrderInterval([1e308], [1.5e308])
+    messages = []
+    for solve in (solve_newton, solve_projected_gradient):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConstructionError) as err:
+            solve(energy, box)
+        messages.append(str(err.value))
+    assert messages == ["u must hold finite numbers (dtype float64)"] * 2
+
+
+def test_projected_gradient_certifies_past_the_rounding_of_the_energy():
+    # instance 2 of the suite's ls_certificate_fractional check at seed 1: the
+    # true energy drop falls below the rounding of E while the KKT residual
+    # is still above tol, so only steps that rise by rounding can end it
+    rng = np.random.default_rng([1, zlib.crc32(b"ls_certificate_fractional")])
+    for _ in range(3):
+        energy, box, s, p = random_fractional_instance(rng, n_max=32)
+    assert (energy.n, s, p) == (29, 0.75, 3.0)
+    values = [energy.value(clamp(np.zeros(energy.n), box))]
+    sol = solve_projected_gradient(energy, box, tol=1e-8, max_iter=3000,
+                                   step_callback=lambda u, f: values.append(f))
+    assert sol.converged and sol.kkt_residual <= 1e-8
+    assert ls_certificate(energy, box, sol, tol=1e-6).passed
+    values = np.array(values)
+    assert np.all(np.diff(values) <= ENERGY_ROUND_RTOL * np.abs(values[:-1]))
 
 
 def test_brute_force_closed_forms():
