@@ -20,14 +20,26 @@ failing that and only up to n = PSD_DENSE_MAX_N, by its smallest eigenvalue.
 arrays, :func:`laplacian` the one assembly of a weighted graph Laplacian and
 :func:`csr_block` the one extraction of a submatrix.
 
-Both expose ``value``, ``gradient`` and ``hessian``; the module-level checks
-(:func:`submodularity_check`, :func:`t_monotonicity_check`,
-:func:`z_matrix_violation`, :func:`scalar_submodularity_inequality`)
-turn the structural assumptions into testable verdicts.
+Both expose ``evaluate``, ``value``, ``gradient`` and ``hessian``.
+``evaluate(u)`` returns ``(E(u), gradient)``: the zero-argument
+``gradient()`` gives ``gradient(u)`` bit for bit from what the value already
+computed (``a @ u``, or the pair differences and their absolute values;
+u is not copied, so it must not change before the call).  A caller that
+needs the gradient only sometimes pays for it only then.  A kernel gradient
+sums each pair's term into both of its ends through a (2n x m) CSR operator
+that the energy builds with its first gradient and keeps (two entries per
+pair, 12 bytes each).  It adds in the order of ``np.bincount``, so its sums
+equal two bincount passes bit for bit.
+
+The module-level checks (:func:`submodularity_check`,
+:func:`t_monotonicity_check`, :func:`z_matrix_violation`,
+:func:`scalar_submodularity_inequality`) turn the structural assumptions
+into testable verdicts.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -54,7 +66,7 @@ PSD_DENSE_MAX_N = 2000
 #: one is refused with a ConstructionError before any array is made.  Every
 #: pair interacts, so memory grows as n^2: at the cap, 2,096,128 pairs keep
 #: 48 MiB of i, j, w arrays, and building them peaks near 170 MiB.  The
-#: exterior sum is an O(n * collar) Python loop: 3 s at both caps.
+#: exterior sums take one vector addition of length n per collar point.
 FRACTIONAL_1D_MAX_N = 2048
 FRACTIONAL_1D_MAX_COLLAR = 4096
 
@@ -213,9 +225,14 @@ class QuadraticEnergy:
         a = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
         return cls(a, b)
 
-    def value(self, u) -> float:
+    def evaluate(self, u) -> tuple:
+        """(E(u), gradient), whose ``gradient()`` reuses ``a @ u``."""
         u = as_vector(u, "u", self.n)
-        return float(0.5 * (u @ (self.a @ u)) + self.b @ u)
+        au = self.a @ u
+        return float(0.5 * (u @ au) + self.b @ u), lambda: au + self.b
+
+    def value(self, u) -> float:
+        return self.evaluate(u)[0]
 
     def gradient(self, u) -> np.ndarray:
         u = as_vector(u, "u", self.n)
@@ -318,26 +335,47 @@ class KernelEnergy:
         for arr in (self.i, self.j, self.w, self.d):
             arr.setflags(write=False)
 
-    def value(self, u) -> float:
+    def evaluate(self, u) -> tuple:
+        """(E(u), gradient), whose ``gradient()`` reuses the pair differences."""
         u = as_vector(u, "u", self.n)
         diffs = u[self.i] - u[self.j]
-        total = self.w @ np.abs(diffs) ** self.p + self.d @ np.abs(u) ** self.p
-        return float(total / self.p)
+        dist, size = np.abs(diffs), np.abs(u)
+        total = self.w @ dist ** self.p + self.d @ size ** self.p
+        return float(total / self.p), lambda: self._gradient(u, diffs, dist, size)
+
+    def value(self, u) -> float:
+        return self.evaluate(u)[0]
 
     def gradient(self, u) -> np.ndarray:
         u = as_vector(u, "u", self.n)
         diffs = u[self.i] - u[self.j]
+        return self._gradient(u, diffs, np.abs(diffs), np.abs(u))
+
+    def _gradient(self, u, diffs, dist, size) -> np.ndarray:
         if self.p < 2:
             if np.any(diffs == 0.0) or np.any((self.d > 0) & (u == 0.0)):
                 raise NondifferentiableError(
                     f"p = {self.p} < 2 gradient undefined at a tied difference"
                 )
-        t = self.w * np.abs(diffs) ** (self.p - 2) * diffs
-        # without pairs bincount returns int64; the cast is a no-op on float
-        g = np.bincount(self.i, weights=t, minlength=self.n).astype(float, copy=False)
-        g -= np.bincount(self.j, weights=t, minlength=self.n)
-        g += self.d * np.abs(u) ** (self.p - 2) * u
+        y = self._scatter @ (self.w * dist ** (self.p - 2) * diffs)
+        g = y[:self.n] - y[self.n:]
+        g += self.d * size ** (self.p - 2) * u
         return g
+
+    @cached_property
+    def _scatter(self) -> sp.csr_matrix:
+        """The (2n x m) 0/1 operator that sums pair terms t into their ends.
+
+        Row k lists the pairs with i = k and row n + k those with j = k, each
+        in pair order, so each entry of ``_scatter @ t`` is summed in the order
+        of ``np.bincount(i, t)`` or ``np.bincount(j, t)``, bit for bit.
+        """
+        m = self.w.size
+        ends = np.concatenate([self.i, self.n + self.j])
+        order = np.argsort(ends, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=2 * self.n))))
+        return sp.csr_matrix((np.ones(2 * m), np.tile(np.arange(m), 2)[order], indptr),
+                             shape=(2 * self.n, m))
 
     def hessian(self, u) -> sp.csr_matrix:
         """Hessian at u for p >= 2, a Z-matrix.
@@ -396,13 +434,15 @@ def fractional_kernel_1d(n: int, h: float, s: float, p: float, collar: int) -> K
     by_distance = np.array([h * h * (h * k) ** (-a) for k in range(1, n)])
     i, j = np.triu_indices(n, 1)
     pairs = np.column_stack([i, j, by_distance[j - i - 1]])
-    exterior = []
-    for i in range(n):
-        k = i + 1  # 1-indexed interior position
-        left = sum((h * (k - 1 + m)) ** (-a) for m in range(1, collar + 1))
-        right = sum((h * (n - k + m)) ** (-a) for m in range(1, collar + 1))
-        exterior.append((i, h * h * (left + right)))
-    return KernelEnergy(n, pairs, exterior, p)
+    # point i sees the exterior points at distances h q, q = i + m on the left
+    # and n - 1 - i + m on the right (m = 1..collar); each side is summed in
+    # the order of m, one vector addition per m
+    power = np.array([0.0] + [(h * q) ** (-a) for q in range(1, n + collar)])
+    left, right = np.zeros(n), np.zeros(n)
+    for m in range(1, collar + 1):
+        left += power[m:m + n]
+        right += power[m:m + n][::-1]
+    return KernelEnergy(n, pairs, enumerate((h * h * (left + right)).tolist()), p)
 
 
 def _value_fn(energy):

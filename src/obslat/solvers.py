@@ -19,6 +19,10 @@ Four routes with very different trust profiles:
   n <= 12; slow and completely independent of the iterative solvers, used as
   the audit oracle (``obslat oracle``).
 
+Projected Newton and projected gradient evaluate an energy through
+``energy.evaluate(u)``, which gives E(u) and the gradient as a deferred
+call, so a rejected line-search candidate costs the value alone.
+
 PSOR (suite, benchmark, demos, ``tests/golden/generate.py``) and projected
 gradient (all of them but the suite) are library routes, reached by no CLI
 command.  All solvers report their first-order optimality through
@@ -112,11 +116,11 @@ def classify_active(u, box: OrderInterval):
 
 def _kkt_from_gradient(u: np.ndarray, box: OrderInterval, g: np.ndarray) -> float:
     lower, upper = _on_bounds(u, box)
+    # |g| except where the sign condition holds: g >= 0 on lo, g <= 0 on hi,
+    # anything where lo == hi; no entry is -0.0, and NaN stays NaN
     r = np.abs(g)
-    r = np.where(lower, np.maximum(0.0, -g), r)
-    r = np.where(upper, np.maximum(0.0, g), r)
-    r = np.where(box.lo == box.hi, 0.0, r)
-    return float(np.max(r)) + 0.0  # normalize -0.0
+    r[(lower & (g >= 0.0)) | (upper & (g <= 0.0)) | (box.lo == box.hi)] = 0.0
+    return float(np.max(r))
 
 
 def _slack_bounds(lo: np.ndarray, hi: np.ndarray):
@@ -245,9 +249,9 @@ def solve_projected_gradient(energy, box: OrderInterval, tol: float = 1e-8,
                              max_iter: int = 50000, step_callback=None) -> Solution:
     """Projected gradient with Armijo search along the projection arc.
 
-    Accepts any energy exposing ``value`` and ``gradient``; kernel energies
-    must have p >= 2 so the gradient exists everywhere.  Starts from
-    clamp(0, box).  Each step searches clamp(u - alpha grad) from alpha = 1
+    Accepts any energy exposing ``evaluate`` (see :mod:`obslat.energies`);
+    kernel energies must have p >= 2 so the gradient exists everywhere.
+    Starts from clamp(0, box).  Each step searches clamp(u - alpha grad) from alpha = 1
     as projected Newton does (see :func:`_arc_search`); the energy therefore
     rises at most by rounding.  Stops when both the unit-step
     projected-gradient norm ||u - clamp(u - grad)||_inf and the KKT residual
@@ -256,10 +260,7 @@ def solve_projected_gradient(energy, box: OrderInterval, tol: float = 1e-8,
     if isinstance(energy, KernelEnergy) and energy.p < 2:
         raise SolverError(f"projected gradient requires p >= 2, got p = {energy.p}")
     _check_box_dim(energy, box)
-    u = clamp(np.zeros(energy.n), box)
-    f = energy.value(u)
-    g = np.asarray(energy.gradient(u))
-    res = _kkt_from_gradient(u, box, g)
+    u, f, g, res = _start(energy, box)
     steps = 0
     converged = False
     while steps < max_iter:
@@ -327,6 +328,14 @@ def _newton_direction(energy, u: np.ndarray, g: np.ndarray, free: np.ndarray):
     return d
 
 
+def _start(energy, box: OrderInterval):
+    """(u, E(u), gradient, KKT residual) at the start u = clamp(0, box)."""
+    u = clamp(np.zeros(energy.n), box)
+    f, gradient = energy.evaluate(u)
+    g = gradient()
+    return u, f, g, _kkt_from_gradient(u, box, g)
+
+
 def _arc_search(energy, box: OrderInterval, u, f, g, res, d):
     """First acceptable point of the arc clamp(u + alpha d), alpha = 1, 1/2, ...
 
@@ -335,19 +344,22 @@ def _arc_search(energy, box: OrderInterval, u, f, g, res, d):
     (ENERGY_ROUND_RTOL |E|) and its KKT residual is below ``res``: with
     bounds 1e-17 apart the true energy drop of a step onto the other bound
     lies far below the rounding of E.  Returns (cand, E, gradient, KKT
-    residual), or None when alpha falls below ARMIJO_FLOOR.  Only u + d is
-    checked to be finite, as :func:`clamp` would: for alpha = 2^-k <= 1,
-    alpha d is exact and u + alpha d lies between u and u + d.
+    residual), or None when alpha falls below ARMIJO_FLOOR.  Each candidate
+    costs one ``energy.evaluate``; its gradient is computed only once one of
+    the two tests needs it.  Only u + d is checked to be finite, as
+    :func:`clamp` would, and it is the alpha = 1 candidate: for
+    alpha = 2^-k <= 1, alpha d is exact and u + alpha d lies between u and
+    u + d.
     """
-    as_vector(u + d, "u", box.n)
+    full = as_vector(u + d, "u", box.n)  # = u + 1.0 * d, bit for bit
     alpha = ARMIJO_STEP0
     while alpha >= ARMIJO_FLOOR:
-        cand = (u + alpha * d).clip(box.lo, box.hi)
-        f_cand = energy.value(cand)
+        cand = (full if alpha == 1.0 else u + alpha * d).clip(box.lo, box.hi)
+        f_cand, gradient = energy.evaluate(cand)
         slope = float(g @ (cand - u))
         armijo = slope < 0.0 and f_cand <= f + ARMIJO_DECREASE * slope
         if armijo or f_cand - f <= ENERGY_ROUND_RTOL * abs(f):
-            g_cand = np.asarray(energy.gradient(cand))
+            g_cand = gradient()
             res_cand = _kkt_from_gradient(cand, box, g_cand)
             if armijo or res_cand < res:
                 return cand, f_cand, g_cand, res_cand
@@ -386,10 +398,7 @@ def solve_newton(energy, box: OrderInterval, tol: float = 1e-9, max_iter: int = 
         raise SolverError(f"projected Newton requires p >= 2, got p = {energy.p}")
     _check_box_dim(energy, box)
     fixed = box.lo == box.hi
-    u = clamp(np.zeros(energy.n), box)
-    f = energy.value(u)
-    g = np.asarray(energy.gradient(u))
-    res = _kkt_from_gradient(u, box, g)
+    u, f, g, res = _start(energy, box)
     steps = 0
     while res > tol and steps < max_iter:
         lower, upper = _on_bounds(u, box)

@@ -421,8 +421,29 @@ def test_fractional_kernel_single_point():
     assert energy.i.size == 0
     assert energy.value(np.zeros(1)) == 0.0
     assert energy.value(np.array([1.0])) > 0.0
-    # without pairs bincount returns int64 zeros, which once refused the float update
+    # without pairs the gradient is the exterior term alone, as a float array
     assert energy.gradient(np.array([-2.0]))[0] == energy.d[0] * 2.0 * -2.0
+
+
+def _loop_exterior(n, h, s, p, collar):
+    """The exterior weights d_i as one Python sum per side and point."""
+    a = 1.0 + p * s
+    d = []
+    for i in range(n):
+        k = i + 1
+        left = sum((h * (k - 1 + m)) ** (-a) for m in range(1, collar + 1))
+        right = sum((h * (n - k + m)) ** (-a) for m in range(1, collar + 1))
+        d.append(h * h * (left + right))
+    return np.array(d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_fractional_exterior_matches_the_python_sums(n):
+    for collar in (1, 2, 5, 64):
+        for h, s, p in ((1.0 / (n + 1), 0.25, 2.0), (0.37, 0.5, 3.0), (2.5, 0.75, 1.5),
+                        (1e-3, 0.9, 4.0)):
+            energy = fractional_kernel_1d(n, h, s, p, collar)
+            assert energy.d.tobytes() == _loop_exterior(n, h, s, p, collar).tobytes()
 
 
 def test_fractional_kernel_parameter_validation():
@@ -547,6 +568,81 @@ def test_kernel_validation():
         KernelEnergy(3.5, [(0, 1, 1.0)], [], 2.0)
     with pytest.raises(ConstructionError, match="exterior weight '1.0' is not a number"):
         KernelEnergy(3, [(0, 1, 1.0)], [(2, "1.0")], 2.0)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _evaluate_cases():
+    rng = np.random.default_rng(20)
+    # pairs out of lexicographic order, so each bin sums in pair order
+    shuffled = [(2, 5, 0.7), (0, 5, 1.3), (0, 1, 0.4), (3, 4, 2.0), (1, 5, 0.9), (0, 3, 1.1)]
+    points = [rng.normal(size=6), np.array([1.0, 1.0, 1.0, -0.5, -0.5, 0.0]),  # ties, a zero
+              np.zeros(6), np.array([-0.0, 0.0, 2.0, -0.0, 2.0, 1e-300])]
+    cases = []
+    for p in (2.0, 2.5, 3.0):
+        for energy in (KernelEnergy(6, shuffled, [], p),
+                       KernelEnergy(6, shuffled, [(0, 0.5), (4, 1.5), (0, 0.25)], p),
+                       random_kernel_pair(rng, 6, p)):
+            cases += [(energy, u) for u in points]
+        for exterior in ([], [(0, 0.75)]):
+            single = KernelEnergy(1, [], exterior, p)
+            cases += [(single, np.array([x])) for x in (0.0, -2.0, 3.5)]
+        frac = fractional_kernel_1d(9, 0.1, 0.5, p, collar=3)
+        cases += [(frac, u) for u in (rng.normal(size=9), np.repeat([0.0, 1.0, -1.0], 3))]
+    # terms 1, 2^-53, 2^-53 into node 0 and -1, -2^-53, -2^-53 into node 4:
+    # in pair order they sum to 1 and -1, in any other order they do not
+    fan = KernelEnergy(5, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (1, 4, 1.0), (2, 4, 1.0),
+                           (3, 4, 1.0)], [], 2.0)
+    cases.append((fan, np.array([0.0, -1.0, -2.0 ** -53, -2.0 ** -53, 0.0])))
+    for energy in (tridiag_energy(), random_submodular_quadratic(rng, 6)):
+        cases += [(energy, u) for u in (rng.normal(size=energy.n), np.zeros(energy.n))]
+    return cases
+
+
+def _bincount_gradient(energy, u):
+    """The kernel gradient with its pair terms summed by two np.bincount passes."""
+    diffs = u[energy.i] - u[energy.j]
+    t = energy.w * np.abs(diffs) ** (energy.p - 2) * diffs
+    g = np.bincount(energy.i, weights=t, minlength=energy.n).astype(float)
+    g -= np.bincount(energy.j, weights=t, minlength=energy.n)
+    return g + energy.d * np.abs(u) ** (energy.p - 2) * u
+
+
+def test_evaluate_matches_value_and_gradient():
+    for energy, u in _evaluate_cases():
+        f, gradient = energy.evaluate(u)
+        assert type(f) is float and _bits(f) == _bits(energy.value(u))
+        for _ in range(2):  # a second call gives the same gradient
+            g = gradient()
+            assert g.dtype == float and _bits(g) == _bits(energy.gradient(u))
+        if isinstance(energy, KernelEnergy):
+            assert _bits(g) == _bits(_bincount_gradient(energy, u))
+    # the pair operator is built with the first gradient, not with the energy
+    energy = fractional_kernel_1d(5, 0.2, 0.5, 3.0, collar=2)
+    energy.value(np.ones(5))
+    assert "_scatter" not in vars(energy)
+    energy.evaluate(np.ones(5))[1]()
+    scatter = vars(energy)["_scatter"]
+    energy.gradient(np.zeros(5))
+    assert energy._scatter is scatter and scatter.shape == (10, energy.w.size)
+
+
+def test_evaluate_gradient_below_two_raises_where_gradient_does():
+    energy = KernelEnergy(3, [(0, 1, 1.0), (1, 2, 0.5)], [(0, 1.0)], 1.5)
+    for u in ([1.0, 1.0, 0.5], [0.0, 1.0, 0.5], [0.5, 1.0, 1.0], [0.5, 1.0, 0.25]):
+        u = np.array(u)
+        f, gradient = energy.evaluate(u)  # the value exists everywhere
+        assert _bits(f) == _bits(energy.value(u))
+        try:
+            want = energy.gradient(u)
+        except NondifferentiableError as exc:
+            with pytest.raises(NondifferentiableError) as raised:
+                gradient()
+            assert str(raised.value) == str(exc)
+        else:
+            assert _bits(gradient()) == _bits(want)
 
 
 def test_kernel_nondifferentiable_below_two():

@@ -585,6 +585,18 @@ def test_gradient_calls_per_cutoff_run(tmp_path, monkeypatch):
         return gradient(self, u)
 
     monkeypatch.setattr(QuadraticEnergy, "gradient", counted)
+    evaluate = QuadraticEnergy.evaluate
+
+    def counted_evaluate(self, u):
+        f, lazy = evaluate(self, u)
+
+        def gradient():
+            calls.append(u)
+            return lazy()
+        return f, gradient
+
+    # a gradient taken through evaluate counts when it is computed
+    monkeypatch.setattr(QuadraticEnergy, "evaluate", counted_evaluate)
     report = obslat.cli.certificate_report
     report_calls = []
 

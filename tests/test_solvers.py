@@ -222,6 +222,37 @@ def test_oracle_handles_one_sided_box():
     assert np.max(np.abs(sol.u - ps.u)) <= 1e-8
 
 
+def _kkt_by_three_passes(u, box, g):
+    """The KKT residual as one np.where pass per kind of index."""
+    lower, upper = obslat.solvers._on_bounds(u, box)
+    r = np.abs(g)
+    r = np.where(lower, np.maximum(0.0, -g), r)
+    r = np.where(upper, np.maximum(0.0, g), r)
+    r = np.where(box.lo == box.hi, 0.0, r)
+    return float(np.max(r)) + 0.0
+
+
+def test_kkt_from_gradient_matches_three_passes():
+    # every index kind (lower, upper, free, pinned) against gradient entries
+    # of both signs, both zeros and NaN, each pair in every position of n = 3
+    lo, hi, at = [0.0, -1.0, -1.0, 2.0], [1.0, 0.0, 1.0, 2.0], [0.0, 0.0, 0.5, 2.0]
+    grads = [-1.5, -0.0, 0.0, 1e-300, 2.0, np.nan]
+    kinds = [(k, x) for k in range(4) for x in grads]
+    rng = np.random.default_rng(0)
+    for (k1, x1), (k2, x2) in [(a, b) for a in kinds for b in kinds]:
+        for k3, x3 in (kinds[rng.integers(len(kinds))], (2, -0.0)):
+            ks = [k1, k2, k3]
+            box = OrderInterval([lo[k] for k in ks], [hi[k] for k in ks])
+            u, g = np.array([at[k] for k in ks]), np.array([x1, x2, x3])
+            want = _kkt_by_three_passes(u, box, g)
+            got = obslat.solvers._kkt_from_gradient(u, box, g)
+            assert type(got) is float
+            if np.isnan(want):
+                assert np.isnan(got)
+            else:
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_kkt_residual_cases(tridiag, tridiag_box):
     sol = solve_psor(tridiag, tridiag_box, tol=1e-9)
     assert kkt_residual(tridiag, tridiag_box, sol.u) == 0.0
