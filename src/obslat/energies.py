@@ -332,7 +332,8 @@ class KernelEnergy:
                 raise ConstructionError(f"exterior weight d_{i} = {di} must be finite and >= 0")
             d[i] += di
         self.d = d
-        for arr in (self.i, self.j, self.w, self.d):
+        self._weighted = np.flatnonzero(d)
+        for arr in (self.i, self.j, self.w, self.d, self._weighted):
             arr.setflags(write=False)
 
     def evaluate(self, u) -> tuple:
@@ -359,7 +360,9 @@ class KernelEnergy:
                 )
         y = self._scatter @ (self.w * dist ** (self.p - 2) * diffs)
         g = y[:self.n] - y[self.n:]
-        g += self.d * size ** (self.p - 2) * u
+        # only where d_i > 0: at p < 2 the term 0 * 0^(p-2) would be NaN
+        k = self._weighted
+        g[k] += self.d[k] * size[k] ** (self.p - 2) * u[k]
         return g
 
     @cached_property

@@ -13,7 +13,8 @@ Four routes with very different trust profiles:
   monotone on M-matrices, which the suite's monotone-iteration check uses.
   Its sweep is exact lexicographic Gauss-Seidel on Python floats, so every
   iterate is bit-identical to the same sweep on numpy float64 scalars.
-* :func:`solve_projected_gradient` -- projected gradient, searched like
+* :func:`solve_projected_gradient` -- spectral projected gradient: a
+  Barzilai-Borwein step along -grad, searched on the projection arc like
   projected Newton, for any differentiable energy (kernels need p >= 2).
 * :func:`brute_force_active_set` -- enumeration of all activity patterns for
   n <= 12; slow and completely independent of the iterative solvers, used as
@@ -55,6 +56,12 @@ ARMIJO_STEP0 = 1.0
 ARMIJO_SHRINK = 0.5
 ARMIJO_DECREASE = 1e-4
 ARMIJO_FLOOR = 1e-14
+
+#: Safeguards of the spectral step length of projected gradient: lambda is
+#: clipped to [SPECTRAL_MIN, SPECTRAL_MAX], and is SPECTRAL_MAX where the
+#: curvature s . y is not positive (Birgin, Martínez & Raydan 2000).
+SPECTRAL_MIN = 1e-30
+SPECTRAL_MAX = 1e30
 
 #: An LU pivot of a free Hessian block below this fraction of the largest
 #: pivot marks the block as singular (the constants of a graph Laplacian
@@ -247,20 +254,30 @@ def solve_psor(energy: QuadraticEnergy, box: OrderInterval, tol: float = 1e-9,
 
 def solve_projected_gradient(energy, box: OrderInterval, tol: float = 1e-8,
                              max_iter: int = 50000, step_callback=None) -> Solution:
-    """Projected gradient with Armijo search along the projection arc.
+    """Spectral projected gradient with Armijo search along the projection arc.
 
     Accepts any energy exposing ``evaluate`` (see :mod:`obslat.energies`);
     kernel energies must have p >= 2 so the gradient exists everywhere.
-    Starts from clamp(0, box).  Each step searches clamp(u - alpha grad) from alpha = 1
-    as projected Newton does (see :func:`_arc_search`); the energy therefore
-    rises at most by rounding.  Stops when both the unit-step
-    projected-gradient norm ||u - clamp(u - grad)||_inf and the KKT residual
-    fall below ``tol``.
+    Starts from clamp(0, box).  Step k searches clamp(u - alpha lambda_k grad)
+    from alpha = 1 as projected Newton does (see :func:`_arc_search`); the
+    energy therefore rises at most by rounding.  lambda_0 = 1, so the first
+    step is the plain projected-gradient step; after that
+    lambda_k = (s . s) / (s . y) with s = u_k - u_{k-1} and
+    y = grad_k - grad_{k-1}, the step of Barzilai & Borwein (IMA J. Numer.
+    Anal. 8, 1988).  It scales like 1 / E, so the steps lambda_k grad after
+    the first do not grow or shrink with the scale of E.  It is safeguarded
+    as in Birgin, Martínez & Raydan (SIAM J. Optim. 10(4), 2000): clipped
+    to [SPECTRAL_MIN, SPECTRAL_MAX], and SPECTRAL_MAX where s . y <= 0.
+    Where the search along -lambda_k grad fails, the step searches along
+    -grad, as in :func:`solve_newton`; it raises SolverError only if both
+    fail.  Stops when both the unit-step projected-gradient norm
+    ||u - clamp(u - grad)||_inf and the KKT residual fall below ``tol``.
     """
     if isinstance(energy, KernelEnergy) and energy.p < 2:
         raise SolverError(f"projected gradient requires p >= 2, got p = {energy.p}")
     _check_box_dim(energy, box)
     u, f, g, res = _start(energy, box)
+    lam = 1.0
     steps = 0
     converged = False
     while steps < max_iter:
@@ -268,11 +285,17 @@ def solve_projected_gradient(energy, box: OrderInterval, tol: float = 1e-8,
         if max(pg_norm, res) <= tol:
             converged = True
             break
-        step = _arc_search(energy, box, u, f, g, res, -g)
+        step = _arc_search(energy, box, u, f, g, res, -lam * g)
+        if step is None:
+            step = _arc_search(energy, box, u, f, g, res, -g)
         if step is None:
             raise SolverError(
                 "line search hit the backtracking floor without an energy decrease"
             )
+        s, y = step[0] - u, step[2] - g
+        sy = float(s @ y)
+        lam = float(s @ s) / sy if sy > 0.0 else SPECTRAL_MAX
+        lam = min(max(lam, SPECTRAL_MIN), SPECTRAL_MAX)
         u, f, g, res = step
         steps += 1
         if step_callback is not None:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -643,6 +645,24 @@ def test_evaluate_gradient_below_two_raises_where_gradient_does():
             assert str(raised.value) == str(exc)
         else:
             assert _bits(gradient()) == _bits(want)
+
+
+def test_exterior_term_only_where_weighted():
+    # p < 2 at u_1 = 0 with d_1 = 0: the unweighted exterior term is 0, not
+    # 0 * 0^(p-2) = 0 * inf
+    energy = KernelEnergy(3, [(0, 1, 1.0), (1, 2, 0.5)], [(0, 1.0)], 1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = energy.gradient(np.array([-1.0, 0.0, 2.0]))
+    half_root = 0.5 * 2.0 ** -0.5 * 2.0
+    assert np.allclose(g, [-2.0, 1.0 - half_root, half_root], rtol=1e-15, atol=0.0)
+    # at p >= 2 the gradient keeps the bits of the exterior term formed at
+    # every index, zeros and negative zeros of u included
+    points = [np.array([0.0, -0.0, 1.5, 0.0, -2.0]), np.array([0.0, 0.3, -0.0, -0.7, 0.0])]
+    for p in (2.0, 2.5, 3.0):
+        energy = KernelEnergy(5, [(0, 1, 1.0), (1, 3, 0.5), (2, 4, 2.0)], [(1, 0.75), (4, 1.25)], p)
+        for u in points:
+            assert _bits(energy.gradient(u)) == _bits(_bincount_gradient(energy, u))
 
 
 def test_kernel_nondifferentiable_below_two():

@@ -166,13 +166,19 @@ def test_overflowing_full_step_raises_in_newton_and_projected_gradient():
     assert messages == ["u must hold finite numbers (dtype float64)"] * 2
 
 
+def _suite_fractional_instance(seed, index):
+    """Instance ``index`` of the suite's ls_certificate_fractional check at ``seed``."""
+    rng = np.random.default_rng([seed, zlib.crc32(b"ls_certificate_fractional")])
+    for _ in range(index + 1):
+        energy, box, s, p = random_fractional_instance(rng, n_max=32)
+    return energy, box, s, p
+
+
 def test_projected_gradient_certifies_past_the_rounding_of_the_energy():
     # instance 2 of the suite's ls_certificate_fractional check at seed 1: the
     # true energy drop falls below the rounding of E while the KKT residual
     # is still above tol, so only steps that rise by rounding can end it
-    rng = np.random.default_rng([1, zlib.crc32(b"ls_certificate_fractional")])
-    for _ in range(3):
-        energy, box, s, p = random_fractional_instance(rng, n_max=32)
+    energy, box, s, p = _suite_fractional_instance(1, 2)
     assert (energy.n, s, p) == (29, 0.75, 3.0)
     values = [energy.value(clamp(np.zeros(energy.n), box))]
     sol = solve_projected_gradient(energy, box, tol=1e-8, max_iter=3000,
@@ -181,6 +187,62 @@ def test_projected_gradient_certifies_past_the_rounding_of_the_energy():
     assert ls_certificate(energy, box, sol, tol=1e-6).passed
     values = np.array(values)
     assert np.all(np.diff(values) <= ENERGY_ROUND_RTOL * np.abs(values[:-1]))
+
+
+@pytest.mark.parametrize("seed, index", [(1, 2), (25, 0)])
+def test_projected_gradient_spectral_step_pins(seed, index):
+    # unit steps along -grad take 398 steps on the first and stall past 3000
+    # on the second
+    energy, box, _, _ = _suite_fractional_instance(seed, index)
+    sol = solve_projected_gradient(energy, box, tol=1e-8, max_iter=100)
+    assert sol.converged and sol.kkt_residual <= 1e-8
+    assert ls_certificate(energy, box, sol, tol=1e-6).passed
+
+
+def test_projected_gradient_steps_do_not_depend_on_scale():
+    # E scaled by c scales the gradient by c and leaves the minimizer; unit
+    # steps along -grad take 3286, 398 and 222 steps here
+    energy, box, _, _ = _suite_fractional_instance(1, 2)
+    steps = []
+    for c in (1e-3, 1.0, 1e3):
+        scaled = KernelEnergy(energy.n, list(zip(energy.i, energy.j, c * energy.w)),
+                              list(enumerate(c * energy.d)), energy.p)
+        sol = solve_projected_gradient(scaled, box, tol=1e-8 * c, max_iter=3000)
+        assert sol.converged
+        assert ls_certificate(scaled, box, sol, tol=1e-6 * c).passed
+        steps.append(sol.iterations)
+    assert max(steps) <= 1.1 * min(steps)
+
+
+def test_projected_gradient_first_step_is_the_unit_gradient_step():
+    rng = np.random.default_rng(22)
+    quadratic = random_submodular_quadratic(rng, 8)
+    for energy, box in (_suite_fractional_instance(1, 2)[:2],
+                        (quadratic, random_box(rng, quadratic.n))):
+        u0, f0, g0, res0 = obslat.solvers._start(energy, box)
+        want = obslat.solvers._arc_search(energy, box, u0, f0, g0, res0, -g0)[0]
+        seen = []
+        solve_projected_gradient(energy, box, max_iter=1,
+                                 step_callback=lambda u, f: seen.append(u))
+        assert seen[0].tobytes() == want.tobytes()
+
+
+def test_projected_gradient_flat_curvature_takes_the_largest_step():
+    # the first step moves along the null vector (1, 1) of A, so s . y = 0
+    # and the step length is SPECTRAL_MAX: the second step lands on hi
+    energy = QuadraticEnergy(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.array([-1.0, -1.0]))
+    sol = solve_projected_gradient(energy, OrderInterval([0.0, 0.0], [10.0, 10.0]))
+    assert sol.converged and sol.iterations == 2
+    assert sol.u.tolist() == [10.0, 10.0]
+
+
+def test_projected_gradient_retries_along_the_gradient():
+    # with u_2 bounded only by 1e20, every candidate of the SPECTRAL_MAX
+    # step raises E; each such step is taken along -grad instead
+    energy = QuadraticEnergy(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.array([-1.0, -1.0]))
+    sol = solve_projected_gradient(energy, OrderInterval([0.0, 0.0], [10.0, 1e20]), tol=1e-9)
+    assert sol.converged and sol.kkt_residual == 0.0
+    assert sol.u.tolist() == [10.0, 11.0]
 
 
 def test_brute_force_closed_forms():
