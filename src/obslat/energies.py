@@ -245,18 +245,6 @@ class QuadraticEnergy:
     def diagonal(self) -> np.ndarray:
         return self.a.diagonal()
 
-    def to_triplet_text(self) -> str:
-        """Serialize as ``n nnz`` header plus one ``i j value`` line per entry.
-
-        Symmetric off-diagonal entries are both stored.
-        """
-        coo = self.a.tocoo()
-        lines = [f"{self.n} {coo.nnz}"]
-        order = np.lexsort((coo.col, coo.row))
-        for k in order:
-            lines.append(f"{coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_triplet_text(cls, text: str, b=None):
         rows = [ln for ln in text.splitlines() if ln.strip()]

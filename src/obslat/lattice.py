@@ -111,10 +111,6 @@ class OrderInterval:
     def upper_absent(self) -> bool:
         return bool(np.all(self.hi >= UNBOUNDED))
 
-    def contains(self, u, tol: float = 0.0) -> bool:
-        u = as_vector(u, "u", self.n)
-        return bool(np.all(u >= self.lo - tol) and np.all(u <= self.hi + tol))
-
 
 def clamp(u, box: OrderInterval) -> np.ndarray:
     """Project u onto the box: componentwise median(lo, u, hi)."""

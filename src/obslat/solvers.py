@@ -2,27 +2,27 @@
 
 Four routes with very different trust profiles:
 
-* :func:`solve_newton` -- projected Newton with an Armijo search along the
-  projection arc (Bertsekas 1982) for quadratic energies and kernel energies
-  with p >= 2; the solver of ``obslat solve`` and of the cut-off and
-  Kantorovich constructions.  Each step solves the free block of the Hessian
-  exactly, so it ends on the exact active set in a few steps; where that
-  block is singular it solves the block shifted by a small multiple of the
-  identity.
+* :func:`solve_newton` -- projected Newton (Bertsekas 1982) for quadratic
+  energies and kernel energies with p >= 2; the solver of ``obslat solve``
+  and of the cut-off and Kantorovich constructions.  Each step solves the
+  free block of the Hessian exactly (shifted by a small multiple of the
+  identity where it is singular), so it ends on the exact active set in a
+  few steps.
 * :func:`solve_psor` -- projected SOR for quadratic Z-matrix energies;
   monotone on M-matrices, which the suite's monotone-iteration check uses.
   Its sweep is exact lexicographic Gauss-Seidel on Python floats, so every
   iterate is bit-identical to the same sweep on numpy float64 scalars.
 * :func:`solve_projected_gradient` -- spectral projected gradient: a
-  Barzilai-Borwein step along -grad, searched on the projection arc like
-  projected Newton, for any differentiable energy (kernels need p >= 2).
+  Barzilai-Borwein step along -grad, for any energy with a gradient.
 * :func:`brute_force_active_set` -- enumeration of all activity patterns for
   n <= 12; slow and completely independent of the iterative solvers, used as
   the audit oracle (``obslat oracle``).
 
-Projected Newton and projected gradient evaluate an energy through
-``energy.evaluate(u)``, which gives E(u) and the gradient as a deferred
-call, so a rejected line-search candidate costs the value alone.
+Projected Newton and projected gradient are two direction rules of one
+loop, :func:`_descend`, with one stop rule, KKT residual <= tol, and one
+retry along -grad.  It evaluates candidates through ``energy.evaluate(u)``,
+which gives E(u) and the gradient as a deferred call, so a rejected
+candidate costs the value alone.
 
 PSOR (suite, benchmark, demos, ``tests/golden/generate.py``) and projected
 gradient (all of them but the suite) are library routes, reached by no CLI
@@ -73,8 +73,7 @@ PIVOT_RTOL = 1e-10
 SHIFT_RTOL = 1e-8
 
 #: Rise of E, relative to |E|, that counts as rounding: a candidate of the
-#: projected-Newton search rising no further is accepted when its KKT
-#: residual falls.
+#: arc search rising no further is accepted when its KKT residual falls.
 ENERGY_ROUND_RTOL = 64 * np.finfo(float).eps
 
 
@@ -252,57 +251,6 @@ def solve_psor(energy: QuadraticEnergy, box: OrderInterval, tol: float = 1e-9,
     return _make_solution(energy, box, u_arr, sweeps, converged)
 
 
-def solve_projected_gradient(energy, box: OrderInterval, tol: float = 1e-8,
-                             max_iter: int = 50000, step_callback=None) -> Solution:
-    """Spectral projected gradient with Armijo search along the projection arc.
-
-    Accepts any energy exposing ``evaluate`` (see :mod:`obslat.energies`);
-    kernel energies must have p >= 2 so the gradient exists everywhere.
-    Starts from clamp(0, box).  Step k searches clamp(u - alpha lambda_k grad)
-    from alpha = 1 as projected Newton does (see :func:`_arc_search`); the
-    energy therefore rises at most by rounding.  lambda_0 = 1, so the first
-    step is the plain projected-gradient step; after that
-    lambda_k = (s . s) / (s . y) with s = u_k - u_{k-1} and
-    y = grad_k - grad_{k-1}, the step of Barzilai & Borwein (IMA J. Numer.
-    Anal. 8, 1988).  It scales like 1 / E, so the steps lambda_k grad after
-    the first do not grow or shrink with the scale of E.  It is safeguarded
-    as in Birgin, Martínez & Raydan (SIAM J. Optim. 10(4), 2000): clipped
-    to [SPECTRAL_MIN, SPECTRAL_MAX], and SPECTRAL_MAX where s . y <= 0.
-    Where the search along -lambda_k grad fails, the step searches along
-    -grad, as in :func:`solve_newton`; it raises SolverError only if both
-    fail.  Stops when both the unit-step projected-gradient norm
-    ||u - clamp(u - grad)||_inf and the KKT residual fall below ``tol``.
-    """
-    if isinstance(energy, KernelEnergy) and energy.p < 2:
-        raise SolverError(f"projected gradient requires p >= 2, got p = {energy.p}")
-    _check_box_dim(energy, box)
-    u, f, g, res = _start(energy, box)
-    lam = 1.0
-    steps = 0
-    converged = False
-    while steps < max_iter:
-        pg_norm = float(np.max(np.abs(u - clamp(u - g, box))))
-        if max(pg_norm, res) <= tol:
-            converged = True
-            break
-        step = _arc_search(energy, box, u, f, g, res, -lam * g)
-        if step is None:
-            step = _arc_search(energy, box, u, f, g, res, -g)
-        if step is None:
-            raise SolverError(
-                "line search hit the backtracking floor without an energy decrease"
-            )
-        s, y = step[0] - u, step[2] - g
-        sy = float(s @ y)
-        lam = float(s @ s) / sy if sy > 0.0 else SPECTRAL_MAX
-        lam = min(max(lam, SPECTRAL_MIN), SPECTRAL_MAX)
-        u, f, g, res = step
-        steps += 1
-        if step_callback is not None:
-            step_callback(u.copy(), f)
-    return _make_solution(energy, box, u, steps, converged, g)
-
-
 def _factor_psd(h):
     """SuperLU factorization of the symmetric PSD ``h``, or None if singular.
 
@@ -390,43 +338,26 @@ def _arc_search(energy, box: OrderInterval, u, f, g, res, d):
     return None
 
 
-def solve_newton(energy, box: OrderInterval, tol: float = 1e-9, max_iter: int = 1000,
-                 step_callback=None) -> Solution:
-    """Projected Newton with Armijo search along the projection arc.
+def _descend(energy, box: OrderInterval, tol: float, max_iter: int, step_callback,
+             direction) -> Solution:
+    """Projected descent from clamp(0, box) along ``direction(u, g)``.
 
-    This is Bertsekas' method (SIAM J. Control Optim. 20(2), 1982) for a
-    quadratic energy or a kernel energy with p >= 2, started from
-    clamp(0, box).  Each step holds the indices with lo == hi and those on a
-    bound whose gradient points outward (u_i = lo_i with g_i > 0, u_i = hi_i
-    with g_i < 0); on the free rest F it solves H_FF d_F = -g_F with
-    H = ``energy.hessian(u)`` by a sparse LU factorization, and searches
-    clamp(u + alpha d) from alpha = 1 (see :func:`_arc_search`).  Where H_FF
-    is singular (a full graph Laplacian with nothing held, or a p > 2 kernel
-    with tied pairs), d solves H_FF shifted by a small multiple of the
-    identity (see :func:`_newton_direction`).  Where H_FF is zero, where d is
-    no descent direction, or where the search fails, the step is a
-    projected-gradient step, d = -grad, searched the same way.  A full step
-    on a quadratic energy is exact once the active set is right; with a
-    Z-matrix Hessian the iteration then is the primal-dual active-set method
-    of Hintermüller, Ito & Kunisch (SIAM J. Optim. 13(3), 2003).  The energy
-    rises at most by rounding.
-
-    Stops when the KKT residual is <= ``tol``.  ``max_iter`` bounds the
-    number of steps, Newton and projected-gradient alike; when it runs out
-    the iterate is returned with ``converged=False``.
-    ``step_callback(u, E(u))`` is invoked with a copy of each accepted
-    iterate.  Raises SolverError when neither direction yields a step.
+    Each step searches the arc clamp(u + alpha d), d = ``direction(u, g)``,
+    from alpha = 1 (see :func:`_arc_search`), so E rises at most by
+    rounding.  Where ``direction`` gives None or that search fails, it
+    searches along -grad, and raises SolverError if that fails too.  Kernel
+    energies need p >= 2.  Stops at KKT residual <= ``tol``, and
+    ``converged`` says whether the returned iterate meets ``tol``.
+    ``max_iter`` bounds the steps of either direction.
+    ``step_callback(u, E(u))`` gets a copy of each accepted iterate.
     """
     if isinstance(energy, KernelEnergy) and energy.p < 2:
-        raise SolverError(f"projected Newton requires p >= 2, got p = {energy.p}")
+        raise SolverError(f"projected descent requires p >= 2, got p = {energy.p}")
     _check_box_dim(energy, box)
-    fixed = box.lo == box.hi
     u, f, g, res = _start(energy, box)
     steps = 0
     while res > tol and steps < max_iter:
-        lower, upper = _on_bounds(u, box)
-        held = fixed | (lower & (g > 0.0)) | (upper & (g < 0.0))
-        d = _newton_direction(energy, u, g, ~held)
+        d = direction(u, g)
         step = None if d is None else _arc_search(energy, box, u, f, g, res, d)
         if step is None:
             step = _arc_search(energy, box, u, f, g, res, -g)
@@ -439,6 +370,62 @@ def solve_newton(energy, box: OrderInterval, tol: float = 1e-9, max_iter: int = 
         if step_callback is not None:
             step_callback(u.copy(), f)
     return _make_solution(energy, box, u, steps, res <= tol, g)
+
+
+def solve_newton(energy, box: OrderInterval, tol: float = 1e-9, max_iter: int = 1000,
+                 step_callback=None) -> Solution:
+    """Projected Newton (Bertsekas, SIAM J. Control Optim. 20(2), 1982).
+
+    The direction rule of :func:`_descend`, whose contract this follows:
+    hold the indices with lo == hi and those on a bound whose gradient
+    points outward (u_i = lo_i with g_i > 0, u_i = hi_i with g_i < 0), and
+    on the free rest F solve H_FF d_F = -g_F, H = ``energy.hessian(u)``, by
+    sparse LU (see :func:`_newton_direction` for a singular or zero H_FF).
+    A full step on a quadratic energy is exact once the active set is
+    right; with a Z-matrix Hessian the iteration then is the primal-dual
+    active-set method of Hintermüller, Ito & Kunisch (SIAM J. Optim. 13(3),
+    2003).
+    """
+    fixed = box.lo == box.hi
+
+    def direction(u, g):
+        lower, upper = _on_bounds(u, box)
+        held = fixed | (lower & (g > 0.0)) | (upper & (g < 0.0))
+        return _newton_direction(energy, u, g, ~held)
+
+    return _descend(energy, box, tol, max_iter, step_callback, direction)
+
+
+def solve_projected_gradient(energy, box: OrderInterval, tol: float = 1e-8,
+                             max_iter: int = 50000, step_callback=None) -> Solution:
+    """Spectral projected gradient (Birgin, Martínez & Raydan 2000).
+
+    The direction rule of :func:`_descend`, whose contract this follows:
+    d = -lambda_k grad, or None where that is not finite.  lambda_0 = 1;
+    after that lambda_k = (s . s) / (s . y), s = u_k - u_{k-1},
+    y = grad_k - grad_{k-1} (Barzilai & Borwein, IMA J. Numer. Anal. 8,
+    1988), clipped to [SPECTRAL_MIN, SPECTRAL_MAX] and SPECTRAL_MAX where
+    s . y <= 0 (SIAM J. Optim. 10(4)).  It scales like 1 / E, so the steps
+    after the first do not grow or shrink with the scale of E.  There is no
+    stop test on ||u - clamp(u - grad)||_inf: per index it is at most the
+    KKT term, within half an ulp of u - grad, so it cannot decide a stop at
+    any tol above rounding.
+    """
+    last = None  # (u, grad) of the previous step
+
+    def direction(u, g):
+        nonlocal last
+        lam = 1.0
+        if last is not None:
+            s, y = u - last[0], g - last[1]
+            sy = float(s @ y)
+            lam = float(s @ s) / sy if sy > 0.0 else SPECTRAL_MAX
+            lam = min(max(lam, SPECTRAL_MIN), SPECTRAL_MAX)
+        last = u, g
+        d = -lam * g
+        return d if np.all(np.isfinite(d)) else None
+
+    return _descend(energy, box, tol, max_iter, step_callback, direction)
 
 
 def brute_force_active_set(energy: QuadraticEnergy, box: OrderInterval) -> Solution:

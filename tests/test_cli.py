@@ -284,11 +284,10 @@ def test_solve_fractional_kernel(tmp_path):
 
 
 def test_quadratic_file_energy(tmp_path):
-    from obslat.energies import QuadraticEnergy
-
-    energy = QuadraticEnergy.from_triplets(3, TRIDIAG_CONFIG["energy"]["triplets"])
+    # the matrix of TRIDIAG_CONFIG as triplet text
     matrix_path = tmp_path / "matrix.txt"
-    matrix_path.write_text(energy.to_triplet_text())
+    matrix_path.write_text("3 7\n0 0 2.0\n0 1 -1.0\n1 0 -1.0\n1 1 2.0\n"
+                           "1 2 -1.0\n2 1 -1.0\n2 2 2.0\n")
     cfg = {
         "energy": {"kind": "quadratic_file", "path": str(matrix_path)},
         "box": {"lo": [0.5, 1.0, 0.5], "hi": 10.0},

