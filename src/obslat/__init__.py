@@ -31,7 +31,6 @@ from .errors import (
     CertificateError,
     ConstructionError,
     DimensionMismatch,
-    NondifferentiableError,
     ObslatError,
     ObstacleOrderError,
     PreconditionError,
@@ -84,7 +83,6 @@ __all__ = [
     "GraphSpace",
     "KernelEnergy",
     "LSCertificate",
-    "NondifferentiableError",
     "ObslatError",
     "ObstacleOrderError",
     "OrderInterval",

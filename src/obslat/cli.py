@@ -67,15 +67,15 @@ kantorovich::
     {"graph": {...}, "potential": [...], "t": float,
      "cc_regularize": bool, "solver": {...}}
 
-solve, cutoff and kantorovich solve by projected Newton (quadratic
-energies and kernel energies with p >= 2).  Their "solver" object takes
-"tol", the KKT residual at which the solve stops (default 1e-9; --tol
-overrides it), and "max_iter", the budget of Newton steps (each one Hessian
-solve or projected-gradient fallback step; default 1000).  "method" may be
-only "newton"; any other method or solver key exits 2.  oracle parses the
-same settings and uses "tol" only for the certificate.  The certificate
-tolerance is "certificate_tol", default 10 * tol.  tol and certificate_tol
-must be finite and >= 0, max_iter >= 0.
+solve, cutoff and kantorovich solve by projected Newton, which needs a
+Hessian: quadratic energies and kernel energies with p >= 2 (1 < p < 2
+exits 3).  Their "solver" object takes "tol", the KKT residual at which the
+solve stops (default 1e-9; --tol overrides it), and "max_iter", the budget
+of Newton steps (each one Hessian solve or projected-gradient fallback step;
+default 1000).  "method" may be only "newton"; any other method or solver
+key exits 2.  oracle parses the same settings and uses "tol" only for the
+certificate.  The certificate tolerance is "certificate_tol", default
+10 * tol.  tol and certificate_tol must be finite and >= 0, max_iter >= 0.
 
 suite::
 
@@ -86,10 +86,11 @@ mask; suite.csv and suite_summary.json do not depend on that count.
 
 paper_radius and cc_regularize take only JSON true or false, and core,
 region and dirichlet only JSON arrays; "false" or "56" exits 2.  A number
-is a JSON number, never a string: "0.1" or "2" exits 2.  Node indices (in
-edges, pairs, triplets, exterior, core, region and dirichlet) and counts
-(n, nodes, collar, max_iter, seed) are integers: a fraction such as 2.7
-exits 2, where 2.0 counts as 2.
+is a JSON number, never a string or a boolean: "0.1", "2" or true exits 2,
+as does true or false anywhere else.  Node indices (in edges, pairs,
+triplets, exterior, core, region and dirichlet) and counts (n, nodes,
+collar, max_iter, seed) are integers: a fraction such as 2.7 exits 2,
+where 2.0 counts as 2.
 
 Outputs are deterministic for a fixed config and seed: randomness comes
 only from numpy PCG64 generators seeded per check, reductions run in fixed
@@ -103,6 +104,7 @@ import csv
 import functools
 import json
 import math
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -114,7 +116,6 @@ from .energies import KernelEnergy, QuadraticEnergy, fractional_kernel_1d, graph
 from .errors import (
     CertificateError,
     ConstructionError,
-    NondifferentiableError,
     ObslatError,
     ObstacleOrderError,
     PreconditionError,
@@ -159,12 +160,27 @@ def _parsing(command: str):
         raise ConfigError(f"{command}: {type(err).__name__}: {err}") from err
 
 
+#: A JSON string: a true or false inside one is text, not a literal.
+_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
 def _load_config(args) -> dict:
     if not args.config:
         raise ConfigError("--config PATH is required for this command")
-    cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    text = Path(args.config).read_text(encoding="utf-8")
+    cfg = json.loads(text)
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    flags = [key for key in ("paper_radius", "cc_regularize") if key in cfg]
+    for key in flags:
+        if not isinstance(cfg[key], bool):
+            raise ConfigError(f"{key} must be true or false, got {cfg[key]!r}")
+    # Python reads any other JSON true or false as the number 1 or 0; each
+    # one is a literal of the text outside its strings
+    bare = _JSON_STRING.sub("", text)
+    if bare.count("true") + bare.count("false") > len(flags):
+        raise ConfigError("JSON true or false outside paper_radius and cc_regularize: "
+                          "numbers, counts and indices take JSON numbers")
     return cfg
 
 
@@ -176,13 +192,6 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _flag(cfg: dict, key: str) -> bool:
-    value = cfg.get(key, False)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
 
 
 def _index_list(value, key: str) -> list:
@@ -294,7 +303,7 @@ def cmd_cutoff(args) -> int:
     with _parsing("cutoff"):
         cfg = _load_config(args)
         space = _build_space(cfg["graph"])
-        paper_radius = _flag(cfg, "paper_radius") or args.paper_radius
+        paper_radius = cfg.get("paper_radius", False) or args.paper_radius
         params = _solver_params(cfg, args)
         core = _index_list(cfg["core"], "core")
         region = _index_list(cfg["region"], "region")
@@ -317,7 +326,7 @@ def cmd_kantorovich(args) -> int:
         params = _solver_params(cfg, args)
         phi = as_vector(cfg["potential"], "potential")
         t = as_real(cfg["t"], "t")
-        cc_regularize = _flag(cfg, "cc_regularize")
+        cc_regularize = cfg.get("cc_regularize", False)
         out = _out_dir(args)
     eta, pair, cert = kantorovich_regularize(
         space, phi, t, tol=params["tol"], max_iter=params["max_iter"],
@@ -345,7 +354,7 @@ def cmd_suite(args) -> int:
             unknown = [c for c in checks if c not in CHECKS]
             if unknown:
                 raise ConfigError(f"unknown checks: {unknown}")
-        paper_radius = _flag(cfg, "paper_radius") or args.paper_radius
+        paper_radius = cfg.get("paper_radius", False) or args.paper_radius
         out = _out_dir(args)
     rows, all_pass = run_suite(seed=seed, checks=checks, paper_radius=paper_radius)
     with open(out / "suite.csv", "w", newline="", encoding="utf-8") as fh:
@@ -420,7 +429,7 @@ def main(argv=None) -> int:
     except (ConstructionError, PreconditionError) as err:
         print(f"invalid problem data: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, NondifferentiableError) as err:
+    except SolverError as err:
         print(f"solver error: {err}", file=sys.stderr)
         return EXIT_SOLVER
     except (CertificateError, ObstacleOrderError) as err:

@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConstructionError, NondifferentiableError, PreconditionError
+from .errors import ConstructionError, PreconditionError
 from .lattice import as_index, as_index_set, as_real, as_vector
 
 #: Off-diagonal entries above this threshold count as Z-matrix violations.
@@ -292,12 +292,11 @@ def assemble_dirichlet(nodes: int, clean_edges, dirichlet_set=()) -> QuadraticEn
 class KernelEnergy:
     """Pairwise p-energy with exterior collar weights.
 
-    E(u) = (1/p) [ sum_pairs w_ij |u_i - u_j|^p + sum_i d_i |u_i|^p ],
-    convex and submodular for p > 1 since |.|^p is convex.  For p < 2 the
-    gradient does not exist where a pair difference (or an entry with
-    d_i > 0) is exactly zero; such calls raise NondifferentiableError.
-    Each pair (i, j) is checked as an edge by :func:`validate_edges` and
-    needs i < j; finite exterior entries for one index add up.
+    E(u) = (1/p) [ sum_pairs w_ij |u_i - u_j|^p + sum_i d_i |u_i|^p ], convex
+    and submodular for p > 1 since |.|^p is convex, and differentiable: |t|^p / p
+    has derivative |t|^(p-2) t, 0 at t = 0.  The Hessian exists for p >= 2 only.
+    Each pair (i, j) is checked as an edge by :func:`validate_edges` and needs
+    i < j; finite exterior entries for one index add up.
     """
 
     def __init__(self, n: int, pairs, exterior, p: float):
@@ -320,8 +319,7 @@ class KernelEnergy:
                 raise ConstructionError(f"exterior weight d_{i} = {di} must be finite and >= 0")
             d[i] += di
         self.d = d
-        self._weighted = np.flatnonzero(d)
-        for arr in (self.i, self.j, self.w, self.d, self._weighted):
+        for arr in (self.i, self.j, self.w, self.d):
             arr.setflags(write=False)
 
     def evaluate(self, u) -> tuple:
@@ -341,17 +339,19 @@ class KernelEnergy:
         return self._gradient(u, diffs, np.abs(diffs), np.abs(u))
 
     def _gradient(self, u, diffs, dist, size) -> np.ndarray:
-        if self.p < 2:
-            if np.any(diffs == 0.0) or np.any((self.d > 0) & (u == 0.0)):
-                raise NondifferentiableError(
-                    f"p = {self.p} < 2 gradient undefined at a tied difference"
-                )
-        y = self._scatter @ (self.w * dist ** (self.p - 2) * diffs)
-        g = y[:self.n] - y[self.n:]
-        # only where d_i > 0: at p < 2 the term 0 * 0^(p-2) would be NaN
-        k = self._weighted
-        g[k] += self.d[k] * size[k] ** (self.p - 2) * u[k]
-        return g
+        y = self._scatter @ self._terms(self.w, diffs, dist)
+        # no entry of y[:n] - y[n:] is -0.0, so a zero exterior term keeps its bits
+        return y[:self.n] - y[self.n:] + self._terms(self.d, u, size)
+
+    def _terms(self, weight, x, size) -> np.ndarray:
+        """d/dx weight |x|^p / p = weight |x|^(p-2) x (size = |x|), multiplied in that order.
+
+        Below p = 2 it is weight sign(x) |x|^(p-1), which is 0 at x = 0 and
+        finite at a subnormal x, where |x|^(p-2) is infinite or overflows.
+        """
+        if self.p >= 2:
+            return weight * size ** (self.p - 2) * x
+        return weight * np.copysign(size ** (self.p - 1), x)
 
     @cached_property
     def _scatter(self) -> sp.csr_matrix:
@@ -421,14 +421,17 @@ def fractional_kernel_1d(n: int, h: float, s: float, p: float, collar: int) -> K
         raise ConstructionError("collar must lie in [1, FRACTIONAL_1D_MAX_COLLAR = "
                                 f"{FRACTIONAL_1D_MAX_COLLAR}]")
     a = 1.0 + p * s
-    # w_ij depends on j - i alone: one weight per distance, gathered per pair
-    by_distance = np.array([h * h * (h * k) ** (-a) for k in range(1, n)])
+    try:  # power[q] = (h q)^-a falls with q, so no entry overflows if power[1] does not
+        power = np.array([0.0] + [(h * q) ** (-a) for q in range(1, n + collar)])
+    except OverflowError:
+        raise ConstructionError(f"the weight factor (h q)^-(1+p*s) overflows at q = 1: "
+                                f"h = {h!r}, 1+p*s = {a!r}") from None
+    # w_ij = h^2 power[j - i] depends on j - i alone: one weight per distance, gathered per pair
     i, j = np.triu_indices(n, 1)
-    pairs = np.column_stack([i, j, by_distance[j - i - 1]])
+    pairs = np.column_stack([i, j, (h * h * power[1:n])[j - i - 1]])
     # point i sees the exterior points at distances h q, q = i + m on the left
     # and n - 1 - i + m on the right (m = 1..collar); each side is summed in
     # the order of m, one vector addition per m
-    power = np.array([0.0] + [(h * q) ** (-a) for q in range(1, n + collar)])
     left, right = np.zeros(n), np.zeros(n)
     for m in range(1, collar + 1):
         left += power[m:m + n]

@@ -17,10 +17,6 @@ class ConstructionError(ObslatError, ValueError):
     """Invalid data passed to a constructor (bad weights, asymmetry, non-PSD, ...)."""
 
 
-class NondifferentiableError(ObslatError, ValueError):
-    """Gradient requested at a point where the energy is not differentiable."""
-
-
 class SolverError(ObslatError, RuntimeError):
     """A solver could not run (bad diagonal, unsupported exponent, size cap, ...)."""
 

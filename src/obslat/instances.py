@@ -50,15 +50,13 @@ def grid_boundary(nx: int, ny: int) -> list:
     )
 
 
-def random_connected_edges(rng: np.random.Generator, n: int,
-                           extra_frac: float = 0.5,
-                           w_lo: float = 0.5, w_hi: float = 1.5) -> list:
-    """Random spanning tree plus a sprinkling of extra edges."""
+def random_connected_edges(rng: np.random.Generator, n: int, extra_frac: float = 0.5) -> list:
+    """Random spanning tree plus a sprinkling of extra edges, weights in [0.5, 1.5)."""
     edges = []
     seen = set()
     for v in range(1, n):
         u = int(rng.integers(0, v))
-        edges.append((u, v, float(rng.uniform(w_lo, w_hi))))
+        edges.append((u, v, float(rng.uniform(0.5, 1.5))))
         seen.add((u, v))
     for _ in range(int(np.ceil(extra_frac * n))):
         i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
@@ -68,23 +66,20 @@ def random_connected_edges(rng: np.random.Generator, n: int,
         if (i, j) in seen:
             continue
         seen.add((i, j))
-        edges.append((i, j, float(rng.uniform(w_lo, w_hi))))
+        edges.append((i, j, float(rng.uniform(0.5, 1.5))))
     return edges
 
 
-def random_submodular_quadratic(rng: np.random.Generator, n: int,
-                                diag_lo: float = 0.3, diag_hi: float = 1.5,
-                                with_linear: bool = True) -> QuadraticEnergy:
-    """Z-matrix PSD energy: random graph Laplacian plus a positive diagonal."""
+def random_submodular_quadratic(rng: np.random.Generator, n: int) -> QuadraticEnergy:
+    """Z-matrix PSD energy: random graph Laplacian plus a diagonal in [0.3, 1.5), normal b."""
     edges = validate_edges(n, random_connected_edges(rng, n) if n > 1 else [])
-    a = laplacian(n, *edges, diag=rng.uniform(diag_lo, diag_hi, size=n))
-    b = rng.normal(size=n) if with_linear else None
-    return QuadraticEnergy(a, b)
+    a = laplacian(n, *edges, diag=rng.uniform(0.3, 1.5, size=n))
+    return QuadraticEnergy(a, rng.normal(size=n))
 
 
-def random_box(rng: np.random.Generator, n: int, min_gap: float = 0.2) -> OrderInterval:
+def random_box(rng: np.random.Generator, n: int) -> OrderInterval:
     lo = rng.normal(size=n) - np.abs(rng.normal(size=n))
-    hi = lo + min_gap + np.abs(rng.normal(size=n))
+    hi = lo + 0.2 + np.abs(rng.normal(size=n))
     return OrderInterval(lo, hi)
 
 
@@ -106,14 +101,13 @@ def random_symmetric_matrix(rng: np.random.Generator, n: int,
     return a
 
 
-def random_planar_metric(rng: np.random.Generator, n: int,
-                         min_sep: float = 1e-3) -> FiniteMetricSpace:
-    """Euclidean metric of a random point cloud in the unit square."""
+def random_planar_metric(rng: np.random.Generator, n: int) -> FiniteMetricSpace:
+    """Euclidean metric of a random point cloud in the unit square, points 1e-3 apart."""
     while True:
         pts = rng.uniform(0.0, 1.0, size=(n, 2))
         space = FiniteMetricSpace.from_points(pts)
         off = ~np.eye(n, dtype=bool)
-        if n == 1 or np.min(space.D[off]) > min_sep:
+        if n == 1 or np.min(space.D[off]) > 1e-3:
             return space
 
 
@@ -125,7 +119,6 @@ def random_c_concave(rng: np.random.Generator, space: FiniteMetricSpace,
 
 
 def random_smooth_obstacles(rng: np.random.Generator, n: int,
-                            amplitude: float = 0.4,
                             force_contact: str = "lower") -> OrderInterval:
     """Smooth lower/upper profiles on the unit-interval grid (n interior points).
 
@@ -136,8 +129,8 @@ def random_smooth_obstacles(rng: np.random.Generator, n: int,
     x = np.arange(1, n + 1) / (n + 1)
     k1, k2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     mid = (
-        amplitude * rng.normal() * np.sin(np.pi * k1 * x)
-        + amplitude * rng.normal() * x * (1 - x)
+        0.4 * rng.normal() * np.sin(np.pi * k1 * x)
+        + 0.4 * rng.normal() * x * (1 - x)
         + 0.1 * rng.normal()
     )
     width = 0.2 + 0.15 * (1.0 + np.sin(np.pi * k2 * x + rng.uniform(0, np.pi)))
@@ -169,13 +162,13 @@ def random_kernel_pair(rng: np.random.Generator, n: int, p: float) -> KernelEner
     return KernelEnergy(n, pairs, exterior, p)
 
 
-def random_grid_dirichlet(rng: np.random.Generator, max_side: int = 6):
-    """Grid Dirichlet energy with its boundary ring and random boundary values.
+def random_grid_dirichlet(rng: np.random.Generator):
+    """Dirichlet energy of a grid with sides 3 to 6 pinned on its boundary ring, random values there.
 
     Returns (energy, boundary_values); the energy carries the coupling block.
     """
-    nx = int(rng.integers(3, max_side + 1))
-    ny = int(rng.integers(3, max_side + 1))
+    nx = int(rng.integers(3, 7))
+    ny = int(rng.integers(3, 7))
     boundary = grid_boundary(nx, ny)
     energy = graph_dirichlet(nx * ny, grid_edges(nx, ny), boundary)
     values = rng.uniform(0.0, 1.0, size=len(boundary))

@@ -13,7 +13,8 @@ Four routes with very different trust profiles:
   Its sweep is exact lexicographic Gauss-Seidel on Python floats, so every
   iterate is bit-identical to the same sweep on numpy float64 scalars.
 * :func:`solve_projected_gradient` -- spectral projected gradient: a
-  Barzilai-Borwein step along -grad, for any energy with a gradient.
+  Barzilai-Borwein step along -grad, for any energy with a gradient, so for
+  kernel energies with any p > 1.
 * :func:`brute_force_active_set` -- enumeration of all activity patterns for
   n <= 12; slow and completely independent of the iterative solvers, used as
   the audit oracle (``obslat oracle``).
@@ -345,14 +346,11 @@ def _descend(energy, box: OrderInterval, tol: float, max_iter: int, step_callbac
     Each step searches the arc clamp(u + alpha d), d = ``direction(u, g)``,
     from alpha = 1 (see :func:`_arc_search`), so E rises at most by
     rounding.  Where ``direction`` gives None or that search fails, it
-    searches along -grad, and raises SolverError if that fails too.  Kernel
-    energies need p >= 2.  Stops at KKT residual <= ``tol``, and
-    ``converged`` says whether the returned iterate meets ``tol``.
-    ``max_iter`` bounds the steps of either direction.
+    searches along -grad, and raises SolverError if that fails too.  Stops
+    at KKT residual <= ``tol``, and ``converged`` says whether the returned
+    iterate meets ``tol``.  ``max_iter`` bounds the steps of either direction.
     ``step_callback(u, E(u))`` gets a copy of each accepted iterate.
     """
-    if isinstance(energy, KernelEnergy) and energy.p < 2:
-        raise SolverError(f"projected descent requires p >= 2, got p = {energy.p}")
     _check_box_dim(energy, box)
     u, f, g, res = _start(energy, box)
     steps = 0
@@ -384,8 +382,10 @@ def solve_newton(energy, box: OrderInterval, tol: float = 1e-9, max_iter: int = 
     A full step on a quadratic energy is exact once the active set is
     right; with a Z-matrix Hessian the iteration then is the primal-dual
     active-set method of Hintermüller, Ito & Kunisch (SIAM J. Optim. 13(3),
-    2003).
+    2003).  Kernel energies need p >= 2, where their Hessian exists.
     """
+    if isinstance(energy, KernelEnergy) and energy.p < 2:
+        raise SolverError(f"projected Newton requires p >= 2, got p = {energy.p}")
     fixed = box.lo == box.hi
 
     def direction(u, g):

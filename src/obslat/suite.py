@@ -62,14 +62,14 @@ def _row(name: str, n: int, worst: float, threshold: float) -> dict:
     }
 
 
-def check_lattice_identities(seed: int, n_pairs: int = 200) -> list:
+def check_lattice_identities(seed: int) -> list:
     rng = _rng(seed, "lattice_identities")
     # Riesz-Kantorovich formula against vertex enumeration (the sup of a
     # linear functional over [0, x] sits at a vertex, so enumeration is exact).
     # Absorption, decomposition and the nonexpansive clamp are exact in IEEE
     # arithmetic, so they are left to the property tests of the lattice module.
     worst_rk = 0.0
-    for _ in range(n_pairs // 2):
+    for _ in range(100):
         n = int(rng.integers(1, 9))
         l, m = rng.normal(size=n), rng.normal(size=n)
         x = np.abs(rng.normal(size=n))
@@ -84,13 +84,13 @@ def check_lattice_identities(seed: int, n_pairs: int = 200) -> list:
             abs(rk_join(l, m, x) - float(join(l, m) @ x)),
             abs(rk_meet(l, m, x) - float(meet(l, m) @ x)),
         )
-    return [_row("lattice_rk_formula", n_pairs // 2, worst_rk, 1e-9)]
+    return [_row("lattice_rk_formula", 100, worst_rk, 1e-9)]
 
 
-def check_zmatrix_equivalence(seed: int, n_matrices: int = 100) -> list:
+def check_zmatrix_equivalence(seed: int) -> list:
     rng = _rng(seed, "zmatrix_equivalence")
     worst = 0.0
-    for k in range(n_matrices):
+    for k in range(100):
         n = int(rng.integers(2, 13))
         a = inst.random_symmetric_matrix(rng, n, z_matrix=bool(k % 2))
         off = a[~np.eye(n, dtype=bool)]
@@ -102,13 +102,13 @@ def check_zmatrix_equivalence(seed: int, n_matrices: int = 100) -> list:
         if viol is not None:
             _, delta = submodularity_check(lambda x: 0.5 * float(x @ a @ x), viol.u, viol.v)
             worst = max(worst, abs(delta - viol.entry))
-    return [_row("zmatrix_equivalence", n_matrices, worst, 1e-12)]
+    return [_row("zmatrix_equivalence", 100, worst, 1e-12)]
 
 
-def check_t_monotonicity(seed: int, n_pairs: int = 300) -> list:
+def check_t_monotonicity(seed: int) -> list:
     rng = _rng(seed, "t_monotonicity")
     worst = 0.0
-    for k in range(n_pairs):
+    for k in range(300):
         kind = k % 3
         if kind == 0:
             n = int(rng.integers(2, 20))
@@ -119,37 +119,37 @@ def check_t_monotonicity(seed: int, n_pairs: int = 300) -> list:
         u, v = rng.normal(size=n), rng.normal(size=n)
         _, mu = t_monotonicity_check(energy, u, v)
         worst = max(worst, -mu)
-    return [_row("t_monotonicity", n_pairs, worst, 1e-10)]
+    return [_row("t_monotonicity", 300, worst, 1e-10)]
 
 
-def check_scalar_sub2(seed: int, n_samples: int = 2000) -> list:
+def check_scalar_sub2(seed: int) -> list:
     rng = _rng(seed, "scalar_sub2")
     worst = 0.0
     for p in (1.5, 2.0, 3.0):
-        quads = rng.uniform(-2.0, 2.0, size=(n_samples, 4))
+        quads = rng.uniform(-2.0, 2.0, size=(2000, 4))
         for x1, x2, y1, y2 in quads:
             _, margin = scalar_submodularity_inequality(p, x1, x2, y1, y2)
             worst = max(worst, -margin)
-    return [_row("scalar_sub2", 3 * n_samples, worst, 1e-12)]
+    return [_row("scalar_sub2", 3 * 2000, worst, 1e-12)]
 
 
-def check_oracle_equivalence(seed: int, n_instances: int = 12) -> list:
+def check_oracle_equivalence(seed: int) -> list:
     rng = _rng(seed, "oracle_equivalence")
     worst = 0.0
-    for _ in range(n_instances):
+    for _ in range(12):
         n = int(rng.integers(2, 10))
         energy = inst.random_submodular_quadratic(rng, n)
         box = inst.random_box(rng, n)
         sol = solve_newton(energy, box, tol=1e-9)
         oracle = brute_force_active_set(energy, box)
         worst = max(worst, float(np.max(np.abs(sol.u - oracle.u))))
-    return [_row("oracle_equivalence", n_instances, worst, 1e-7)]
+    return [_row("oracle_equivalence", 12, worst, 1e-7)]
 
 
-def check_ls_quadratic(seed: int, n_instances: int = 40) -> list:
+def check_ls_quadratic(seed: int) -> list:
     rng = _rng(seed, "ls_certificate_quadratic")
     worst_slack = worst_harm = 0.0
-    for k in range(n_instances):
+    for k in range(40):
         n = int(rng.integers(2, 40))
         energy = inst.random_submodular_quadratic(rng, n)
         box = (inst.random_lower_obstacle_box(rng, n) if k % 4 == 3
@@ -163,15 +163,15 @@ def check_ls_quadratic(seed: int, n_instances: int = 40) -> list:
         _, _, harm = free_set_harmonicity(energy, box, sol, 1e-9)
         worst_harm = max(worst_harm, harm)
     return [
-        _row("ls_certificate_quadratic", n_instances, worst_slack, 1e-8),
-        _row("ls_free_set_harmonicity", n_instances, worst_harm, 1e-9),
+        _row("ls_certificate_quadratic", 40, worst_slack, 1e-8),
+        _row("ls_free_set_harmonicity", 40, worst_harm, 1e-9),
     ]
 
 
-def check_ls_fractional(seed: int, n_instances: int = 6) -> list:
+def check_ls_fractional(seed: int) -> list:
     rng = _rng(seed, "ls_certificate_fractional")
     worst_slack = worst_ascent = 0.0
-    for _ in range(n_instances):
+    for _ in range(6):
         energy, box, _, _ = inst.random_fractional_instance(rng, n_max=32)
         energies = []
         sol = solve_newton(energy, box, tol=1e-8,
@@ -185,15 +185,15 @@ def check_ls_fractional(seed: int, n_instances: int = 6) -> list:
         cert = ls_certificate(energy, box, sol, 1e-6)
         worst_slack = max(worst_slack, -cert.lower_slack_min, -cert.upper_slack_min)
     return [
-        _row("ls_certificate_fractional", n_instances, worst_slack, 1e-6),
-        _row("newton_energy_descent", n_instances, worst_ascent, 1e-12),
+        _row("ls_certificate_fractional", 6, worst_slack, 1e-6),
+        _row("newton_energy_descent", 6, worst_ascent, 1e-12),
     ]
 
 
-def check_psor_monotone(seed: int, n_instances: int = 10) -> list:
+def check_psor_monotone(seed: int) -> list:
     rng = _rng(seed, "psor_monotone")
     worst = 0.0
-    for _ in range(n_instances):
+    for _ in range(10):
         n = int(rng.integers(3, 25))
         energy = inst.random_submodular_quadratic(rng, n)
         box = inst.random_box(rng, n)
@@ -202,13 +202,13 @@ def check_psor_monotone(seed: int, n_instances: int = 10) -> list:
                    sweep_callback=trace.append)
         arr = np.asarray(trace)
         worst = max(worst, float(np.max(np.diff(arr, axis=0), initial=0.0)))
-    return [_row("psor_monotone_from_above", n_instances, worst, 0.0)]
+    return [_row("psor_monotone_from_above", 10, worst, 0.0)]
 
 
-def check_comparison_principle(seed: int, n_instances: int = 20) -> list:
+def check_comparison_principle(seed: int) -> list:
     rng = _rng(seed, "comparison_principle")
     worst = 0.0
-    for k in range(n_instances):
+    for k in range(20):
         if k % 2 == 0:
             side = int(rng.integers(3, 7))
             base = inst.grid_edges(side, side)
@@ -227,13 +227,13 @@ def check_comparison_principle(seed: int, n_instances: int = 20) -> list:
         lower = OrderInterval(obstacle - u_harm, np.full(n, UNBOUNDED))
         w = solve_newton(pinned, lower, tol=1e-10).u
         worst = max(worst, float(np.max(-w)))
-    return [_row("comparison_principle", n_instances, worst, 1e-8)]
+    return [_row("comparison_principle", 20, worst, 1e-8)]
 
 
-def check_hopf_lax(seed: int, n_instances: int = 40) -> list:
+def check_hopf_lax(seed: int) -> list:
     rng = _rng(seed, "hopf_lax")
     worst_triple = worst_lip = worst_ccdef = 0.0
-    for _ in range(n_instances):
+    for _ in range(40):
         n = int(rng.integers(3, 31))
         space = inst.random_planar_metric(rng, n)
         psi = rng.uniform(-0.5, 0.5, size=n)
@@ -245,17 +245,17 @@ def check_hopf_lax(seed: int, n_instances: int = 40) -> list:
             bound = 2.0 * math.sqrt(float(np.max(np.abs(phi))) / t)
             worst_lip = max(worst_lip, lip_q - bound)
     return [
-        _row("hopflax_triple_transform", n_instances, worst_triple, 1e-12),
-        _row("hopflax_cc_idempotent", n_instances, worst_ccdef, 1e-12),
-        _row("hopflax_lipschitz_bound", 3 * n_instances, worst_lip, 1e-9),
+        _row("hopflax_triple_transform", 40, worst_triple, 1e-12),
+        _row("hopflax_cc_idempotent", 40, worst_ccdef, 1e-12),
+        _row("hopflax_lipschitz_bound", 3 * 40, worst_lip, 1e-9),
     ]
 
 
-def check_intpot(seed: int, n_instances: int = 30) -> list:
+def check_intpot(seed: int) -> list:
     rng = _rng(seed, "intpot")
     worst = 0.0
     ts = np.arange(1, 10) / 10.0
-    for _ in range(n_instances):
+    for _ in range(30):
         n = int(rng.integers(3, 11))
         space = inst.random_planar_metric(rng, n)
         phi = inst.random_c_concave(rng, space, scale=0.4)
@@ -268,7 +268,7 @@ def check_intpot(seed: int, n_instances: int = 30) -> list:
     slack2 = (hopf_lax(two, -phi2, 0.5)
               + hopf_lax(two, -c_transform(two, phi2), 0.5))
     return [
-        _row("intpot_positivity", n_instances * ts.size, worst, 1e-12),
+        _row("intpot_positivity", 30 * ts.size, worst, 1e-12),
         _row("intpot_two_point_exact", 1, float(np.max(np.abs(slack2))), 0.0),
     ]
 
@@ -333,7 +333,7 @@ def check_cutoff(seed: int, paper_radius: bool = False) -> list:
     ]
 
 
-def check_kantorovich(seed: int, n_potentials: int = 4) -> list:
+def check_kantorovich(seed: int) -> list:
     """Grade :func:`metric.kantorovich_regularize` on random potentials.
 
     An ObstacleOrderError adds its violation to ``kantorovich_lo_le_hi``.  A
@@ -345,8 +345,8 @@ def check_kantorovich(seed: int, n_potentials: int = 4) -> list:
     space = inst.path_space(21, weight=1.0 / 20.0)
     worst_gap = worst_slack = worst_clamp = worst_cc = 0.0
     ts = (0.25, 0.5, 0.75)
-    n_runs = n_potentials * len(ts)
-    for _ in range(n_potentials):
+    n_runs = 4 * len(ts)
+    for _ in range(4):
         phi = inst.random_c_concave(rng, space, scale=0.2)
         for t in ts:
             try:
@@ -372,15 +372,15 @@ def check_kantorovich(seed: int, n_potentials: int = 4) -> list:
     ]
 
 
-def check_maximum_principle(seed: int, n_instances: int = 20) -> list:
+def check_maximum_principle(seed: int) -> list:
     rng = _rng(seed, "maximum_principle")
     worst = 0.0
-    for _ in range(n_instances):
+    for _ in range(20):
         energy, values = inst.random_grid_dirichlet(rng)
         interior = harmonic_extension(energy, values)
         _, overshoot = maximum_principle_check(energy, values, interior)
         worst = max(worst, overshoot)
-    return [_row("maximum_principle", n_instances, worst, 1e-9)]
+    return [_row("maximum_principle", 20, worst, 1e-9)]
 
 
 #: Registered checks in canonical order; cutoff takes the radius flag.

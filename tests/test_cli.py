@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import obslat.cli
 import obslat.energies
+import obslat.errors
 from obslat.cli import main
 from obslat.instances import grid_edges
 
@@ -138,6 +140,28 @@ def test_solve_bad_schema(tmp_path):
     # a --out that cannot be a directory
     (tmp_path / "a_file").write_text("")
     assert main(["solve", "--config", cfg8, "--out", str(tmp_path / "a_file")]) == 2
+
+
+#: The exit code that the module docstring of obslat.cli documents for each package error.
+_EXIT_CODES = {"ConstructionError": 2, "DimensionMismatch": 2, "PreconditionError": 2,
+               "SolverError": 3, "CertificateError": 4, "ObstacleOrderError": 4}
+
+
+def test_every_package_error_exits_with_its_documented_code(tmp_path, monkeypatch):
+    # a new error class without an exit code of its own escapes main as a traceback
+    errors = {name: cls for name, cls in vars(obslat.errors).items() if isinstance(cls, type)
+              and issubclass(cls, obslat.errors.ObslatError) and cls is not obslat.errors.ObslatError}
+    assert sorted(errors) == sorted(_EXIT_CODES)
+    config = write_config(tmp_path, TRIDIAG_CONFIG)
+    for name, cls in errors.items():
+        def raise_error(args, cls=cls):
+            raise cls(f"{cls.__name__} raised by the test")
+        monkeypatch.setattr(obslat.cli, "cmd_solve", raise_error)
+        assert main(["solve", "--config", config, "--out", str(tmp_path)]) == _EXIT_CODES[name], name
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in obslat.__all__ if not hasattr(obslat, name)] == []
 
 
 def test_solve_single_point_fractional_kernel(tmp_path):
@@ -648,14 +672,43 @@ _STRICT_CASES = [
     ("solve_kernel", ("energy", "exterior"), [[0, "1.0"]]),
     ("kantorovich", ("t",), "0.5"),
     ("kantorovich", ("potential",), ["0.0", -0.1, 0.0, -0.1, 0.0]),
+    ("solve_fractional", ("energy", "h"), True),
+    ("solve_fractional", ("energy", "collar"), True),
+    ("solve_fractional", ("solver",), {"max_iter": True}),
+    ("solve_graph", ("box",), {"lo": False, "hi": True}),
+    ("solve_graph", ("energy", "edges"), [[0, True, 1.0], [1, 2, 1.0]]),
+    ("suite", ("seed",), True),
 ]
 
 
+def test_solve_refuses_kernels_below_p_two(tmp_path, capsys):
+    # projected Newton needs the Hessian, which exists for p >= 2 only
+    cfg = _replaced(_FRACTIONAL, ("energy", "p"), 1.5)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+    assert "solver error: projected Newton requires p >= 2" in capsys.readouterr().err
+    assert not (out / "solution.json").exists()
+
+
+def test_true_and_false_inside_strings_are_text(tmp_path):
+    # the rule counts true and false literals, and a string holds none
+    cfg = dict(TRIDIAG_CONFIG, note='true, "false\\" and \\"true"')
+    assert main(["solve", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+
+
+def _strict_id(base, path, value) -> str:
+    # a JSON boolean case is kept apart from the number case of its key
+    text = json.dumps(value)
+    return f"{base}-{path[-1]}" + ("-bool" if "true" in text or "false" in text else "")
+
+
 @pytest.mark.parametrize("base, path, value", _STRICT_CASES,
-                         ids=[f"{base}-{path[-1]}" for base, path, _ in _STRICT_CASES])
+                         ids=[_strict_id(*case) for case in _STRICT_CASES])
 def test_numbers_are_read_strictly(tmp_path, base, path, value):
-    # int(...) truncated a fractional count and float(...) parsed a string,
-    # and each of these configs used to run and exit 0
+    # int(...) truncated a fractional count, float(...) parsed a string and
+    # a JSON true or false read as 1 or 0, and each of these configs used to
+    # run and exit 0
     command, cfg = _STRICT_BASES[base]
     out = tmp_path / "out"
     config = write_config(tmp_path, _replaced(cfg, path, value))
