@@ -54,7 +54,8 @@ Graph edges [i, j, w] are undirected ([j, i, w] is the same pair), each
 pair listed at most once (a repeat exits 2), with finite w > 0: a conductance
 in energies, and in cutoff/kantorovich also the shortest-path edge length.
 Kernel pairs [i, j, w] follow the edge rules and need i < j; exterior entries
-[i, d] need a finite d >= 0 and add up per index.  NaN or Infinity exits 2.
+[i, d] need a finite d >= 0 and add up per index, to a finite sum.  NaN or
+Infinity exits 2.
 
 cutoff::
 
@@ -67,15 +68,16 @@ kantorovich::
     {"graph": {...}, "potential": [...], "t": float,
      "cc_regularize": bool, "solver": {...}}
 
-solve, cutoff and kantorovich solve by projected Newton, which needs a
-Hessian: quadratic energies and kernel energies with p >= 2 (1 < p < 2
-exits 3).  Their "solver" object takes "tol", the KKT residual at which the
-solve stops (default 1e-9; --tol overrides it), and "max_iter", the budget
-of Newton steps (each one Hessian solve or projected-gradient fallback step;
-default 1000).  "method" may be only "newton"; any other method or solver
-key exits 2.  oracle parses the same settings and uses "tol" only for the
-certificate.  The certificate tolerance is "certificate_tol", default
-10 * tol.  tol and certificate_tol must be finite and >= 0, max_iter >= 0.
+solve, cutoff and kantorovich solve every energy above by projected Newton;
+below p = 2 a kernel gives it a model Hessian that floors ties (see
+``KernelEnergy.hessian``).  Their "solver" object takes "tol", the KKT
+residual at which the solve stops (default 1e-9; --tol overrides it), and
+"max_iter", the budget of Newton steps (each one Hessian solve or
+projected-gradient fallback step; default 1000).  "method" may be only
+"newton"; any other method or solver key exits 2.  oracle parses the same
+settings and uses "tol" only for the certificate.  The certificate tolerance
+is "certificate_tol", default 10 * tol.  tol and certificate_tol must be
+finite and >= 0, max_iter >= 0.
 
 suite::
 

@@ -294,9 +294,10 @@ class KernelEnergy:
 
     E(u) = (1/p) [ sum_pairs w_ij |u_i - u_j|^p + sum_i d_i |u_i|^p ], convex
     and submodular for p > 1 since |.|^p is convex, and differentiable: |t|^p / p
-    has derivative |t|^(p-2) t, 0 at t = 0.  The Hessian exists for p >= 2 only.
+    has derivative |t|^(p-2) t, 0 at t = 0.  The Hessian exists for p >= 2;
+    below, :meth:`hessian` gives a model Hessian with a floor at ties.
     Each pair (i, j) is checked as an edge by :func:`validate_edges` and needs
-    i < j; finite exterior entries for one index add up.
+    i < j; finite exterior entries for one index add up, to a finite d_i.
     """
 
     def __init__(self, n: int, pairs, exterior, p: float):
@@ -310,7 +311,7 @@ class KernelEnergy:
         if np.any(self.i > self.j):
             k = int(np.argmax(self.i > self.j))
             raise ConstructionError(f"pair ({self.i[k]},{self.j[k]}) must satisfy i < j")
-        d = np.zeros(self.n)
+        d = [0.0] * self.n  # Python floats: a sum that overflows is inf, without a warning
         for i, di in exterior:
             i, di = as_index(i, "exterior index"), as_real(di, "exterior weight")
             if not 0 <= i < self.n:
@@ -318,6 +319,10 @@ class KernelEnergy:
             if not 0 <= di < np.inf:
                 raise ConstructionError(f"exterior weight d_{i} = {di} must be finite and >= 0")
             d[i] += di
+        d = np.array(d)
+        if not np.all(d < np.inf):
+            k = int(np.argmax(d == np.inf))
+            raise ConstructionError(f"exterior weights of index {k} sum to {d[k]}, not a finite d_{k}")
         self.d = d
         for arr in (self.i, self.j, self.w, self.d):
             arr.setflags(write=False)
@@ -369,18 +374,32 @@ class KernelEnergy:
                              shape=(2 * self.n, m))
 
     def hessian(self, u) -> sp.csr_matrix:
-        """Hessian at u for p >= 2, a Z-matrix.
+        """Hessian at u for p >= 2, a model Hessian below; a Z-matrix for every p.
 
         It is the weighted graph Laplacian with pair weights
         c_ij = (p-1) w_ij |u_i - u_j|^(p-2) plus diag((p-1) d_i |u_i|^(p-2)).
         At p > 2 the weight of a tied pair is zero, so it can be singular.
+
+        Below p = 2, |t|^(p-2) is infinite at a tie, so each |u_i - u_j| and
+        |u_i| is raised to max(., delta) with delta = eps ||u||_inf, machine
+        epsilon times the largest |u_i|: a difference below it is rounding
+        of u, not a distance.  The floor scales with u, so the step counts
+        of Newton do not change with the scale of the obstacles, and it
+        bounds the model as in iteratively reweighted least squares
+        (Daubechies, DeVore, Fornasier & Güntürk, CPAM 63, 2010).  Where
+        delta is 0 (u = 0, or ||u||_inf so small that eps ||u||_inf
+        underflows) every term ties and the model is the zero matrix.
         """
-        if self.p < 2:
-            raise PreconditionError(f"the Hessian requires p >= 2, got p = {self.p}")
         u = as_vector(u, "u", self.n)
         q = self.p - 2.0
-        c = (self.p - 1.0) * self.w * np.abs(u[self.i] - u[self.j]) ** q
-        diag = (self.p - 1.0) * self.d * np.abs(u) ** q
+        dist, size = np.abs(u[self.i] - u[self.j]), np.abs(u)
+        if q < 0.0:
+            delta = np.finfo(float).eps * np.max(size)
+            if delta == 0.0:
+                return sp.csr_matrix((self.n, self.n))
+            dist, size = np.maximum(dist, delta), np.maximum(size, delta)
+        c = (self.p - 1.0) * self.w * dist ** q
+        diag = (self.p - 1.0) * self.d * size ** q
         return laplacian(self.n, self.i, self.j, c, diag)
 
     def induced_quadratic(self) -> QuadraticEnergy:
@@ -420,6 +439,8 @@ def fractional_kernel_1d(n: int, h: float, s: float, p: float, collar: int) -> K
     if not 1 <= collar <= FRACTIONAL_1D_MAX_COLLAR:
         raise ConstructionError("collar must lie in [1, FRACTIONAL_1D_MAX_COLLAR = "
                                 f"{FRACTIONAL_1D_MAX_COLLAR}]")
+    if h * h == np.inf:  # the factor h^2 of every weight
+        raise ConstructionError(f"grid spacing h = {h!r} is too large: h^2 overflows")
     a = 1.0 + p * s
     try:  # power[q] = (h q)^-a falls with q, so no entry overflows if power[1] does not
         power = np.array([0.0] + [(h * q) ** (-a) for q in range(1, n + collar)])

@@ -2,12 +2,13 @@
 
 Four routes with very different trust profiles:
 
-* :func:`solve_newton` -- projected Newton (Bertsekas 1982) for quadratic
-  energies and kernel energies with p >= 2; the solver of ``obslat solve``
-  and of the cut-off and Kantorovich constructions.  Each step solves the
-  free block of the Hessian exactly (shifted by a small multiple of the
-  identity where it is singular), so it ends on the exact active set in a
-  few steps.
+* :func:`solve_newton` -- projected Newton (Bertsekas 1982) for any energy
+  with a Hessian: quadratic energies, and kernel energies with any p > 1,
+  whose Hessian is a model with a floor at ties below p = 2.  It is the
+  solver of ``obslat solve`` and of the cut-off and Kantorovich
+  constructions.  Each step solves the free block of the Hessian exactly
+  (shifted by a small multiple of the identity where it is singular), so it
+  ends on the exact active set in a few steps.
 * :func:`solve_psor` -- projected SOR for quadratic Z-matrix energies;
   monotone on M-matrices, which the suite's monotone-iteration check uses.
   Its sweep is exact lexicographic Gauss-Seidel on Python floats, so every
@@ -42,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .energies import KernelEnergy, QuadraticEnergy, csr_block
+from .energies import QuadraticEnergy, csr_block
 from .errors import DimensionMismatch, PreconditionError, SolverError
 from .lattice import OrderInterval, as_vector, clamp
 
@@ -382,10 +383,10 @@ def solve_newton(energy, box: OrderInterval, tol: float = 1e-9, max_iter: int = 
     A full step on a quadratic energy is exact once the active set is
     right; with a Z-matrix Hessian the iteration then is the primal-dual
     active-set method of Hintermüller, Ito & Kunisch (SIAM J. Optim. 13(3),
-    2003).  Kernel energies need p >= 2, where their Hessian exists.
+    2003).  Below p = 2 a kernel energy gives a model Hessian, its true
+    Hessian with ties floored (see ``KernelEnergy.hessian``); the arc search
+    keeps each step a descent, and the -grad retry covers a failed one.
     """
-    if isinstance(energy, KernelEnergy) and energy.p < 2:
-        raise SolverError(f"projected Newton requires p >= 2, got p = {energy.p}")
     fixed = box.lo == box.hi
 
     def direction(u, g):

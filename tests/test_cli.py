@@ -681,13 +681,24 @@ _STRICT_CASES = [
 ]
 
 
-def test_solve_refuses_kernels_below_p_two(tmp_path, capsys):
-    # projected Newton needs the Hessian, which exists for p >= 2 only
+def test_solve_kernels_below_p_two(tmp_path):
+    # projected Newton takes a model Hessian below p = 2, and used to exit 3
     cfg = _replaced(_FRACTIONAL, ("energy", "p"), 1.5)
     out = tmp_path / "out"
-    assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 3
-    assert "solver error: projected Newton requires p >= 2" in capsys.readouterr().err
-    assert not (out / "solution.json").exists()
+    assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "solution.json").read_text())["converged"] is True
+    assert json.loads((out / "certificate.json").read_text())["pass"] is True
+
+
+def test_solve_refuses_overflowing_exterior_sum(tmp_path):
+    # two finite entries sum to d_0 = inf: the solve used to write "grad":
+    # [Infinity, 0.0] and "upper_slack_min": NaN, which is not JSON, and exit 4
+    cfg = {"energy": {"kind": "kernel", "n": 2, "p": 2.0, "pairs": [[0, 1, 1.0]],
+                      "exterior": [[0, 1e308], [0, 1e308]]},
+           "box": {"lo": 0.1, "hi": 1.0}}
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_true_and_false_inside_strings_are_text(tmp_path):

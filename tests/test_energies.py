@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -455,6 +456,10 @@ def test_fractional_kernel_parameter_validation():
         kwargs.update(bad)
         with pytest.raises(ConstructionError):
             fractional_kernel_1d(**kwargs)
+    # h^2 overflows: refused by name before the pair arrays are built
+    for h in (1e160, 1e200):
+        with pytest.raises(ConstructionError, match=re.escape(f"h = {h!r} is too large")):
+            fractional_kernel_1d(3, h, 0.5, 2.0, 2)
 
 
 def test_kernel_p2_matches_induced_quadratic():
@@ -540,10 +545,26 @@ def test_kernel_hessian_cases():
     p3 = KernelEnergy(3, [(0, 1, 1.0), (1, 2, 1.0)], [(2, 0.5)], 3.0)
     h = p3.hessian(np.array([0.4, 0.4, -1.0])).toarray()
     assert np.array_equal(h, [[0.0, 0.0, 0.0], [0.0, 2.8, -2.8], [0.0, -2.8, 3.8]])
-    with pytest.raises(PreconditionError):
-        KernelEnergy(2, [(0, 1, 1.0)], [], 1.5).hessian(np.array([0.0, 1.0]))
     quad = tridiag_energy()
     assert quad.hessian(np.zeros(3)) is quad.a
+
+
+def test_kernel_model_hessian_below_p_two():
+    # p = 1.5: |t|^(p-2) is infinite at a tie, so ties are floored at
+    # delta = eps ||u||_inf; pair (0,1) and the exterior term of u_3 tie
+    energy = KernelEnergy(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0)], [(0, 0.5), (3, 0.25)], 1.5)
+    delta = np.finfo(float).eps * 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        h = energy.hessian(np.array([2.0, 2.0, -0.5, 0.0])).toarray()
+        zero = energy.hessian(np.zeros(4))
+    assert np.all(np.isfinite(h)) and np.array_equal(h, h.T)
+    assert np.all(h[~np.eye(4, dtype=bool)] <= 0.0)  # a Z-matrix
+    assert h[1, 2] == -(0.5 * 2.0 * 2.5 ** -0.5)  # untied: (p-1) w |d|^(p-2), exactly
+    assert h[0, 1] == -(0.5 * 1.0 * delta ** -0.5)  # tied: (p-1) w delta^(p-2)
+    assert h[3, 3] == pytest.approx(0.5 * 1.0 * 0.5 ** -0.5 + 0.5 * 0.25 * delta ** -0.5, rel=1e-15)
+    # at u = 0 every term ties and delta = 0: the model is the zero matrix
+    assert zero.shape == (4, 4) and zero.nnz == 0
 
 
 def test_kernel_validation():
@@ -567,6 +588,9 @@ def test_kernel_validation():
         KernelEnergy(3.5, [(0, 1, 1.0)], [], 2.0)
     with pytest.raises(ConstructionError, match="exterior weight '1.0' is not a number"):
         KernelEnergy(3, [(0, 1, 1.0)], [(2, "1.0")], 2.0)
+    # each entry is finite, but their sum overflows: d_0 = inf used to be stored
+    with pytest.raises(ConstructionError, match="index 0 sum to inf"):
+        KernelEnergy(2, [(0, 1, 1.0)], [(0, 1e308), (0, 1e308)], 2.0)
 
 
 def _bits(x) -> bytes:

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import obslat.solvers
 from obslat.certificates import ls_certificate
@@ -164,6 +165,42 @@ def test_projected_gradient_solves_kernels_below_p_two():
                 converged[p] += 1
                 assert ls_certificate(energy, box, sol, 1e-6).passed, (p, energy.n, s)
     assert converged[1.5] == converged[1.8] == 8 and converged[1.2] >= 1
+
+
+def test_newton_solves_kernels_below_p_two():
+    # the draws above: below p = 2 Newton's model Hessian floors ties at
+    # eps ||u||_inf, and every solve converges, certifies and ends no higher
+    # than L-BFGS-B
+    for p in (1.5, 1.8, 1.2):
+        rng = np.random.default_rng(7)
+        for _ in range(8):
+            drawn, box, s, _ = random_fractional_instance(rng, n_max=32)
+            energy = fractional_kernel_1d(drawn.n, 1.0 / (drawn.n + 1), s, p, collar=3)
+            sol = solve_newton(energy, box, tol=1e-8)
+            assert sol.converged and ls_certificate(energy, box, sol, 1e-6).passed, (p, energy.n, s)
+            ref = scipy.optimize.minimize(energy.value, clamp(np.zeros(energy.n), box),
+                                          jac=energy.gradient, method="L-BFGS-B",
+                                          bounds=list(zip(box.lo, box.hi)),
+                                          options={"ftol": 1e-16, "gtol": 1e-12})
+            e_ref = energy.value(clamp(ref.x, box))
+            assert energy.value(sol.u) <= e_ref + 1e-12 * abs(e_ref), (p, energy.n, s)
+
+
+@pytest.mark.parametrize("n, s, p", [(32, 0.5, 1.5), (128, 0.5, 1.5), (64, 0.75, 1.8),
+                                     (32, 0.25, 1.5)])
+def test_newton_steps_below_p_two_do_not_change_with_scale(n, s, p):
+    # obstacles lam (0.3 - 4 (x - 1/2)^2) at tol 1e-8 lam^(p-1): the tie
+    # floor eps ||u||_inf scales with u, where an absolute floor of 1e-12
+    # took 311, 7 and 8 steps on the first case
+    x = np.arange(1, n + 1) / (n + 1)
+    energy = fractional_kernel_1d(n, 1.0 / (n + 1), s, p, collar=8)
+    steps = []
+    for lam in (1e-6, 1.0, 1e6):
+        box = OrderInterval(lam * (0.3 - 4.0 * (x - 0.5) ** 2), np.full(n, UNBOUNDED))
+        sol = solve_newton(energy, box, tol=1e-8 * lam ** (p - 1))
+        assert sol.converged and ls_certificate(energy, box, sol, 1e-6 * lam ** (p - 1)).passed
+        steps.append(sol.iterations)
+    assert max(steps) - min(steps) <= 1, steps
 
 
 def test_overflowing_full_step_raises_in_newton_and_projected_gradient():
@@ -655,10 +692,7 @@ def test_newton_accepts_step_onto_bound_1e17_away():
     assert ls_certificate(energy, box, sol, 1e-8).passed
 
 
-def test_newton_rejects_small_p_and_flags_budget(tridiag):
-    energy = KernelEnergy(2, [(0, 1, 1.0)], [], 1.5)
-    with pytest.raises(SolverError):
-        solve_newton(energy, OrderInterval([0.0, 0.0], [1.0, 1.0]))
+def test_newton_and_projected_gradient_flag_budget(tridiag):
     shifted = QuadraticEnergy(tridiag.a, [5.0, -3.0, 2.0])
     box = OrderInterval([-5.0] * 3, [5.0] * 3)
     coupled = QuadraticEnergy(np.array([[2.0, -1.0], [-1.0, 2.0]]), np.array([-1.0, 0.5]))
