@@ -15,7 +15,7 @@ from obslat import (
     certificate_report,
     graph_dirichlet,
     ls_certificate,
-    solve_psor,
+    solve_newton,
 )
 from obslat.instances import grid_boundary, grid_edges
 
@@ -34,8 +34,8 @@ profile = 0.40 - 0.25 * np.exp(-((xy[:, 0] - 0.5) ** 2 + (xy[:, 1] - 0.2) ** 2) 
 upper = np.maximum(lower + 0.02, profile)
 box = OrderInterval(lower, upper)
 
-sol = solve_psor(energy, box, tol=1e-10)
-print(f"converged in {sol.iterations} sweeps, KKT residual {sol.kkt_residual:.2e}")
+sol = solve_newton(energy, box, tol=1e-10)
+print(f"projected Newton: {sol.iterations} step(s), KKT residual {sol.kkt_residual:.2e}")
 print(f"active lower: {sol.active_lower.size} nodes, "
       f"active upper: {sol.active_upper.size}, free: {sol.free.size}")
 
@@ -56,6 +56,6 @@ print(f"  obstacle Laplacian bound:    {obstacle_bound:.4f}")
 # sanity on a desk-size instance: enumeration agrees with the iteration
 small = graph_dirichlet(12, [(i, i + 1, 1.0) for i in range(11)], [0, 11])
 small_box = OrderInterval(0.3 * np.sin(np.linspace(0.3, 2.8, 10)), np.full(10, 0.5))
-gap = np.max(np.abs(solve_psor(small, small_box, tol=1e-10).u
+gap = np.max(np.abs(solve_newton(small, small_box, tol=1e-10).u
                     - brute_force_active_set(small, small_box).u))
-print(f"PSOR vs brute-force enumeration on a 10-node path: gap {gap:.2e}")
+print(f"Newton vs brute-force enumeration on a 10-node path: gap {gap:.2e}")

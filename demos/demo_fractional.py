@@ -12,6 +12,7 @@ import numpy as np
 
 from obslat import (
     OrderInterval,
+    QuadraticEnergy,
     fractional_kernel_1d,
     ls_certificate,
     scalar_submodularity_inequality,
@@ -35,10 +36,11 @@ for s in (0.25, 0.5, 0.75):
               f"{sol.active_lower.size:3d} / {sol.active_upper.size:<3d}      "
               f"{cert.lower_slack_min:+.2e}  {cert.upper_slack_min:+.2e}")
 
-# p = 2 kernels are plain quadratic forms in disguise
+# p = 2 kernels are plain quadratic forms in disguise: E(u) = 1/2 <Hu,u>
+# with H the Hessian, which does not depend on u
 energy2 = fractional_kernel_1d(n, 1.0 / (n + 1), 0.5, 2.0, collar=3)
-quad = energy2.induced_quadratic()
 u = np.sin(3 * x)
+quad = QuadraticEnergy(energy2.hessian(u))
 print(f"\np=2 evaluation equivalence: kernel {energy2.value(u):.12f} "
       f"vs matrix {quad.value(u):.12f}")
 

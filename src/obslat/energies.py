@@ -273,6 +273,7 @@ def graph_dirichlet(nodes: int, edges, dirichlet_set=()) -> QuadraticEnergy:
     between free and pinned nodes is kept on the result (``coupling``) so that
     harmonic extensions with nonzero boundary data can be formed later.
     """
+    nodes = as_index(nodes, "nodes")
     return assemble_dirichlet(nodes, validate_edges(nodes, edges), dirichlet_set)
 
 
@@ -387,30 +388,21 @@ class KernelEnergy:
         of Newton do not change with the scale of the obstacles, and it
         bounds the model as in iteratively reweighted least squares
         (Daubechies, DeVore, Fornasier & Güntürk, CPAM 63, 2010).  Where
-        delta is 0 (u = 0, or ||u||_inf so small that eps ||u||_inf
-        underflows) every term ties and the model is the zero matrix.
+        delta is below the smallest normal float (u = 0, or ||u||_inf below
+        about 1e-292) every term counts as tied and the model is the zero
+        matrix: a subnormal delta^(p-2) can overflow.
         """
         u = as_vector(u, "u", self.n)
         q = self.p - 2.0
         dist, size = np.abs(u[self.i] - u[self.j]), np.abs(u)
         if q < 0.0:
             delta = np.finfo(float).eps * np.max(size)
-            if delta == 0.0:
+            if delta < np.finfo(float).tiny:
                 return sp.csr_matrix((self.n, self.n))
             dist, size = np.maximum(dist, delta), np.maximum(size, delta)
         c = (self.p - 1.0) * self.w * dist ** q
         diag = (self.p - 1.0) * self.d * size ** q
         return laplacian(self.n, self.i, self.j, c, diag)
-
-    def induced_quadratic(self) -> QuadraticEnergy:
-        """For p = 2, the matrix A with E(u) = 1/2 <Au,u> exactly.
-
-        A is the weighted graph Laplacian of the pairs plus diag(d):
-        A_ij = -w_ij for a stored pair, A_ii = sum_j w_ij + d_i.
-        """
-        if self.p != 2:
-            raise PreconditionError("induced quadratic form requires p = 2")
-        return QuadraticEnergy(laplacian(self.n, self.i, self.j, self.w, self.d))
 
 
 def fractional_kernel_1d(n: int, h: float, s: float, p: float, collar: int) -> KernelEnergy:

@@ -7,9 +7,8 @@ metric by construction.  It answers from its sparse adjacency: distances to
 a set come from one multi-source Dijkstra (``distance_to``) and Lipschitz
 constants from the edges (``lipschitz``), so the dense matrix ``D`` is
 built only on first access (Hopf-Lax) and then cached.  That costs one
-n x n float64 buffer, filled HOPF_LAX_BLOCK source rows per Dijkstra call
-and symmetrized in place a pair of blocks at a time; each Hopf-Lax
-transform adds one HOPF_LAX_BLOCK x n scratch array.
+n x n float64 array from one all-sources Dijkstra call, symmetrized in
+place; each Hopf-Lax transform adds one HOPF_LAX_BLOCK x n scratch array.
 
 The Hopf-Lax operator on a finite metric space (X, d),
 
@@ -32,7 +31,6 @@ solver on graph-backed spaces:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,7 +47,7 @@ from .errors import (
     PreconditionError,
     SolverError,
 )
-from .lattice import OrderInterval, as_index_set, as_vector
+from .lattice import OrderInterval, as_index, as_index_set, as_vector
 from .solvers import Solution, solve_newton
 
 #: Distance matrices may violate symmetry and the triangle inequality by at
@@ -65,8 +63,8 @@ COINCIDENCE_TOL = 1e-9
 #: A potential with max|phi^cc - phi| up to this counts as c-concave.
 CC_TOL = 1e-9
 
-#: Rows of D per block: in GraphSpace.D's Dijkstra calls and symmetrization
-#: and in hopf_lax, which bounds their temporaries to HOPF_LAX_BLOCK x n.
+#: Rows of D per block in _symmetrize and hopf_lax; it bounds their
+#: temporaries to HOPF_LAX_BLOCK x n.
 HOPF_LAX_BLOCK = 128
 
 
@@ -157,17 +155,16 @@ class GraphSpace:
     and connectivity once and stores ``edges``, the checked (i, j, w) arrays
     of ``validate_edges``, and ``adj``, the symmetric CSR matrix of edge
     lengths.  ``D`` is computed from it on first access and cached: one
-    n x n float64 buffer, filled by Dijkstra HOPF_LAX_BLOCK source rows at a
-    time, then symmetrized in place to 0.5 * (d + d.T) and made read-only,
-    so its peak is n x n plus HOPF_LAX_BLOCK x n floats.  ``distance_to``
-    runs one multi-source Dijkstra and ``lipschitz`` reads the edges, so
-    neither builds the n x n matrix.  Dijkstra runs in directed mode: ``adj``
-    holds both arcs of every edge, and the undirected mode would scan each
-    arc twice for the same distances.
+    n x n float64 array from one Dijkstra call over all sources, then
+    symmetrized in place to 0.5 * (d + d.T) and made read-only.
+    ``distance_to`` runs one multi-source Dijkstra and ``lipschitz`` reads
+    the edges, so neither builds the n x n matrix.  Dijkstra runs in
+    directed mode: ``adj`` holds both arcs of every edge, and the
+    undirected mode would scan each arc twice for the same distances.
     """
 
     def __init__(self, nodes: int, edges):
-        nodes = operator.index(nodes)
+        nodes = as_index(nodes, "nodes")
         i, j, w = self.edges = validate_edges(nodes, edges)
         ends = (np.concatenate([i, j]), np.concatenate([j, i]))
         self.adj = sp.coo_matrix((np.concatenate([w, w]), ends), shape=(nodes, nodes)).tocsr()
@@ -187,11 +184,7 @@ class GraphSpace:
 
     @cached_property
     def D(self) -> np.ndarray:
-        n = self.n
-        d = np.empty((n, n))
-        for s in range(0, n, HOPF_LAX_BLOCK):
-            stop = min(s + HOPF_LAX_BLOCK, n)
-            d[s:stop] = dijkstra(self.adj, directed=True, indices=np.arange(s, stop))
+        d = dijkstra(self.adj, directed=True)
         _symmetrize(d)
         return d
 

@@ -5,10 +5,11 @@ Four routes with very different trust profiles:
 * :func:`solve_newton` -- projected Newton (Bertsekas 1982) for any energy
   with a Hessian: quadratic energies, and kernel energies with any p > 1,
   whose Hessian is a model with a floor at ties below p = 2.  It is the
-  solver of ``obslat solve`` and of the cut-off and Kantorovich
-  constructions.  Each step solves the free block of the Hessian exactly
-  (shifted by a small multiple of the identity where it is singular), so it
-  ends on the exact active set in a few steps.
+  solver of ``obslat solve``, of the cut-off and Kantorovich constructions,
+  of every suite check but the monotone-iteration audit, and of the demos,
+  the goldens and the acceptance tests.  Each step solves the free block of
+  the Hessian exactly (shifted by a small multiple of the identity where it
+  is singular), so it ends on the exact active set in a few steps.
 * :func:`solve_psor` -- projected SOR for quadratic Z-matrix energies;
   monotone on M-matrices, which the suite's monotone-iteration check uses.
   Its sweep is exact lexicographic Gauss-Seidel on Python floats, so every
@@ -26,9 +27,9 @@ retry along -grad.  It evaluates candidates through ``energy.evaluate(u)``,
 which gives E(u) and the gradient as a deferred call, so a rejected
 candidate costs the value alone.
 
-PSOR (suite, benchmark, demos, ``tests/golden/generate.py``) and projected
-gradient (all of them but the suite) are library routes, reached by no CLI
-command.  All solvers report their first-order optimality through
+PSOR serves the suite's monotone audit and the benchmark, projected
+gradient the benchmark only; both stay while the benchmark times them by
+name.  All solvers report their first-order optimality through
 :func:`kkt_residual`.  Every solver returns ``clamp(u, box)``, so an index
 sits on its obstacle exactly when it equals the bound: the active sets, the
 KKT residual and the Newton step all decide that by exact comparison with

@@ -3,10 +3,11 @@
 Each golden value is cross-checked against an independent oracle before it
 is written:
 
-* fractional_p3_n3.json -- projected-gradient solution of the 3-point p=3
+* fractional_p3_n3.json -- projected-Newton solution of the 3-point p=3
   kernel instance, checked against scipy L-BFGS-B on the same box.
-* cutoff_path11.json -- obstacle-problem solution on the 11-node path,
-  checked against the brute-force active-set enumeration (n = 11 <= 12).
+* cutoff_path11.json -- obstacle-problem solution on the 11-node path by
+  projected Newton, checked against the brute-force active-set enumeration
+  (n = 11 <= 12).
 * cutoff_grid5x5.json -- obstacle formulas on a 5x5 grid, recomputed here
   from BFS distances with plain loops (no library code).
 
@@ -37,7 +38,7 @@ from obslat.energies import fractional_kernel_1d
 from obslat.instances import grid_edges, path_space, grid_space
 from obslat.lattice import OrderInterval
 from obslat.metric import cutoff_obstacles
-from obslat.solvers import brute_force_active_set, solve_projected_gradient, solve_psor
+from obslat.solvers import brute_force_active_set, solve_newton
 
 
 def write(out, name, payload):
@@ -48,7 +49,7 @@ def write(out, name, payload):
 def fractional_p3(out):
     energy = fractional_kernel_1d(3, 1.0, 0.5, 3.0, collar=2)
     box = OrderInterval([0.2, 0.2, 0.2], [1.0, 1.0, 1.0])
-    sol = solve_projected_gradient(energy, box, tol=1e-10)
+    sol = solve_newton(energy, box, tol=1e-10)
     assert sol.converged
     ref = scipy.optimize.minimize(
         energy.value, 0.5 * np.ones(3), jac=energy.gradient,
@@ -56,7 +57,7 @@ def fractional_p3(out):
         options={"ftol": 1e-16, "gtol": 1e-12},
     )
     gap = float(np.max(np.abs(sol.u - ref.x)))
-    assert gap <= 1e-7, f"projected gradient vs L-BFGS-B gap {gap}"
+    assert gap <= 1e-7, f"Newton vs L-BFGS-B gap {gap}"
     cert = ls_certificate(energy, box, sol, tol=1e-7)
     assert cert.passed
     write(out, "fractional_p3_n3.json", {
@@ -77,10 +78,10 @@ def cutoff_path11(out):
     phi, psi, r2 = cutoff_obstacles(space, core, region)
     energy = space.dirichlet_energy
     box = OrderInterval(phi, psi)
-    sol = solve_psor(energy, box, tol=1e-11)
+    sol = solve_newton(energy, box, tol=1e-11)
     oracle = brute_force_active_set(energy, box)
     gap = float(np.max(np.abs(sol.u - oracle.u)))
-    assert gap <= 1e-9, f"PSOR vs enumeration gap {gap}"
+    assert gap <= 1e-9, f"Newton vs enumeration gap {gap}"
     cert = ls_certificate(energy, box, sol, tol=1e-9)
     assert cert.passed
     write(out, "cutoff_path11.json", {

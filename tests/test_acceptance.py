@@ -45,12 +45,12 @@ from obslat.metric import (
     interpolation_duality_check,
     kantorovich_regularize,
 )
-from obslat.solvers import brute_force_active_set, solve_projected_gradient, solve_psor
+from obslat.solvers import brute_force_active_set, solve_newton
 from obslat.energies import fractional_kernel_1d
 
 
 def test_c01_abstract_ls_verification():
-    """200 random Z-matrix instances: PSOR tol 1e-9, certificate tol 1e-8, < 10 s."""
+    """200 random Z-matrix instances: Newton tol 1e-9, certificate tol 1e-8, < 10 s."""
     rng = np.random.default_rng(101)
     start = time.perf_counter()
     worst = 0.0
@@ -58,7 +58,7 @@ def test_c01_abstract_ls_verification():
         n = int(rng.integers(2, 51))
         energy = random_submodular_quadratic(rng, n)
         box = random_box(rng, n)
-        sol = solve_psor(energy, box, tol=1e-9)
+        sol = solve_newton(energy, box, tol=1e-9)
         assert sol.converged
         cert = ls_certificate(energy, box, sol, tol=1e-8)
         assert cert.passed, (cert.lower_slack_min, cert.upper_slack_min)
@@ -70,7 +70,7 @@ def test_c01_abstract_ls_verification():
 
 
 def test_c02_oracle_equivalence():
-    """50 random instances n <= 10: ||PSOR - enumeration||_inf <= 1e-7, < 30 s."""
+    """50 random instances n <= 10: ||Newton - enumeration||_inf <= 1e-7, < 30 s."""
     rng = np.random.default_rng(102)
     start = time.perf_counter()
     worst = 0.0
@@ -78,7 +78,7 @@ def test_c02_oracle_equivalence():
         n = int(rng.integers(2, 11))
         energy = random_submodular_quadratic(rng, n)
         box = random_box(rng, n)
-        sol = solve_psor(energy, box, tol=1e-9)
+        sol = solve_newton(energy, box, tol=1e-9)
         oracle = brute_force_active_set(energy, box)
         gap = float(np.max(np.abs(sol.u - oracle.u)))
         assert gap <= 1e-7, gap
@@ -141,7 +141,7 @@ def test_c05_scalar_inequality():
 
 
 def test_c06_fractional_ls():
-    """All (s, p) combos, n <= 40: monotone descent, certificates at 1e-6, < 60 s."""
+    """All (s, p) combos, n <= 40: monotone Newton descent, certificates at 1e-6, < 60 s."""
     rng = np.random.default_rng(106)
     start = time.perf_counter()
     count = 0
@@ -153,9 +153,8 @@ def test_c06_fractional_ls():
                 energy = fractional_kernel_1d(n, 1.0 / (n + 1), s, p, collar=3)
                 box = random_smooth_obstacles(rng, n, force_contact=contact)
                 values = []
-                sol = solve_projected_gradient(
-                    energy, box, tol=1e-8, max_iter=200000,
-                    step_callback=lambda u, f: values.append(f))
+                sol = solve_newton(energy, box, tol=1e-8,
+                                   step_callback=lambda u, f: values.append(f))
                 assert sol.converged, (s, p, sol.kkt_residual)
                 if len(values) > 1:
                     assert np.all(np.diff(values) <= 1e-12), (s, p)

@@ -39,7 +39,7 @@ def tridiag():
 
 def test_certificate_tridiag_hand_values(tridiag):
     box = OrderInterval([0.5, 1.0, 0.5], [10.0, 10.0, 10.0])
-    sol = solve_psor(tridiag, box, tol=1e-10)
+    sol = solve_newton(tridiag, box, tol=1e-10)
     cert = ls_certificate(tridiag, box, sol, tol=1e-9)
     assert cert.passed
     # by hand: grad at lo is (0,1,0) so (g_lo v 0) = (0,1,0); grad at hi is
@@ -54,23 +54,24 @@ def test_certificate_tridiag_hand_values(tridiag):
 
 def test_certificate_singleton_interval(tridiag):
     box = OrderInterval([0.2, -0.4, 1.0], [0.2, -0.4, 1.0])
-    sol = solve_psor(tridiag, box)
+    sol = solve_newton(tridiag, box)
     cert = ls_certificate(tridiag, box, sol, tol=0.0)
     assert cert.passed  # g ^ 0 <= g <= g v 0 holds for any g
 
 
 def test_certificate_refuses_unconverged(tridiag):
     box = OrderInterval([-5.0] * 3, [5.0] * 3)
-    sol = solve_psor(tridiag, box, tol=1e-14, max_iter=1,
-                     u0=np.array([4.0, -3.0, 2.0]))
+    shifted = QuadraticEnergy(tridiag.a, [5.0, -3.0, 2.0])  # u = 0 is not its minimizer
+    sol = solve_newton(shifted, box, tol=1e-14, max_iter=0)
+    assert not sol.converged
     with pytest.raises(CertificateError):
-        ls_certificate(tridiag, box, sol, tol=1e-6)
+        ls_certificate(shifted, box, sol, tol=1e-6)
 
 
 def test_certificate_one_sided_lower(tridiag):
     # no upper obstacle: the certificate must include grad E(u) >= 0
     box = OrderInterval([0.5, 1.0, 0.5], np.full(3, UNBOUNDED))
-    sol = solve_psor(tridiag, box, tol=1e-10)
+    sol = solve_newton(tridiag, box, tol=1e-10)
     cert = ls_certificate(tridiag, box, sol, tol=1e-9)
     assert cert.passed
     assert not cert.upper_present and cert.lower_present
@@ -80,7 +81,7 @@ def test_certificate_one_sided_lower(tridiag):
 
 def test_certificate_one_sided_upper(tridiag):
     box = OrderInterval(np.full(3, -UNBOUNDED), [-0.5, -1.0, -0.5])
-    sol = solve_psor(tridiag, box, tol=1e-10)
+    sol = solve_newton(tridiag, box, tol=1e-10)
     cert = ls_certificate(tridiag, box, sol, tol=1e-9)
     assert cert.passed
     assert np.all(cert.g_u <= 1e-9)  # grad E(u) <= 0 without a lower obstacle
@@ -88,7 +89,7 @@ def test_certificate_one_sided_upper(tridiag):
 
 def test_certificate_json_fields(tridiag):
     box = OrderInterval([0.5, 1.0, 0.5], [10.0] * 3)
-    sol = solve_psor(tridiag, box, tol=1e-10)
+    sol = solve_newton(tridiag, box, tol=1e-10)
     cert = ls_certificate(tridiag, box, sol, tol=1e-9)
     report = certificate_report(tridiag, box, sol, cert)
     for key in ("pass", "tol", "lower_slack_min", "upper_slack_min",
@@ -100,7 +101,7 @@ def test_certificate_json_fields(tridiag):
 
 def test_certificate_report_refuses_certificate_of_another_point(tridiag):
     box = OrderInterval([0.5, 1.0, 0.5], [10.0] * 3)
-    sol = solve_psor(tridiag, box, tol=1e-10)
+    sol = solve_newton(tridiag, box, tol=1e-10)
     cert = ls_certificate(tridiag, box, sol, tol=1e-9)
     assert certificate_report(tridiag, box, sol.u.copy(), cert)["pass"] is True
     with pytest.raises(CertificateError):
@@ -113,7 +114,7 @@ def test_certificate_passes_on_random_instances():
         n = int(rng.integers(2, 30))
         energy = random_submodular_quadratic(rng, n)
         box = random_box(rng, n)
-        sol = solve_psor(energy, box, tol=1e-9)
+        sol = solve_newton(energy, box, tol=1e-9)
         cert = ls_certificate(energy, box, sol, tol=1e-8)
         assert cert.passed, (cert.lower_slack_min, cert.upper_slack_min)
         # consequence: Laplacian of the minimizer bounded by obstacle Laplacians
@@ -127,12 +128,12 @@ def test_certificate_passes_on_random_instances():
 
 def test_free_set_harmonicity(tridiag):
     box = OrderInterval([-2.0] * 3, [2.0] * 3)
-    sol = solve_psor(tridiag, box, tol=1e-10)
+    sol = solve_newton(tridiag, box, tol=1e-10)
     ok, worst_idx, worst = free_set_harmonicity(tridiag, box, sol, tol=1e-9)
     assert ok and worst <= 1e-9
     # fully active solution: vacuous pass
     tight = OrderInterval([0.5, 1.0, 0.5], [10.0] * 3)
-    sol2 = solve_psor(tridiag, tight, tol=1e-10)
+    sol2 = solve_newton(tridiag, tight, tol=1e-10)
     ok2, idx2, _ = free_set_harmonicity(tridiag, tight, sol2, tol=1e-9)
     assert ok2 and idx2 is None
     # E = |u|^2/2 + u_0 on [0, 1]^2: u_0 = 1e-12 is off its bound, so free
@@ -148,7 +149,7 @@ def test_harmonicity_follows_kkt():
         n = int(rng.integers(3, 20))
         energy = random_submodular_quadratic(rng, n)
         box = random_box(rng, n)
-        sol = solve_psor(energy, box, tol=1e-9)
+        sol = solve_newton(energy, box, tol=1e-9)
         ok, _, worst = free_set_harmonicity(energy, box, sol, tol=1e-9)
         assert ok, worst
 

@@ -134,6 +134,9 @@ def test_indices_are_integers_not_truncated():
         QuadraticEnergy.from_triplets(2, [(0, 0, 1.0), ("1", 1, 1.0)])
     with pytest.raises(ConstructionError, match="dirichlet index 1.5 is not"):
         graph_dirichlet(3, [(0, 1, 1.0), (1, 2, 1.0)], [1.5])
+    with pytest.raises(ConstructionError, match="nodes 2.5 is not an integer"):
+        graph_dirichlet(2.5, [(0, 1, 1.0)])
+    assert graph_dirichlet(3.0, [(0, 1, 1.0), (1, 2, 1.0)], [0]).n == 2
     with pytest.raises(ConstructionError, match="triplet value '1.0' is not a number"):
         QuadraticEnergy.from_triplets(2, [(0, 0, 1.0), (1, 1, "1.0")])
     with pytest.raises(ConstructionError, match="n 2.5 is not an integer"):
@@ -464,8 +467,9 @@ def test_fractional_kernel_parameter_validation():
 
 def test_kernel_p2_matches_induced_quadratic():
     rng = np.random.default_rng(3)
+    # at p = 2, E(u) = 1/2 <Au,u> with A the Laplacian of the pairs plus diag(d)
     energy = fractional_kernel_1d(6, 0.25, 0.5, 2.0, collar=3)
-    quad = energy.induced_quadratic()
+    quad = QuadraticEnergy(laplacian(6, energy.i, energy.j, energy.w, energy.d))
     assert quad.submodular
     off = quad.a.toarray()[~np.eye(6, dtype=bool)]
     assert np.all(off <= 0.0)
@@ -532,13 +536,14 @@ def test_hessian_matches_gradient_differences():
 
 
 def test_kernel_hessian_cases():
-    # at p = 2 the Hessian and the induced matrix come from one assembly
+    # at p = 2 the Hessian is the Laplacian of the pairs plus diag(d), bit for bit
     rng = np.random.default_rng(5)
     cases = [(6, 0.25, 0.5)] + [(n, 1.0 / (n + 1), s) for n in (6, 17, 40, 64)
                                 for s in (0.25, 0.5, 0.75)]
     for n, h, s in cases:
         p2 = fractional_kernel_1d(n, h, s, 2.0, collar=3)
-        got, want = p2.hessian(rng.normal(size=n)), p2.induced_quadratic().a
+        got = p2.hessian(rng.normal(size=n))
+        want = laplacian(n, p2.i, p2.j, p2.w, p2.d)
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), (n, s, name)
     # p = 3: weight 2 w |u_i - u_j| per pair, 2 d_i |u_i| on the diagonal
@@ -565,6 +570,20 @@ def test_kernel_model_hessian_below_p_two():
     assert h[3, 3] == pytest.approx(0.5 * 1.0 * 0.5 ** -0.5 + 0.5 * 0.25 * delta ** -0.5, rel=1e-15)
     # at u = 0 every term ties and delta = 0: the model is the zero matrix
     assert zero.shape == (4, 4) and zero.nnz == 0
+
+
+def test_kernel_model_hessian_subnormal_floor():
+    # ||u||_inf = 1e-300 makes delta = eps ||u||_inf subnormal, and
+    # delta^(p-2) overflows near p = 1: such a delta counts as 0
+    energy = KernelEnergy(2, [(0, 1, 1.0)], [(0, 1.0)], 1.01)
+    tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        zero = energy.hessian([1e-300, 1e-300])
+        # the smallest normal delta, eps * 2^-970 = 2^-1022, keeps a finite model
+        floor = energy.hessian([tiny / eps, tiny / eps])
+    assert zero.shape == (2, 2) and zero.nnz == 0
+    assert np.all(np.isfinite(floor.data)) and np.all(floor.diagonal() > 0.0)
 
 
 def test_kernel_validation():

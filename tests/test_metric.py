@@ -44,7 +44,7 @@ from obslat.metric import (
     is_c_concave,
     kantorovich_regularize,
 )
-from obslat.solvers import solve_psor
+from obslat.solvers import solve_newton
 from obslat.suite import check_cutoff, check_kantorovich, check_ls_quadratic
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -87,8 +87,8 @@ def test_metric_symmetry_tolerance_is_relative():
 
 @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 2 * HOPF_LAX_BLOCK + 45])
 def test_graph_space_D_is_symmetrized_one_shot_dijkstra(n):
-    # D is filled by row blocks and symmetrized in place, block pair by
-    # block pair; it must equal the one-shot formula bit for bit, also
+    # D is symmetrized in place, block pair by block pair; it must equal
+    # the one-shot formula bit for bit, also
     # where the raw Dijkstra matrix is asymmetric by rounding
     rng = np.random.default_rng(n)
     edges = [(i, j, float(10.0 ** rng.uniform(-3.0, 3.0)))
@@ -124,8 +124,11 @@ def test_graph_space_constructor_is_from_graph():
     assert (direct.dirichlet_energy.a != built.dirichlet_energy.a).nnz == 0
     with pytest.raises(ConstructionError):
         GraphSpace(4, [(0, 1, 1.0), (2, 3, 1.0)])  # disconnected
-    with pytest.raises(TypeError):
+    with pytest.raises(ConstructionError, match="is not an integer"):
         GraphSpace(built.D, edges=edges)  # a distance matrix is no node count
+    with pytest.raises(ConstructionError, match="nodes 2.5 is not an integer"):
+        GraphSpace(2.5, edges)
+    assert GraphSpace(3.0, edges).n == 3
     with pytest.raises(TypeError):
         GraphSpace(D=built.D, edges=edges)
     # a plain class: no dataclass fields, no inherited from_points
@@ -670,13 +673,13 @@ def test_unconverged_constructions_fail_their_certificate_rows(monkeypatch):
 
 
 def test_potential_bounds_coincide_under_solver(two_points):
-    # eta clamps wherever the two bounds agree: solve with PSOR directly
+    # eta clamps wherever the two bounds agree: solve with Newton directly
     space = path_space(9)
     rng = np.random.default_rng(17)
     phi = random_c_concave(rng, space, scale=0.3)
     _, pair, _ = kantorovich_regularize(space, phi, 0.4)
     box = OrderInterval(pair.lo, pair.hi)
-    sol = solve_psor(space.dirichlet_energy, box, tol=1e-10)
+    sol = solve_newton(space.dirichlet_energy, box, tol=1e-10)
     idx = pair.coincidence_set
     if idx.size:
         assert np.max(np.abs(sol.u[idx] - pair.lo[idx])) <= 1e-9

@@ -1,9 +1,12 @@
+import ast
 import zlib
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse as sp
 
 import obslat.solvers
 from obslat.certificates import ls_certificate
@@ -615,6 +618,18 @@ def test_newton_singular_free_block_takes_shifted_steps():
     assert abs(energy.value(sol.u) - energy.value(ref.u)) <= 1e-12
 
 
+def test_newton_zero_free_block_falls_back_to_gradient():
+    # a linear energy has a zero Hessian: no shift makes its free block
+    # definite, so Newton has no direction and the step runs along -grad
+    energy = QuadraticEnergy(sp.csr_matrix((2, 2)), [1.0, -1.0])
+    box = OrderInterval([0.0, 0.0], [1.0, 1.0])
+    u0, g0 = np.zeros(2), energy.gradient(np.zeros(2))
+    assert obslat.solvers._newton_direction(energy, u0, g0, np.array([False, True])) is None
+    sol = solve_newton(energy, box)
+    assert sol.converged and sol.iterations == 1
+    assert np.array_equal(sol.u, [0.0, 1.0])
+
+
 def _path_laplacian(n):
     return np.diag([1.0] + [2.0] * (n - 2) + [1.0]) - np.eye(n, k=1) - np.eye(n, k=-1)
 
@@ -705,3 +720,28 @@ def test_newton_and_projected_gradient_flag_budget(tridiag):
         assert not solve(energy, box, tol=1e-9, max_iter=steps - 1).converged
         sol = solve(energy, box, tol=1e-9, max_iter=steps)
         assert sol.converged and sol.iterations == steps
+
+
+def test_only_the_suite_calls_the_secondary_solvers():
+    # projected Newton is the solver of the package, the demos and the
+    # goldens; PSOR runs only the suite's monotone-iteration audit, and
+    # projected gradient nothing outside the benchmark and the unit tests
+    root = Path(__file__).resolve().parent.parent
+    files = [*sorted((root / "src" / "obslat").glob("*.py")),
+             *sorted((root / "demos").glob("*.py")), root / "tests" / "golden" / "generate.py"]
+    secondary = {"solve_psor", "solve_projected_gradient"}
+
+    def calls_in(node, scope):
+        """(enclosing function, solver) of each secondary-solver call below node."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in secondary:
+                    yield scope, name
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+            yield from calls_in(child, inner)
+
+    calls = [(path.relative_to(root).as_posix(), *call) for path in files
+             for call in calls_in(ast.parse(path.read_text(), filename=str(path)), None)]
+    assert calls == [("src/obslat/suite.py", "check_psor_monotone", "solve_psor")]
