@@ -19,8 +19,8 @@ an unusable --out) or invalid problem data (a well-formed value the library
 rejects); 3 solver failure (including non-convergence); 4 certificate or
 obstacle assertion failure.
 
-Config schemas (JSON; all keys sorted in outputs, floats via repr)
-------------------------------------------------------------------
+Config schemas (JSON; a key not shown below exits 2; outputs sort keys, floats via repr)
+----------------------------------------------------------------------------------------
 solve/oracle::
 
     {"energy": <energy>, "box": {"lo": spec, "hi": spec},
@@ -166,13 +166,22 @@ def _parsing(command: str):
 _JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
 
 
-def _load_config(args) -> dict:
+def _known(obj: dict, keys: str) -> dict:
+    """``obj``, once each of its keys is one of the space-separated ``keys``."""
+    unknown = sorted(set(obj) - set(keys.split()))
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown}; this object takes only: {keys}")
+    return obj
+
+
+def _load_config(args, keys: str) -> dict:
     if not args.config:
         raise ConfigError("--config PATH is required for this command")
     text = Path(args.config).read_text(encoding="utf-8")
     cfg = json.loads(text)
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    _known(cfg, keys)
     flags = [key for key in ("paper_radius", "cc_regularize") if key in cfg]
     for key in flags:
         if not isinstance(cfg[key], bool):
@@ -205,16 +214,20 @@ def _index_list(value, key: str) -> list:
 def _build_energy(spec: dict):
     kind = spec["kind"]
     if kind == "quadratic":
+        _known(spec, "kind n triplets b")
         return QuadraticEnergy.from_triplets(spec["n"], spec["triplets"], spec.get("b"))
     if kind == "quadratic_file":
-        text = Path(spec["path"]).read_text(encoding="utf-8")
+        text = Path(_known(spec, "kind path b")["path"]).read_text(encoding="utf-8")
         return QuadraticEnergy.from_triplet_text(text, spec.get("b"))
     if kind == "graph":
+        _known(spec, "kind nodes edges dirichlet")
         return graph_dirichlet(as_index(spec["nodes"], "nodes"), spec["edges"],
                                _index_list(spec.get("dirichlet", []), "dirichlet"))
     if kind == "kernel":
+        _known(spec, "kind n p pairs exterior")
         return KernelEnergy(spec["n"], spec["pairs"], spec.get("exterior", ()), spec["p"])
     if kind == "fractional_1d":
+        _known(spec, "kind n h s p collar")
         return fractional_kernel_1d(spec["n"], spec["h"], spec["s"], spec["p"], spec["collar"])
     raise ConfigError(f"unknown energy kind {kind!r}")
 
@@ -228,19 +241,16 @@ def _box_side(spec, n: int, default: float) -> np.ndarray:
 
 
 def _build_box(spec: dict, n: int) -> OrderInterval:
-    return OrderInterval(_box_side(spec.get("lo"), n, -UNBOUNDED),
+    return OrderInterval(_box_side(_known(spec, "lo hi").get("lo"), n, -UNBOUNDED),
                          _box_side(spec.get("hi"), n, UNBOUNDED))
 
 
 def _solver_params(cfg: dict, args) -> dict:
-    """Solver settings; unknown keys and values no solve can honour are config errors.
+    """Solver settings; values no solve can honour are config errors.
 
     ``certificate_tol`` is None when absent.
     """
-    solver = cfg.get("solver", {})
-    unknown = sorted(set(solver) - {"method", "tol", "max_iter"})
-    if unknown:
-        raise ConfigError(f"unknown solver settings: {unknown}")
+    solver = _known(cfg.get("solver", {}), "method tol max_iter")
     if solver.get("method") not in (None, "newton"):
         raise ConfigError(f"solver method {solver['method']!r} is not 'newton'")
     cert_tol = cfg.get("certificate_tol")
@@ -257,7 +267,7 @@ def _solver_params(cfg: dict, args) -> dict:
 
 def _cmd_solve(args, oracle: bool = False) -> int:
     with _parsing(args.command):
-        cfg = _load_config(args)
+        cfg = _load_config(args, "energy box solver certificate_tol")
         energy = _build_energy(cfg["energy"])
         box = _build_box(cfg.get("box", {}), energy.n)
         params = _solver_params(cfg, args)
@@ -290,7 +300,8 @@ def cmd_oracle(args) -> int:
 
 
 def _build_space(spec: dict) -> GraphSpace:
-    return GraphSpace.from_graph(as_index(spec["nodes"], "nodes"), spec["edges"])
+    return GraphSpace.from_graph(as_index(_known(spec, "nodes edges")["nodes"], "nodes"),
+                                 spec["edges"])
 
 
 def _write_construction(out: Path, name: str, fields: dict, space, box, solution, cert) -> int:
@@ -303,7 +314,7 @@ def _write_construction(out: Path, name: str, fields: dict, space, box, solution
 
 def cmd_cutoff(args) -> int:
     with _parsing("cutoff"):
-        cfg = _load_config(args)
+        cfg = _load_config(args, "graph core region paper_radius solver certificate_tol")
         space = _build_space(cfg["graph"])
         paper_radius = cfg.get("paper_radius", False) or args.paper_radius
         params = _solver_params(cfg, args)
@@ -323,7 +334,7 @@ def cmd_cutoff(args) -> int:
 
 def cmd_kantorovich(args) -> int:
     with _parsing("kantorovich"):
-        cfg = _load_config(args)
+        cfg = _load_config(args, "graph potential t cc_regularize solver certificate_tol")
         space = _build_space(cfg["graph"])
         params = _solver_params(cfg, args)
         phi = as_vector(cfg["potential"], "potential")
@@ -347,7 +358,7 @@ def cmd_kantorovich(args) -> int:
 
 def cmd_suite(args) -> int:
     with _parsing("suite"):
-        cfg = _load_config(args) if args.config else {}
+        cfg = _load_config(args, "seed checks paper_radius") if args.config else {}
         seed = args.seed if args.seed is not None else as_index(cfg.get("seed", 0), "seed")
         if seed < 0:
             raise ConfigError(f"seed = {seed} must be >= 0")

@@ -4,17 +4,17 @@ Two families are provided:
 
 * :class:`QuadraticEnergy` -- E(u) = 1/2 <Au,u> + <b,u> for a symmetric PSD
   matrix A.  The energy is submodular exactly when A is a Z-matrix
-  (nonpositive off-diagonal entries); graph Laplacians are the canonical
-  source.
+  (nonpositive off-diagonal entries, tested by :func:`z_matrix_violation`);
+  graph Laplacians are the canonical source.
 * :class:`KernelEnergy` -- E(u) = (1/p) [ sum_{i<j} w_ij |u_i-u_j|^p
   + sum_i d_i |u_i|^p ], the discrete analogue of a (fractional) Gagliardo
   p-energy with a truncated zero-extension collar carried by the d_i.
 
 A is stored canonical (sorted indices, duplicates summed) and read-only.
 Its certificate is one O(nnz) pass over the CSR arrays: squareness,
-symmetry, finiteness, the Z-matrix test behind ``submodular``, and PSD by
-Gershgorin's theorem (diagonal dominance, true of every graph Laplacian) or,
-failing that and only up to n = PSD_DENSE_MAX_N, by its smallest eigenvalue.
+finiteness, symmetry, and PSD by Gershgorin's theorem (diagonal dominance,
+true of every graph Laplacian) or, failing that and only up to
+n = PSD_DENSE_MAX_N, by its smallest eigenvalue.
 
 :func:`validate_edges` is the one check of an (i, j, w) list, returned as
 arrays, :func:`laplacian` the one assembly of a weighted graph Laplacian and
@@ -51,7 +51,8 @@ from .lattice import as_index, as_index_set, as_real, as_vector
 #: Off-diagonal entries above this threshold count as Z-matrix violations.
 Z_TOL = 1e-12
 
-#: Allowed asymmetry |A_ij - A_ji| in stored matrices.
+#: Allowed asymmetry |A_ij - A_ji| in stored matrices, relative to
+#: max(1, max |A_ij|).
 SYMMETRY_TOL = 1e-12
 
 #: Eigenvalues down to -PSD_TOL * max(1, max |A_ii|) count as zero.
@@ -150,18 +151,16 @@ def csr_block(a: sp.csr_matrix, row_mask: np.ndarray, col_mask: np.ndarray) -> s
 class QuadraticEnergy:
     """E(u) = 1/2 <Au,u> + <b,u> with symmetric PSD A stored sparse.
 
-    ``submodular`` is True exactly when all off-diagonal entries of A are
-    nonpositive (up to ``Z_TOL``).  The discrete Laplacian associated with
-    the energy is L(u) = -(Au + b) = -gradient(u); it has no method of its
-    own.  ``a`` is a private copy in canonical CSR form (sorted indices,
-    duplicates summed) with read-only arrays, as are ``coupling``
-    (free-to-pinned block) and ``free_nodes``, which only
-    :func:`graph_dirichlet` sets.
+    The discrete Laplacian associated with the energy is
+    L(u) = -(Au + b) = -gradient(u); it has no method of its own.  ``a`` is
+    a private copy in canonical CSR form (sorted indices, duplicates summed)
+    with read-only arrays, as are ``coupling`` (free-to-pinned block) and
+    ``free_nodes``, which only :func:`graph_dirichlet` sets.
 
     The certificate is one pass over the arrays of ``a`` and its transpose.
     Asymmetry is max |A_ij - A_ji| entry by entry when both share one
     sparsity pattern (every graph Laplacian does) and is read from A - A^T
-    otherwise.
+    otherwise; it may reach SYMMETRY_TOL * max(1, max |A_ij|).
     """
 
     def __init__(self, a, b=None, *, coupling=None, free_nodes=None):
@@ -170,23 +169,22 @@ class QuadraticEnergy:
         if a.shape[0] != a.shape[1]:
             raise ConstructionError(f"matrix must be square, got {a.shape}")
         self.n = a.shape[0]
-        at = a.tocsc()  # the canonical CSR arrays of a.T
-        if np.array_equal(at.indptr, a.indptr) and np.array_equal(at.indices, a.indices):
-            with np.errstate(invalid="ignore"):  # inf - inf: NaN, refused as not finite
-                asym = np.max(np.abs(a.data - at.data), initial=0.0)
-        else:
-            asym = np.max(abs(a - a.T).data, initial=0.0)
-        if asym > SYMMETRY_TOL:
-            raise ConstructionError(f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
         if not np.all(np.isfinite(a.data)):
             raise ConstructionError("matrix entries must be finite")
+        at = a.tocsc()  # the canonical CSR arrays of a.T
+        if np.array_equal(at.indptr, a.indptr) and np.array_equal(at.indices, a.indices):
+            asym = np.max(np.abs(a.data - at.data), initial=0.0)
+        else:
+            asym = np.max(abs(a - a.T).data, initial=0.0)
+        tol = SYMMETRY_TOL * max(1.0, float(np.max(np.abs(a.data), initial=0.0)))
+        if asym > tol:
+            raise ConstructionError(f"matrix asymmetry {asym:.3e} exceeds {tol:.3e}")
         rows = np.repeat(np.arange(self.n), np.diff(a.indptr))
         on_diag = rows == a.indices
         diag = np.zeros(self.n)
         diag[rows[on_diag]] = a.data[on_diag]
-        off = a.data[~on_diag]
         tol = PSD_TOL * max(1.0, float(np.max(np.abs(diag), initial=0.0)))
-        radius = np.bincount(rows[~on_diag], weights=np.abs(off), minlength=self.n)
+        radius = np.bincount(rows[~on_diag], weights=np.abs(a.data[~on_diag]), minlength=self.n)
         # Gershgorin: a weakly diagonally dominant symmetric matrix is PSD.
         if not np.all(diag - radius >= -tol):
             if self.n > PSD_DENSE_MAX_N:
@@ -197,7 +195,6 @@ class QuadraticEnergy:
                 )
             if np.linalg.eigvalsh(a.toarray())[0] < -tol:
                 raise ConstructionError("matrix failed the positive-semidefiniteness check")
-        self.submodular = bool(np.max(off, initial=-np.inf) <= Z_TOL)
         b = as_vector(np.zeros(self.n) if b is None else b, "b", self.n)
         frozen = [b, a.data, a.indices, a.indptr]
         if coupling is not None:
@@ -241,9 +238,6 @@ class QuadraticEnergy:
     def hessian(self, u) -> sp.csr_matrix:
         """The constant Hessian ``a``."""
         return self.a
-
-    def diagonal(self) -> np.ndarray:
-        return self.a.diagonal()
 
     @classmethod
     def from_triplet_text(cls, text: str, b=None):
@@ -387,22 +381,26 @@ class KernelEnergy:
         of u, not a distance.  The floor scales with u, so the step counts
         of Newton do not change with the scale of the obstacles, and it
         bounds the model as in iteratively reweighted least squares
-        (Daubechies, DeVore, Fornasier & Güntürk, CPAM 63, 2010).  Where
-        delta is below the smallest normal float (u = 0, or ||u||_inf below
-        about 1e-292) every term counts as tied and the model is the zero
-        matrix: a subnormal delta^(p-2) can overflow.
+        (Daubechies, DeVore, Fornasier & Güntürk, CPAM 63, 2010).  Where an
+        entry of the model is not finite (u = 0, so delta = 0, or a tied
+        weight (p-1) w delta^(p-2) that overflows, as a large w does near
+        p = 1) the model is the zero matrix, and Newton steps along -grad.
         """
         u = as_vector(u, "u", self.n)
         q = self.p - 2.0
         dist, size = np.abs(u[self.i] - u[self.j]), np.abs(u)
-        if q < 0.0:
-            delta = np.finfo(float).eps * np.max(size)
-            if delta < np.finfo(float).tiny:
-                return sp.csr_matrix((self.n, self.n))
-            dist, size = np.maximum(dist, delta), np.maximum(size, delta)
-        c = (self.p - 1.0) * self.w * dist ** q
-        diag = (self.p - 1.0) * self.d * size ** q
-        return laplacian(self.n, self.i, self.j, c, diag)
+        if q >= 0.0:
+            return self._weighted_laplacian(dist ** q, size ** q)
+        delta = np.finfo(float).eps * np.max(size)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            model = self._weighted_laplacian(np.maximum(dist, delta) ** q,
+                                             np.maximum(size, delta) ** q)
+        return model if np.all(np.isfinite(model.data)) else sp.csr_matrix((self.n, self.n))
+
+    def _weighted_laplacian(self, dist_q, size_q) -> sp.csr_matrix:
+        """Pair weights (p-1) w dist_q and diagonal (p-1) d size_q, multiplied in that order."""
+        return laplacian(self.n, self.i, self.j, (self.p - 1.0) * self.w * dist_q,
+                         (self.p - 1.0) * self.d * size_q)
 
 
 def fractional_kernel_1d(n: int, h: float, s: float, p: float, collar: int) -> KernelEnergy:
@@ -497,23 +495,25 @@ def z_matrix_violation(a) -> ZMatrixViolation | None:
 
     Returns the witness pair u = e_i, v = e_j for which the submodularity
     defect of the quadratic form equals the entry exactly, or None when all
-    off-diagonal entries are <= Z_TOL.
+    off-diagonal entries are <= Z_TOL.  An energy's matrix is read from its
+    canonical CSR arrays, any other from its nonzero entries; both list the
+    entries in row-major order, and of equal largest entries the first wins.
     """
     if isinstance(a, QuadraticEnergy):
-        a = a.a
-    dense = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
-    n = dense.shape[0]
-    off = dense.copy()
-    np.fill_diagonal(off, -np.inf)
-    flat = int(np.argmax(off))
-    i, j = divmod(flat, n)
-    if off[i, j] <= Z_TOL:
+        n, cols, data = a.n, a.a.indices, a.a.data
+        rows = np.repeat(np.arange(n), np.diff(a.a.indptr))
+    else:
+        dense = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
+        n, (rows, cols) = dense.shape[0], np.nonzero(dense)
+        data = dense[rows, cols]
+    off = np.flatnonzero(rows != cols)
+    if not off.size or np.max(data[off]) <= Z_TOL:
         return None
-    u = np.zeros(n)
-    v = np.zeros(n)
-    u[i] = 1.0
-    v[j] = 1.0
-    return ZMatrixViolation(int(i), int(j), u, v, float(dense[i, j]))
+    k = off[np.argmax(data[off])]
+    i, j = int(rows[k]), int(cols[k])
+    u, v = np.zeros((2, n))
+    u[i] = v[j] = 1.0
+    return ZMatrixViolation(i, j, u, v, float(data[k]))
 
 
 def scalar_submodularity_inequality(p: float, x1: float, x2: float, y1: float, y2: float) -> CheckResult:

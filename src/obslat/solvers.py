@@ -1,25 +1,19 @@
 """Minimizers for convex energies over an order interval [lo, hi].
 
-Four routes with very different trust profiles:
+The library solves by :func:`solve_newton`, projected Newton (Bertsekas
+1982), for any energy with a Hessian: quadratic energies, and kernel
+energies with any p > 1, whose Hessian is a model with a floor at ties
+below p = 2.  Each step solves the free block of the Hessian exactly
+(shifted by a small multiple of the identity where it is singular), so it
+ends on the exact active set in a few steps.  :func:`brute_force_active_set`
+enumerates all activity patterns for n <= 12; slow and completely
+independent of the iterative solvers, it is the audit oracle (``obslat
+oracle``).
 
-* :func:`solve_newton` -- projected Newton (Bertsekas 1982) for any energy
-  with a Hessian: quadratic energies, and kernel energies with any p > 1,
-  whose Hessian is a model with a floor at ties below p = 2.  It is the
-  solver of ``obslat solve``, of the cut-off and Kantorovich constructions,
-  of every suite check but the monotone-iteration audit, and of the demos,
-  the goldens and the acceptance tests.  Each step solves the free block of
-  the Hessian exactly (shifted by a small multiple of the identity where it
-  is singular), so it ends on the exact active set in a few steps.
-* :func:`solve_psor` -- projected SOR for quadratic Z-matrix energies;
-  monotone on M-matrices, which the suite's monotone-iteration check uses.
-  Its sweep is exact lexicographic Gauss-Seidel on Python floats, so every
-  iterate is bit-identical to the same sweep on numpy float64 scalars.
-* :func:`solve_projected_gradient` -- spectral projected gradient: a
-  Barzilai-Borwein step along -grad, for any energy with a gradient, so for
-  kernel energies with any p > 1.
-* :func:`brute_force_active_set` -- enumeration of all activity patterns for
-  n <= 12; slow and completely independent of the iterative solvers, used as
-  the audit oracle (``obslat oracle``).
+:func:`solve_psor` (projected SOR) and :func:`solve_projected_gradient`
+(spectral projected gradient) are benchmark fixtures: nothing in the
+package calls them, and they stay while the benchmark times them by name.
+The suite's monotone audit runs PSOR's sweep, :func:`_psor_sweep`.
 
 Projected Newton and projected gradient are two direction rules of one
 loop, :func:`_descend`, with one stop rule, KKT residual <= tol, and one
@@ -27,9 +21,7 @@ retry along -grad.  It evaluates candidates through ``energy.evaluate(u)``,
 which gives E(u) and the gradient as a deferred call, so a rejected
 candidate costs the value alone.
 
-PSOR serves the suite's monotone audit and the benchmark, projected
-gradient the benchmark only; both stay while the benchmark times them by
-name.  All solvers report their first-order optimality through
+All solvers report their first-order optimality through
 :func:`kkt_residual`.  Every solver returns ``clamp(u, box)``, so an index
 sits on its obstacle exactly when it equals the bound: the active sets, the
 KKT residual and the Newton step all decide that by exact comparison with
@@ -44,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .energies import QuadraticEnergy, csr_block
+from .energies import QuadraticEnergy, csr_block, z_matrix_violation
 from .errors import DimensionMismatch, PreconditionError, SolverError
 from .lattice import OrderInterval, as_vector, clamp
 
@@ -54,8 +46,7 @@ FEAS_RTOL = 1e-12
 #: Multiplier sign tolerance in the brute-force KKT scan.
 ORACLE_SIGN_TOL = 1e-10
 
-#: Armijo line-search constants (initial step, shrink, decrease, floor).
-ARMIJO_STEP0 = 1.0
+#: Armijo line-search constants (shrink, decrease, floor); the first step is 1.
 ARMIJO_SHRINK = 0.5
 ARMIJO_DECREASE = 1e-4
 ARMIJO_FLOOR = 1e-14
@@ -204,50 +195,37 @@ def _check_box_dim(energy, box: OrderInterval) -> None:
 
 
 def solve_psor(energy: QuadraticEnergy, box: OrderInterval, tol: float = 1e-9,
-               max_iter: int = 20000, omega: float = 1.5, u0=None,
-               sweep_callback=None) -> Solution:
-    """Projected SOR for a quadratic energy over [lo, hi].
+               max_iter: int = 20000) -> Solution:
+    """Projected SOR with omega = 1.5 from clamp(0, box), a benchmark fixture.
 
-    Sweeps the update u_i <- clamp(u_i - omega (Au + b)_i / A_ii) in fixed
-    index order (Gauss-Seidel style, partially updated u) and tests the KKT
-    residual after every sweep.  The sweep is exact lexicographic
-    Gauss-Seidel on Python floats: each row sums its off-diagonal terms in
-    CSR order, and Python floats round like numpy float64, so the iterates
-    are those of the same sweep on numpy scalars, bit for bit.  Requires a
-    Z-matrix (submodular flag) or a strictly diagonally dominant matrix, and
-    a strictly positive diagonal.
-
-    When ``max_iter`` is exhausted the partial iterate is returned with
-    ``converged=False``.  ``sweep_callback(u)`` is invoked with a copy of the
-    iterate after each sweep (used by monotonicity audits).
+    Sweeps u_i <- clamp(u_i - omega (Au + b)_i / A_ii) in index order
+    (Gauss-Seidel style, partially updated u) and tests the KKT residual
+    after every sweep.  Each row sums its off-diagonal terms in CSR order on
+    Python floats, which round like numpy float64, so the iterates are those
+    of the same sweep on numpy scalars, bit for bit.  Requires a strictly
+    positive diagonal and a Z-matrix (no :func:`z_matrix_violation`) or
+    strict diagonal dominance.  When ``max_iter`` is exhausted the partial
+    iterate is returned with ``converged=False``.
     """
     if not isinstance(energy, QuadraticEnergy):
         raise SolverError("projected SOR needs a quadratic energy")
     _check_box_dim(energy, box)
-    if not 0.0 < omega < 2.0:
-        raise PreconditionError(f"relaxation omega = {omega} must lie in (0, 2)")
-    diag = energy.diagonal()
+    a = energy.a
+    diag = a.diagonal()
     if np.any(diag <= 0.0):
         raise SolverError("projected SOR requires strictly positive diagonal entries")
-    if not energy.submodular:
-        offdiag_rowsum = np.abs(energy.a).sum(axis=1).A1 - np.abs(diag)
-        if not np.all(np.abs(diag) > offdiag_rowsum):
-            raise SolverError(
-                "projected SOR requires a Z-matrix or strict diagonal dominance"
-            )
-    a = energy.a
-    u_arr = clamp(np.zeros(energy.n) if u0 is None else as_vector(u0, "u0"), box)
+    if z_matrix_violation(energy) is not None and not np.all(diag > abs(a).sum(axis=1).A1 - diag):
+        raise SolverError("projected SOR requires a Z-matrix or strict diagonal dominance")
+    u_arr = clamp(np.zeros(energy.n), box)
     rows = _psor_rows(a)
     b, lo, hi = energy.b.tolist(), box.lo.tolist(), box.hi.tolist()
-    diag, u, omega = diag.tolist(), u_arr.tolist(), float(omega)
+    diag, u = diag.tolist(), u_arr.tolist()
     sweeps = 0
     converged = False
     while sweeps < max_iter:
-        _psor_sweep(rows, diag, b, lo, hi, u, omega)
+        _psor_sweep(rows, diag, b, lo, hi, u, 1.5)
         sweeps += 1
         u_arr = np.array(u)
-        if sweep_callback is not None:
-            sweep_callback(u_arr.copy())
         if _kkt_from_gradient(u_arr, box, a @ u_arr + energy.b) <= tol:
             converged = True
             break
@@ -326,7 +304,7 @@ def _arc_search(energy, box: OrderInterval, u, f, g, res, d):
     u + d.
     """
     full = as_vector(u + d, "u", box.n)  # = u + 1.0 * d, bit for bit
-    alpha = ARMIJO_STEP0
+    alpha = 1.0
     while alpha >= ARMIJO_FLOOR:
         cand = (full if alpha == 1.0 else u + alpha * d).clip(box.lo, box.hi)
         f_cand, gradient = energy.evaluate(cand)

@@ -702,10 +702,42 @@ def test_solve_refuses_overflowing_exterior_sum(tmp_path):
 
 
 def test_true_and_false_inside_strings_are_text(tmp_path):
-    # the rule counts true and false literals, and a string holds none
-    cfg = dict(TRIDIAG_CONFIG, note='true, "false\\" and \\"true"')
+    # the rule counts true and false literals, and a string holds none; the
+    # string is a file path, the one free-text value of a config
+    matrix = tmp_path / 'true, "false\\" and \\"true".txt'
+    triplets = TRIDIAG_CONFIG["energy"]["triplets"]
+    matrix.write_text(f"3 {len(triplets)}\n" + "".join(f"{i} {j} {v}\n" for i, j, v in triplets))
+    cfg = dict(TRIDIAG_CONFIG, energy={"kind": "quadratic_file", "path": str(matrix)})
     assert main(["solve", "--config", write_config(tmp_path, cfg),
                  "--out", str(tmp_path / "out")]) == 0
+
+
+_UNKNOWN_KEY_CASES = [
+    ("solve", "solve_graph", (), "certifcate_tol"),
+    ("solve", "solve_graph", ("energy",), "colar"),
+    ("solve", "solve_graph", ("box",), "hj"),
+    ("solve", "solve_kernel", ("energy",), "collar"),
+    ("oracle", "solve_graph", (), "solvr"),
+    ("cutoff", "cutoff", (), "radius"),
+    ("cutoff", "cutoff", ("graph",), "weights"),
+    ("kantorovich", "kantorovich", (), "tt"),
+    ("suite", "suite", (), "sed"),
+]
+
+
+@pytest.mark.parametrize("command, base, path, key", _UNKNOWN_KEY_CASES,
+                         ids=["-".join([command, *path, key]) for command, _, path, key in _UNKNOWN_KEY_CASES])
+def test_unknown_config_keys_exit_2(tmp_path, capsys, command, base, path, key):
+    # each of these configs used to run with the key ignored and exit 0
+    cfg = copy.deepcopy(SWEEP_BASES[base][1])
+    obj = cfg
+    for name in path:
+        obj = obj[name]
+    obj[key] = 1e-30
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _strict_id(base, path, value) -> str:

@@ -46,7 +46,7 @@ def test_graph_dirichlet_path():
     assert energy.n == 3
     expected = np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2.0]])
     assert np.array_equal(energy.a.toarray(), expected)
-    assert energy.submodular
+    assert z_matrix_violation(energy) is None
 
 
 def test_graph_dirichlet_single_edge():
@@ -189,10 +189,26 @@ def test_quadratic_rejects_asymmetry_and_indefinite():
         QuadraticEnergy(np.array([[1e-12, 1.0], [1.0, 1e-12]]))
 
 
+def test_symmetry_tolerance_scales_with_the_entries():
+    # B^T diag(c D) B is symmetric up to the rounding of its entries, which
+    # grows with c: at c = 1e4 its asymmetry of about 4e-11 used to exceed
+    # an absolute 1e-12
+    rng = np.random.default_rng(0)
+    b = rng.normal(size=(40, 30))
+    d = rng.uniform(0.5, 2.0, size=40)
+    for c in (1.0, 1e4, 1e6, 1e10):
+        a = b.T @ np.diag(c * d) @ b
+        assert np.array_equal(QuadraticEnergy(a).a.toarray(), a)
+    # an asymmetry of 1e-9 of the largest entry is still refused
+    a[0, 1] += 1e-9 * np.max(np.abs(a))
+    with pytest.raises(ConstructionError, match="asymmetry"):
+        QuadraticEnergy(a)
+
+
 def test_quadratic_accepts_singular_psd(monkeypatch):
     # PSD but not diagonally dominant: only the eigenvalue test accepts it
     ones = QuadraticEnergy(np.ones((3, 3)))
-    assert not ones.submodular
+    assert z_matrix_violation(ones) is not None
 
     def no_eigvalsh(a):
         raise AssertionError("diagonally dominant input reached eigvalsh")
@@ -200,14 +216,14 @@ def test_quadratic_accepts_singular_psd(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
     energy = QuadraticEnergy(lap)
-    assert energy.submodular
+    assert z_matrix_violation(energy) is None
     dominant = QuadraticEnergy(np.array([[3.0, 1.0, -1.0],
                                          [1.0, 3.0, 2.0],
                                          [-1.0, 2.0, 3.0]]))
-    assert not dominant.submodular
+    assert z_matrix_violation(dominant) is not None
     edges = [(i, j, 1e3 * w) for i, j, w in
              random_connected_edges(np.random.default_rng(4), 150)]
-    assert graph_dirichlet(150, edges).submodular
+    assert z_matrix_violation(graph_dirichlet(150, edges)) is None
 
 
 def _ones_blocks(n: int) -> sp.csr_matrix:
@@ -217,7 +233,7 @@ def _ones_blocks(n: int) -> sp.csr_matrix:
 
 def test_quadratic_dense_psd_check_size_cap(monkeypatch):
     below = 3 * (PSD_DENSE_MAX_N // 3)
-    assert not QuadraticEnergy(_ones_blocks(below)).submodular
+    assert z_matrix_violation(QuadraticEnergy(_ones_blocks(below))) is not None
 
     def no_eigvalsh(a):
         raise AssertionError("matrix above the cap reached eigvalsh")
@@ -240,17 +256,18 @@ def test_quadratic_matrix_is_read_only():
 def _reference_certificate(a):
     """The certificate as scipy.sparse operations on the matrix as given.
 
-    Returns (error message or None, submodular or None); the energy must
+    Returns (error message or None, Z-matrix or None); the energy must
     reach the same verdicts from one pass over its canonical CSR arrays.
     """
     a = sp.csr_matrix(a, dtype=float, copy=True)
     if a.shape[0] != a.shape[1]:
         return f"matrix must be square, got {a.shape}", None
-    asym = abs(a - a.T)
-    if asym.nnz and asym.max() > SYMMETRY_TOL:
-        return f"matrix asymmetry {asym.max():.3e} exceeds {SYMMETRY_TOL}", None
     if not np.all(np.isfinite(a.data)):
         return "matrix entries must be finite", None
+    asym = abs(a - a.T)
+    tol = SYMMETRY_TOL * max(1.0, float(np.max(np.abs(a.toarray()), initial=0.0)))
+    if asym.nnz and asym.max() > tol:
+        return f"matrix asymmetry {asym.max():.3e} exceeds {tol:.3e}", None
     diag = a.diagonal()
     offdiag = a - sp.diags(diag)
     tol = PSD_TOL * max(1.0, float(np.max(np.abs(diag), initial=0.0)))
@@ -322,14 +339,15 @@ def _certificate_cases():
 def test_certificate_verdicts_match_the_scipy_formulation():
     kinds = dict.fromkeys(["accepted", "asymmetry", "must be finite", "semidefinite", "square"], 0)
     for a in _certificate_cases():
-        want_error, want_submodular = _reference_certificate(a)
+        want_error, want_z_matrix = _reference_certificate(a)
         try:
             energy = QuadraticEnergy(a, np.ones(a.shape[0]) if a.shape[0] else None)
         except ConstructionError as err:
             assert str(err) == want_error, a.toarray()
             kinds[next(k for k in kinds if k in str(err))] += 1
             continue
-        assert want_error is None and energy.submodular == want_submodular, a.toarray()
+        assert want_error is None, a.toarray()
+        assert (z_matrix_violation(energy) is None) == want_z_matrix, a.toarray()
         stored = energy.a
         assert stored.has_canonical_format
         assert np.array_equal(stored.toarray(), a.toarray())
@@ -470,7 +488,7 @@ def test_kernel_p2_matches_induced_quadratic():
     # at p = 2, E(u) = 1/2 <Au,u> with A the Laplacian of the pairs plus diag(d)
     energy = fractional_kernel_1d(6, 0.25, 0.5, 2.0, collar=3)
     quad = QuadraticEnergy(laplacian(6, energy.i, energy.j, energy.w, energy.d))
-    assert quad.submodular
+    assert z_matrix_violation(quad) is None
     off = quad.a.toarray()[~np.eye(6, dtype=bool)]
     assert np.all(off <= 0.0)
     for _ in range(10):
@@ -584,6 +602,19 @@ def test_kernel_model_hessian_subnormal_floor():
         floor = energy.hessian([tiny / eps, tiny / eps])
     assert zero.shape == (2, 2) and zero.nnz == 0
     assert np.all(np.isfinite(floor.data)) and np.all(floor.diagonal() > 0.0)
+
+
+def test_kernel_model_hessian_large_weight_near_p_one():
+    # delta = eps 2^-970 = 2^-1022 is a normal float, but the tied weight
+    # (p-1) w delta^(p-2) = 0.01 * 1e10 * 2^1011.8 overflows: no entry of the
+    # model is finite, so it is the zero matrix and Newton steps along -grad
+    energy = KernelEnergy(2, [(0, 1, 1e10)], [], 1.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        zero = energy.hessian([2.0 ** -970, 2.0 ** -970])
+        finite = energy.hessian([1e-250, 1e-250])  # the tied weight is 9.9e270
+    assert zero.shape == (2, 2) and zero.nnz == 0
+    assert np.all(np.isfinite(finite.data)) and finite[0, 1] < -1e270
 
 
 def test_kernel_validation():

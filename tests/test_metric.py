@@ -155,7 +155,7 @@ def _count_calls(monkeypatch, name, *modules) -> list:
 def test_edges_validated_once_per_space(monkeypatch):
     calls = _count_calls(monkeypatch, "validate_edges", obslat.metric, obslat.energies)
     energy = GraphSpace.from_graph(9, grid_edges(3, 3)).dirichlet_energy
-    assert energy.n == 9 and energy.submodular
+    assert energy.n == 9 and obslat.energies.z_matrix_violation(energy) is None
     assert calls == ["validate_edges"]
 
 

@@ -5,12 +5,20 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 import scipy.sparse as sp
 
 import obslat.solvers
+import obslat.suite
 from obslat.certificates import ls_certificate
-from obslat.energies import KernelEnergy, QuadraticEnergy, fractional_kernel_1d, graph_dirichlet
+from obslat.energies import (
+    KernelEnergy,
+    QuadraticEnergy,
+    fractional_kernel_1d,
+    graph_dirichlet,
+    z_matrix_violation,
+)
 from obslat.errors import ConstructionError, PreconditionError, SolverError
 from obslat.instances import (
     grid_boundary,
@@ -80,8 +88,6 @@ def test_psor_inactive_obstacles(tridiag):
 
 def test_psor_parameter_errors(tridiag, tridiag_box):
     with pytest.raises(PreconditionError):
-        solve_psor(tridiag, tridiag_box, omega=2.0)
-    with pytest.raises(PreconditionError):
         solve_psor(tridiag, OrderInterval([0.0], [1.0]))
     zero_diag = QuadraticEnergy(np.zeros((2, 2)))
     with pytest.raises(SolverError):
@@ -92,7 +98,7 @@ def test_psor_requires_zmatrix_or_dominance():
     # PSD, not a Z-matrix, not strictly diagonally dominant
     a = np.array([[1.0, 1.0], [1.0, 1.0]])
     energy = QuadraticEnergy(a)
-    assert not energy.submodular
+    assert z_matrix_violation(energy) is not None
     with pytest.raises(SolverError):
         solve_psor(energy, OrderInterval([0.0, 0.0], [1.0, 1.0]))
     # strictly dominant non-Z matrices are accepted
@@ -103,32 +109,32 @@ def test_psor_requires_zmatrix_or_dominance():
 
 def test_psor_max_iter_flags_nonconvergence(tridiag):
     box = OrderInterval([-5.0] * 3, [5.0] * 3)
-    sol = solve_psor(tridiag, box, tol=1e-14, max_iter=1,
-                     u0=np.array([4.0, -3.0, 2.0]))
+    sol = solve_psor(QuadraticEnergy(tridiag.a, [5.0, -3.0, 2.0]), box, tol=1e-14, max_iter=1)
     assert not sol.converged
     assert sol.iterations == 1
     assert np.all((box.lo <= sol.u) & (sol.u <= box.hi))
 
 
 def test_psor_monotone_from_upper_start():
+    # the sweep of the suite's psor_monotone_from_above check
     rng = np.random.default_rng(23)
     for _ in range(5):
         n = int(rng.integers(3, 15))
         energy = random_submodular_quadratic(rng, n)
         box = random_box(rng, n)
-        prev = box.hi.copy()
-        def check(u, prev_holder=[prev]):
-            assert np.all(u <= prev_holder[0])
+        iterates = obslat.suite._gauss_seidel_from_hi(energy, box)
+        assert iterates[0].tobytes() == box.hi.tobytes() and len(iterates) > 1
+        for prev, u in zip(iterates, iterates[1:]):
+            assert np.all(u <= prev)
             assert np.all((box.lo <= u) & (u <= box.hi))
-            prev_holder[0] = u
-        solve_psor(energy, box, omega=1.0, u0=box.hi, sweep_callback=check)
+        assert kkt_residual(energy, box, iterates[-1]) <= 1e-9
 
 
-def test_projected_gradient_agrees_with_psor(tridiag, tridiag_box):
+def test_projected_gradient_agrees_with_oracle(tridiag, tridiag_box):
     pg = solve_projected_gradient(tridiag, tridiag_box, tol=1e-9)
-    ps = solve_psor(tridiag, tridiag_box, tol=1e-9)
+    oracle = brute_force_active_set(tridiag, tridiag_box)
     assert pg.converged
-    assert np.max(np.abs(pg.u - ps.u)) <= 1e-7
+    assert np.max(np.abs(pg.u - oracle.u)) <= 1e-7
 
 
 def test_projected_gradient_symmetric_box(tridiag):
@@ -332,7 +338,7 @@ def test_oracle_equivalence_random_sample():
         n = int(rng.integers(2, 11))
         energy = random_submodular_quadratic(rng, n)
         box = random_box(rng, n)
-        sol = solve_psor(energy, box, tol=1e-9)
+        sol = solve_newton(energy, box, tol=1e-9)
         oracle = brute_force_active_set(energy, box)
         assert sol.converged
         assert np.max(np.abs(sol.u - oracle.u)) <= 1e-7
@@ -343,8 +349,8 @@ def test_oracle_handles_one_sided_box():
                              np.array([-1.0, 0.5]))
     box = OrderInterval([0.3, 0.3], [UNBOUNDED, UNBOUNDED])
     sol = brute_force_active_set(energy, box)
-    ps = solve_psor(energy, box, tol=1e-10)
-    assert np.max(np.abs(sol.u - ps.u)) <= 1e-8
+    # u_2 on its obstacle 0.3, then 2 u_1 - 0.3 = 1 and g_2 = -0.65 + 0.6 + 0.5 >= 0
+    assert np.max(np.abs(sol.u - [0.65, 0.3])) <= 1e-8
 
 
 def _kkt_by_three_passes(u, box, g):
@@ -379,7 +385,7 @@ def test_kkt_from_gradient_matches_three_passes():
 
 
 def test_kkt_residual_cases(tridiag, tridiag_box):
-    sol = solve_psor(tridiag, tridiag_box, tol=1e-9)
+    sol = brute_force_active_set(tridiag, tridiag_box)
     assert kkt_residual(tridiag, tridiag_box, sol.u) == 0.0
     # interior point: residual reduces to the gradient max norm
     box = OrderInterval([-10.0] * 3, [10.0] * 3)
@@ -443,20 +449,20 @@ def test_comparison_principle_path():
         vals = rng.uniform(-1, 1, size=2)
         energy = QuadraticEnergy(pinned.a, pinned.coupling @ vals)
         big = OrderInterval(np.full(energy.n, -UNBOUNDED), np.full(energy.n, UNBOUNDED))
-        u_harm = solve_psor(energy, big, tol=1e-11).u
+        u_harm = solve_newton(energy, big, tol=1e-11).u
         obstacle = u_harm + rng.uniform(0.0, 0.5, size=energy.n) - 0.2
-        u_obs = solve_psor(energy, OrderInterval(obstacle, np.full(energy.n, UNBOUNDED)),
-                           tol=1e-11).u
+        u_obs = solve_newton(energy, OrderInterval(obstacle, np.full(energy.n, UNBOUNDED)),
+                             tol=1e-11).u
         assert np.all(u_harm <= u_obs + 1e-9)
 
 
 def _reference_psor(energy, box, tol=1e-9, max_iter=20000, omega=1.5, u0=None):
-    """Projected SOR on numpy scalars: the arithmetic solve_psor must repeat bit for bit.
+    """Projected SOR on numpy scalars: the arithmetic PSOR's sweep must repeat bit for bit.
 
     Returns the final iterate, the sweep count, the convergence flag and a
     copy of the iterate after every sweep.
     """
-    a, b, diag = energy.a, energy.b, energy.diagonal()
+    a, b, diag = energy.a, energy.b, energy.a.diagonal()
     lo, hi = box.lo, box.hi
     u = clamp(np.zeros(energy.n) if u0 is None else u0, box)
     iterates = []
@@ -515,36 +521,38 @@ def _pinned():
 
 
 def _psor_case(name):
-    if name == "membrane":
-        return (*_membrane(), {"omega": 1.5})
-    if name == "membrane_gs_from_hi":
-        energy, box = _membrane()
-        return energy, box, {"omega": 1.0, "u0": box.hi}
+    if name in ("membrane", "membrane_gs_from_hi"):
+        return (*_membrane(), {})
     if name == "random_z_matrix":
         rng = np.random.default_rng(3)
         return random_submodular_quadratic(rng, 12), random_box(rng, 12), {}
     if name == "dominant_non_z":
-        return (*_dominant_non_z(), {"omega": 1.2})
+        return (*_dominant_non_z(), {})
     if name == "pinned":
         return (*_pinned(), {})
     energy = QuadraticEnergy.from_triplets(3, TRIDIAG, [5.0, -3.0, 2.0])
-    return (energy, OrderInterval([-5.0] * 3, [5.0] * 3),
-            {"tol": 1e-14, "max_iter": 1, "u0": np.array([4.0, -3.0, 2.0])})
+    return energy, OrderInterval([-5.0] * 3, [5.0] * 3), {"tol": 1e-14, "max_iter": 1}
 
 
 @pytest.mark.parametrize("name", ["membrane", "membrane_gs_from_hi", "random_z_matrix",
                                   "dominant_non_z", "pinned", "max_iter_1"])
 def test_psor_bit_identical_to_numpy_scalar_sweep(name):
+    # solve_psor at omega = 1.5 from clamp(0, box), and the suite's omega = 1
+    # sweep from hi, whose every iterate is compared
     energy, box, kwargs = _psor_case(name)
-    seen = []
-    sol = solve_psor(energy, box, sweep_callback=seen.append, **kwargs)
+    if name == "membrane_gs_from_hi":
+        seen = obslat.suite._gauss_seidel_from_hi(energy, box)
+        u, sweeps, converged, iterates = _reference_psor(energy, box, omega=1.0, u0=box.hi)
+        assert converged and len(seen) == sweeps + 1
+        assert [v.tobytes() for v in seen] == [v.tobytes() for v in [box.hi, *iterates]]
+        return
+    sol = solve_psor(energy, box, **kwargs)
     u, sweeps, converged, iterates = _reference_psor(energy, box, **kwargs)
     assert converged == (name != "max_iter_1")
     assert sol.converged == converged
     assert sol.iterations == sweeps
     assert sol.u.tobytes() == u.tobytes()
     assert sol.kkt_residual == kkt_residual(energy, box, u)
-    assert [v.tobytes() for v in seen] == [v.tobytes() for v in iterates]
 
 
 def test_psor_leaves_the_energy_unchanged():
@@ -582,7 +590,9 @@ def test_newton_matches_oracle_on_lower_obstacle_boxes():
     _assert_newton_matches_oracle(41, random_lower_obstacle_box, 8)
 
 
-def test_newton_membrane_agrees_with_psor():
+def test_newton_membrane_agrees_with_bounded_least_squares():
+    # E(u) = 1/2 |R u|^2 with A = R^T R (b = 0): its minimizer over the box
+    # is the bounded least-squares solution of R u = 0
     side = 12
     energy = graph_dirichlet(side * side, grid_edges(side, side), grid_boundary(side, side))
     x = np.linspace(0.0, 1.0, side)[1:-1]
@@ -590,11 +600,13 @@ def test_newton_membrane_agrees_with_psor():
     lo = (0.3 - 2.0 * ((xx - 0.5) ** 2 + (yy - 0.5) ** 2)).ravel()
     box = OrderInterval(lo, lo + 0.4)
     sol = solve_newton(energy, box, tol=1e-12)
-    ref = solve_psor(energy, box, tol=1e-12)
+    ref = scipy.optimize.lsq_linear(scipy.linalg.cholesky(energy.a.toarray()), np.zeros(energy.n),
+                                    bounds=(box.lo, box.hi), method="bvls")
+    ref_lower, ref_upper, _ = classify_active(ref.x, box)
     assert sol.converged and sol.iterations <= 10
-    assert np.max(np.abs(sol.u - ref.u)) <= 1e-10
-    assert np.array_equal(sol.active_lower, ref.active_lower)
-    assert np.array_equal(sol.active_upper, ref.active_upper)
+    assert np.max(np.abs(sol.u - ref.x)) <= 1e-10
+    assert np.array_equal(sol.active_lower, ref_lower)
+    assert np.array_equal(sol.active_upper, ref_upper)
 
 
 def test_newton_singular_free_block_takes_shifted_steps():
@@ -614,8 +626,10 @@ def test_newton_singular_free_block_takes_shifted_steps():
     assert np.max(np.abs(lap @ d + g0)) <= 1e-7
     sol = solve_newton(energy, box, tol=1e-9)
     assert sol.converged and sol.kkt_residual <= 1e-9 and sol.iterations <= 2
-    ref = solve_psor(energy, box, tol=1e-12)
-    assert abs(energy.value(sol.u) - energy.value(ref.u)) <= 1e-12
+    # b is in the range of A and the box is inactive: -pinv(A) b minimizes E
+    ref = -np.linalg.pinv(lap) @ energy.b
+    assert np.all((box.lo < ref) & (ref < box.hi))
+    assert abs(energy.value(sol.u) - energy.value(ref)) <= 1e-12
 
 
 def test_newton_zero_free_block_falls_back_to_gradient():
@@ -649,8 +663,12 @@ def test_newton_no_gradient_crawl_on_singular_hessian(b):
     sol = solve_newton(energy, box, tol=1e-9)
     assert sol.converged and sol.iterations <= 15
     assert ls_certificate(energy, box, sol, 1e-8).passed
-    ref = solve_psor(energy, box, tol=1e-12, omega=1.0)
-    assert energy.value(sol.u) <= energy.value(ref.u) + 1e-9 * (1.0 + abs(energy.value(ref.u)))
+    if b == "mean_zero":  # b in the range of A, box inactive: -pinv(A) b minimizes E
+        ref = -np.linalg.pinv(_path_laplacian(n)) @ lin
+        assert np.all((box.lo < ref) & (ref < box.hi))
+    else:  # no exact reference: the linear term drives the constants onto lo
+        ref = solve_psor(energy, box, tol=1e-12).u
+    assert energy.value(sol.u) <= energy.value(ref) + 1e-9 * (1.0 + abs(energy.value(ref)))
 
 
 def test_newton_no_gradient_crawl_on_singular_kernel_hessian():
@@ -722,10 +740,10 @@ def test_newton_and_projected_gradient_flag_budget(tridiag):
         assert sol.converged and sol.iterations == steps
 
 
-def test_only_the_suite_calls_the_secondary_solvers():
+def test_no_library_code_calls_the_secondary_solvers():
     # projected Newton is the solver of the package, the demos and the
-    # goldens; PSOR runs only the suite's monotone-iteration audit, and
-    # projected gradient nothing outside the benchmark and the unit tests
+    # goldens; PSOR and projected gradient are benchmark fixtures, called
+    # only by the benchmark and their own unit tests
     root = Path(__file__).resolve().parent.parent
     files = [*sorted((root / "src" / "obslat").glob("*.py")),
              *sorted((root / "demos").glob("*.py")), root / "tests" / "golden" / "generate.py"]
@@ -744,4 +762,4 @@ def test_only_the_suite_calls_the_secondary_solvers():
 
     calls = [(path.relative_to(root).as_posix(), *call) for path in files
              for call in calls_in(ast.parse(path.read_text(), filename=str(path)), None)]
-    assert calls == [("src/obslat/suite.py", "check_psor_monotone", "solve_psor")]
+    assert calls == []
