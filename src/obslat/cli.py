@@ -9,9 +9,9 @@ cutoff       build a certified cut-off function on a weighted graph
 kantorovich  regularize a c-concave potential at an interpolation time
 suite        run the property suites, write a CSV row per check
 
-Flags: solve, oracle and kantorovich take --config, --out and --tol;
-cutoff also --paper-radius; suite takes --config, --seed, --out and
---paper-radius.  Any other flag exits 2.
+Flags: solve, oracle, cutoff and kantorovich take --config and --out;
+suite takes --config, --seed and --out.  Any other flag exits 2.  The suite
+seed (default 0) is set only by --seed, every other setting only by its key.
 
 Exit codes: 0 success; 1 failing suite rows; 2 config error (a flag, file,
 key or value that could not be read, or is outside its documented range, or
@@ -24,16 +24,13 @@ Config schemas (JSON; a key not shown below exits 2; outputs sort keys, floats v
 solve/oracle::
 
     {"energy": <energy>, "box": {"lo": spec, "hi": spec},
-     "solver": {"method": "newton", "tol": float, "max_iter": int},
+     "solver": {"tol": float, "max_iter": int},
      "certificate_tol": float}
 
 where <energy> is one of::
 
     {"kind": "quadratic", "n": int, "triplets": [[i, j, value], ...],
      "b": [...]}                      # symmetric entries both listed
-    {"kind": "quadratic_file", "path": "A.txt", "b": [...]}
-                                      # triplet text: "n nnz" header,
-                                      # then "i j value" lines, 0-based
     {"kind": "graph", "nodes": int, "edges": [[i, j, w], ...],
      "dirichlet": [...]}
     {"kind": "kernel", "n": int, "p": float, "pairs": [[i, j, w], ...],
@@ -53,9 +50,9 @@ energy couples every pair of its n points; n above 2048 or a collar above
 Graph edges [i, j, w] are undirected ([j, i, w] is the same pair), each
 pair listed at most once (a repeat exits 2), with finite w > 0: a conductance
 in energies, and in cutoff/kantorovich also the shortest-path edge length.
-Kernel pairs [i, j, w] follow the edge rules and need i < j; exterior entries
-[i, d] need a finite d >= 0 and add up per index, to a finite sum.  NaN or
-Infinity exits 2.
+Kernel pairs [i, j, w] follow the edge rules, in either orientation;
+exterior entries [i, d] need a finite d >= 0 and add up per index, to a
+finite sum.  NaN or Infinity exits 2.
 
 cutoff::
 
@@ -71,17 +68,16 @@ kantorovich::
 solve, cutoff and kantorovich solve every energy above by projected Newton;
 below p = 2 a kernel gives it a model Hessian that floors ties (see
 ``KernelEnergy.hessian``).  Their "solver" object takes "tol", the KKT
-residual at which the solve stops (default 1e-9; --tol overrides it), and
-"max_iter", the budget of Newton steps (each one Hessian solve or
-projected-gradient fallback step; default 1000).  "method" may be only
-"newton"; any other method or solver key exits 2.  oracle parses the same
-settings and uses "tol" only for the certificate.  The certificate tolerance
-is "certificate_tol", default 10 * tol.  tol and certificate_tol must be
-finite and >= 0, max_iter >= 0.
+residual at which the solve stops (default 1e-9), and "max_iter", the
+budget of Newton steps (each one Hessian solve or projected-gradient
+fallback step; default 1000); any other solver key exits 2.  oracle parses
+the same settings and uses "tol" only for the certificate.  The
+certificate tolerance is "certificate_tol", default 10 * tol.  tol and
+certificate_tol must be finite and >= 0, max_iter >= 0.
 
 suite::
 
-    {"seed": int >= 0, "checks": [names...], "paper_radius": bool}
+    {"checks": [names...], "paper_radius": bool}
 
 The checks run in forked worker processes, one per CPU in the affinity
 mask; suite.csv and suite_summary.json do not depend on that count.
@@ -91,8 +87,10 @@ region and dirichlet only JSON arrays; "false" or "56" exits 2.  A number
 is a JSON number, never a string or a boolean: "0.1", "2" or true exits 2,
 as does true or false anywhere else.  Node indices (in edges, pairs,
 triplets, exterior, core, region and dirichlet) and counts (n, nodes,
-collar, max_iter, seed) are integers: a fraction such as 2.7 exits 2,
-where 2.0 counts as 2.
+collar, max_iter) are integers: a fraction such as 2.7 exits 2, where 2.0
+counts as 2.
+Removed routes exit 2: the flags --tol and --paper-radius, the solver key
+"method", the suite key "seed" and the energy kind "quadratic_file".
 
 Outputs are deterministic for a fixed config and seed: randomness comes
 only from numpy PCG64 generators seeded per check, reductions run in fixed
@@ -216,9 +214,6 @@ def _build_energy(spec: dict):
     if kind == "quadratic":
         _known(spec, "kind n triplets b")
         return QuadraticEnergy.from_triplets(spec["n"], spec["triplets"], spec.get("b"))
-    if kind == "quadratic_file":
-        text = Path(_known(spec, "kind path b")["path"]).read_text(encoding="utf-8")
-        return QuadraticEnergy.from_triplet_text(text, spec.get("b"))
     if kind == "graph":
         _known(spec, "kind nodes edges dirichlet")
         return graph_dirichlet(as_index(spec["nodes"], "nodes"), spec["edges"],
@@ -245,17 +240,15 @@ def _build_box(spec: dict, n: int) -> OrderInterval:
                          _box_side(spec.get("hi"), n, UNBOUNDED))
 
 
-def _solver_params(cfg: dict, args) -> dict:
+def _solver_params(cfg: dict) -> dict:
     """Solver settings; values no solve can honour are config errors.
 
     ``certificate_tol`` is None when absent.
     """
-    solver = _known(cfg.get("solver", {}), "method tol max_iter")
-    if solver.get("method") not in (None, "newton"):
-        raise ConfigError(f"solver method {solver['method']!r} is not 'newton'")
+    solver = _known(cfg.get("solver", {}), "tol max_iter")
     cert_tol = cfg.get("certificate_tol")
     params = {
-        "tol": as_real(args.tol if args.tol is not None else solver.get("tol", 1e-9), "tol"),
+        "tol": as_real(solver.get("tol", 1e-9), "tol"),
         "max_iter": as_index(solver.get("max_iter", 1000), "max_iter"),
         "certificate_tol": None if cert_tol is None else as_real(cert_tol, "certificate_tol"),
     }
@@ -270,7 +263,7 @@ def _cmd_solve(args, oracle: bool = False) -> int:
         cfg = _load_config(args, "energy box solver certificate_tol")
         energy = _build_energy(cfg["energy"])
         box = _build_box(cfg.get("box", {}), energy.n)
-        params = _solver_params(cfg, args)
+        params = _solver_params(cfg)
         out = _out_dir(args)
     if oracle:
         solution = brute_force_active_set(energy, box)
@@ -316,8 +309,8 @@ def cmd_cutoff(args) -> int:
     with _parsing("cutoff"):
         cfg = _load_config(args, "graph core region paper_radius solver certificate_tol")
         space = _build_space(cfg["graph"])
-        paper_radius = cfg.get("paper_radius", False) or args.paper_radius
-        params = _solver_params(cfg, args)
+        paper_radius = cfg.get("paper_radius", False)
+        params = _solver_params(cfg)
         core = _index_list(cfg["core"], "core")
         region = _index_list(cfg["region"], "region")
         out = _out_dir(args)
@@ -336,7 +329,7 @@ def cmd_kantorovich(args) -> int:
     with _parsing("kantorovich"):
         cfg = _load_config(args, "graph potential t cc_regularize solver certificate_tol")
         space = _build_space(cfg["graph"])
-        params = _solver_params(cfg, args)
+        params = _solver_params(cfg)
         phi = as_vector(cfg["potential"], "potential")
         t = as_real(cfg["t"], "t")
         cc_regularize = cfg.get("cc_regularize", False)
@@ -358,18 +351,17 @@ def cmd_kantorovich(args) -> int:
 
 def cmd_suite(args) -> int:
     with _parsing("suite"):
-        cfg = _load_config(args, "seed checks paper_radius") if args.config else {}
-        seed = args.seed if args.seed is not None else as_index(cfg.get("seed", 0), "seed")
-        if seed < 0:
-            raise ConfigError(f"seed = {seed} must be >= 0")
+        cfg = _load_config(args, "checks paper_radius") if args.config else {}
+        if args.seed < 0:
+            raise ConfigError(f"seed = {args.seed} must be >= 0")
         checks = cfg.get("checks")
         if checks is not None:
             unknown = [c for c in checks if c not in CHECKS]
             if unknown:
                 raise ConfigError(f"unknown checks: {unknown}")
-        paper_radius = cfg.get("paper_radius", False) or args.paper_radius
+        paper_radius = cfg.get("paper_radius", False)
         out = _out_dir(args)
-    rows, all_pass = run_suite(seed=seed, checks=checks, paper_radius=paper_radius)
+    rows, all_pass = run_suite(seed=args.seed, checks=checks, paper_radius=paper_radius)
     with open(out / "suite.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["check_name", "n_instances", "worst_value", "threshold", "pass"])
@@ -377,7 +369,7 @@ def cmd_suite(args) -> int:
             writer.writerow([row["check_name"], row["n_instances"],
                              row["worst_value"], row["threshold"], row["pass"]])
     _write_json(out / "suite_summary.json", {
-        "seed": seed,
+        "seed": args.seed,
         "generator": "numpy PCG64 seeded per check as [seed, crc32(check_name)]",
         "paper_radius": paper_radius,
         "all_pass": all_pass,
@@ -407,20 +399,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     flags = {
         "--config": {"type": str, "default": None, "help": "JSON config file"},
-        "--seed": {"type": int, "default": None, "help": "random seed"},
+        "--seed": {"type": int, "default": 0, "help": "random seed"},
         "--out": {"type": str, "default": ".", "help": "output directory"},
-        "--tol": {"type": float, "default": None, "help": "solver tolerance override"},
-        "--paper-radius": {"action": "store_true",
-                           "help": "use r^2 = D0^2/2 in the cut-off construction"},
     }
-    solve_flags = ("--config", "--out", "--tol")
+    solve_flags = ("--config", "--out")
     commands = {
         "solve": ("solve an obstacle problem and certify it", solve_flags),
         "oracle": ("solve by brute-force enumeration (n <= 12)", solve_flags),
-        "cutoff": ("build a certified cut-off function", (*solve_flags, "--paper-radius")),
+        "cutoff": ("build a certified cut-off function", solve_flags),
         "kantorovich": ("regularize a Kantorovich potential", solve_flags),
         "suite": ("run the property suites and write a CSV report",
-                  ("--config", "--seed", "--out", "--paper-radius")),
+                  ("--config", "--seed", "--out")),
     }
     for name, (help_text, names) in commands.items():
         sp = sub.add_parser(name, help=help_text)

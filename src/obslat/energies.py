@@ -4,9 +4,9 @@ Two families are provided:
 
 * :class:`QuadraticEnergy` -- E(u) = 1/2 <Au,u> + <b,u> for a symmetric PSD
   matrix A.  The energy is submodular exactly when A is a Z-matrix
-  (nonpositive off-diagonal entries, tested by :func:`z_matrix_violation`);
+  (no positive off-diagonal entry, tested by :func:`z_matrix_violation`);
   graph Laplacians are the canonical source.
-* :class:`KernelEnergy` -- E(u) = (1/p) [ sum_{i<j} w_ij |u_i-u_j|^p
+* :class:`KernelEnergy` -- E(u) = (1/p) [ sum_pairs w_ij |u_i-u_j|^p
   + sum_i d_i |u_i|^p ], the discrete analogue of a (fractional) Gagliardo
   p-energy with a truncated zero-extension collar carried by the d_i.
 
@@ -47,9 +47,6 @@ import scipy.sparse as sp
 
 from .errors import ConstructionError, PreconditionError
 from .lattice import as_index, as_index_set, as_real, as_vector
-
-#: Off-diagonal entries above this threshold count as Z-matrix violations.
-Z_TOL = 1e-12
 
 #: Allowed asymmetry |A_ij - A_ji| in stored matrices, relative to
 #: max(1, max |A_ij|).
@@ -155,7 +152,8 @@ class QuadraticEnergy:
     L(u) = -(Au + b) = -gradient(u); it has no method of its own.  ``a`` is
     a private copy in canonical CSR form (sorted indices, duplicates summed)
     with read-only arrays, as are ``coupling`` (free-to-pinned block) and
-    ``free_nodes``, which only :func:`graph_dirichlet` sets.
+    ``free_nodes``, which only :func:`graph_dirichlet` sets.  Entries come
+    as a matrix or, through :meth:`from_triplets`, as (i, j, value) lists.
 
     The certificate is one pass over the arrays of ``a`` and its transpose.
     Asymmetry is max |A_ij - A_ji| entry by entry when both share one
@@ -239,25 +237,6 @@ class QuadraticEnergy:
         """The constant Hessian ``a``."""
         return self.a
 
-    @classmethod
-    def from_triplet_text(cls, text: str, b=None):
-        rows = [ln for ln in text.splitlines() if ln.strip()]
-        if not rows:
-            raise ConstructionError("empty triplet text")
-        header = rows[0].split()
-        if len(header) != 2:
-            raise ConstructionError(f"bad triplet header {rows[0]!r}, expected 'n nnz'")
-        n, nnz = int(header[0]), int(header[1])
-        if len(rows) - 1 != nnz:
-            raise ConstructionError(f"header promises {nnz} entries, found {len(rows) - 1}")
-        triplets = []
-        for ln in rows[1:]:
-            parts = ln.split()
-            if len(parts) != 3:
-                raise ConstructionError(f"bad triplet line {ln!r}")
-            triplets.append((int(parts[0]), int(parts[1]), float(parts[2])))
-        return cls.from_triplets(n, triplets, b)
-
 
 def graph_dirichlet(nodes: int, edges, dirichlet_set=()) -> QuadraticEnergy:
     """Dirichlet energy of a weighted graph with zero values pinned on a node set.
@@ -291,8 +270,9 @@ class KernelEnergy:
     and submodular for p > 1 since |.|^p is convex, and differentiable: |t|^p / p
     has derivative |t|^(p-2) t, 0 at t = 0.  The Hessian exists for p >= 2;
     below, :meth:`hessian` gives a model Hessian with a floor at ties.
-    Each pair (i, j) is checked as an edge by :func:`validate_edges` and needs
-    i < j; finite exterior entries for one index add up, to a finite d_i.
+    Each pair (i, j) is checked as an edge by :func:`validate_edges`, in
+    either orientation (only the gradient's summation order sees it);
+    finite exterior entries for one index add up, to a finite d_i.
     """
 
     def __init__(self, n: int, pairs, exterior, p: float):
@@ -303,9 +283,6 @@ class KernelEnergy:
         if self.n < 1:
             raise ConstructionError("n must be >= 1")
         self.i, self.j, self.w = validate_edges(self.n, pairs)
-        if np.any(self.i > self.j):
-            k = int(np.argmax(self.i > self.j))
-            raise ConstructionError(f"pair ({self.i[k]},{self.j[k]}) must satisfy i < j")
         d = [0.0] * self.n  # Python floats: a sum that overflows is inf, without a warning
         for i, di in exterior:
             i, di = as_index(i, "exterior index"), as_real(di, "exterior weight")
@@ -494,10 +471,11 @@ def z_matrix_violation(a) -> ZMatrixViolation | None:
     """Largest positive off-diagonal entry of a symmetric matrix, if any.
 
     Returns the witness pair u = e_i, v = e_j for which the submodularity
-    defect of the quadratic form equals the entry exactly, or None when all
-    off-diagonal entries are <= Z_TOL.  An energy's matrix is read from its
-    canonical CSR arrays, any other from its nonzero entries; both list the
-    entries in row-major order, and of equal largest entries the first wins.
+    defect of the quadratic form equals the entry exactly, or None when no
+    off-diagonal entry is positive, with no tolerance.  An energy's matrix
+    is read from its canonical CSR arrays, any other from its nonzero
+    entries; both list the entries in row-major order, and of equal
+    largest entries the first wins.
     """
     if isinstance(a, QuadraticEnergy):
         n, cols, data = a.n, a.a.indices, a.a.data
@@ -507,7 +485,7 @@ def z_matrix_violation(a) -> ZMatrixViolation | None:
         n, (rows, cols) = dense.shape[0], np.nonzero(dense)
         data = dense[rows, cols]
     off = np.flatnonzero(rows != cols)
-    if not off.size or np.max(data[off]) <= Z_TOL:
+    if not off.size or np.max(data[off]) <= 0.0:
         return None
     k = off[np.argmax(data[off])]
     i, j = int(rows[k]), int(cols[k])

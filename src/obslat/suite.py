@@ -94,7 +94,7 @@ def check_zmatrix_equivalence(seed: int) -> list:
         n = int(rng.integers(2, 13))
         a = inst.random_symmetric_matrix(rng, n, z_matrix=bool(k % 2))
         off = a[~np.eye(n, dtype=bool)]
-        expect = bool(np.max(off) > 1e-12)
+        expect = bool(np.max(off) > 0.0)
         viol = z_matrix_violation(a)
         if (viol is not None) != expect:
             worst = math.inf

@@ -12,7 +12,7 @@ is written:
   from BFS distances with plain loops (no library code).
 
 The two suite goldens are the suite.csv of ``obslat suite --seed 0`` and of
-the cutoff check alone with ``--paper-radius``, the runs of
+the cutoff check alone with ``"paper_radius": true``, the runs of
 ``test_suite_matches_golden``.  They record the suite's own measurements, so
 the only check here is the exit code: every row passes in the first run, and
 the paper's radius fails in the second.
@@ -141,11 +141,11 @@ def cutoff_grid5x5(out):
     })
 
 
-def suite_csv(out, name, cfg, flags, expected_code):
+def suite_csv(out, name, cfg, expected_code):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(cfg))
-        code = main(["suite", "--seed", "0", "--config", str(config), "--out", tmp, *flags])
+        code = main(["suite", "--seed", "0", "--config", str(config), "--out", tmp])
         assert code == expected_code, f"{name}: suite exited {code}"
         shutil.copyfile(Path(tmp) / "suite.csv", out / name)
     print(f"wrote {name}")
@@ -156,6 +156,6 @@ if __name__ == "__main__":
     fractional_p3(out)
     cutoff_path11(out)
     cutoff_grid5x5(out)
-    suite_csv(out, "suite_seed0.csv", {}, [], 0)
-    suite_csv(out, "suite_seed0_paper_radius_cutoff.csv", {"checks": ["cutoff"]},
-              ["--paper-radius"], 1)
+    suite_csv(out, "suite_seed0.csv", {}, 0)
+    suite_csv(out, "suite_seed0_paper_radius_cutoff.csv",
+              {"checks": ["cutoff"], "paper_radius": True}, 1)

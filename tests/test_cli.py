@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -70,6 +71,10 @@ def test_solve_missing_config(tmp_path):
 def test_solve_bad_schema(tmp_path):
     cfg = write_config(tmp_path, {"energy": {"kind": "warp-drive"}})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    # no kind reads a file: "quadratic" takes its entries inline
+    cfg1 = write_config(tmp_path, {"energy": {"kind": "quadratic_file", "path": "A.txt"}},
+                        "quadratic_file.json")
+    assert main(["solve", "--config", cfg1, "--out", str(tmp_path)]) == 2
     cfg2 = write_config(tmp_path, {
         "energy": {"kind": "quadratic", "n": 2,
                    "triplets": [[0, 0, 1.0], [1, 1, 1.0], [0, 1, 0.7]]},
@@ -110,10 +115,6 @@ def test_solve_bad_schema(tmp_path):
     cfg4 = write_config(tmp_path, dict(TRIDIAG_CONFIG, solver={"max_iter": "abc"}),
                         "max_iter.json")
     assert main(["solve", "--config", cfg4, "--out", str(tmp_path)]) == 2
-    cfg5 = write_config(tmp_path, dict(TRIDIAG_CONFIG,
-                                       solver={"method": "psor", "omega": "x"}),
-                        "omega.json")
-    assert main(["solve", "--config", cfg5, "--out", str(tmp_path)]) == 2
     # a solver key no command reads is an error, not ignored
     cfg5b = write_config(tmp_path, dict(TRIDIAG_CONFIG, solver={"omega": 1.2}),
                          "omega_only.json")
@@ -135,8 +136,6 @@ def test_solve_bad_schema(tmp_path):
         assert main(["solve", "--config", cfg7, "--out", str(out)]) == 2, name
         assert not (out / "solution.json").exists(), name
     cfg8 = write_config(tmp_path, TRIDIAG_CONFIG, "tridiag.json")
-    assert main(["solve", "--config", cfg8, "--out", str(tmp_path), "--tol", "-1"]) == 2
-    assert main(["solve", "--config", cfg8, "--out", str(tmp_path), "--tol", "nan"]) == 2
     # a --out that cannot be a directory
     (tmp_path / "a_file").write_text("")
     assert main(["solve", "--config", cfg8, "--out", str(tmp_path / "a_file")]) == 2
@@ -307,20 +306,6 @@ def test_solve_fractional_kernel(tmp_path):
     assert certificate["pass"] is True
 
 
-def test_quadratic_file_energy(tmp_path):
-    # the matrix of TRIDIAG_CONFIG as triplet text
-    matrix_path = tmp_path / "matrix.txt"
-    matrix_path.write_text("3 7\n0 0 2.0\n0 1 -1.0\n1 0 -1.0\n1 1 2.0\n"
-                           "1 2 -1.0\n2 1 -1.0\n2 2 2.0\n")
-    cfg = {
-        "energy": {"kind": "quadratic_file", "path": str(matrix_path)},
-        "box": {"lo": [0.5, 1.0, 0.5], "hi": 10.0},
-    }
-    path = write_config(tmp_path, cfg)
-    out = tmp_path / "out"
-    assert main(["solve", "--config", path, "--out", str(out)]) == 0
-
-
 def test_cutoff_command(tmp_path):
     cfg = {
         "graph": {"nodes": 11, "edges": [[i, i + 1, 1.0] for i in range(10)]},
@@ -334,8 +319,8 @@ def test_cutoff_command(tmp_path):
     omega = np.array(payload["omega"])
     assert omega[5] == 1.0
     assert np.all(omega[[0, 1, 9, 10]] == 0.0)
-    assert main(["cutoff", "--config", path, "--out", str(out),
-                 "--paper-radius"]) == 4
+    paper = write_config(tmp_path, dict(cfg, paper_radius=True), "paper_radius.json")
+    assert main(["cutoff", "--config", paper, "--out", str(out)]) == 4
 
 
 def test_kantorovich_command(tmp_path):
@@ -355,9 +340,10 @@ def test_kantorovich_command(tmp_path):
     assert main(["kantorovich", "--config", path2, "--out", str(out)]) == 2
 
 
-@pytest.mark.parametrize("method", ["warp-drive", "projected_gradient", "psor"])
-def test_cutoff_and_kantorovich_run_newton_only(tmp_path, method):
-    # solve and oracle as well: every command rejects a method but newton
+@pytest.mark.parametrize("method", ["newton", "warp-drive", "projected_gradient", "psor"])
+def test_cutoff_and_kantorovich_run_newton_only(tmp_path, capsys, method):
+    # solve and oracle as well: every command solves by Newton, so the
+    # solver takes no method key, not even "newton"
     solver = {"method": method}
     graph = {"nodes": 5, "edges": [[i, i + 1, 1.0] for i in range(4)]}
     configs = {
@@ -369,6 +355,7 @@ def test_cutoff_and_kantorovich_run_newton_only(tmp_path, method):
     for command, cfg in configs.items():
         path = write_config(tmp_path, cfg, f"{command}.json")
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 2, command
+        assert "unknown keys ['method']" in capsys.readouterr().err, command
 
 
 def _grid_cutoff_config():
@@ -396,9 +383,9 @@ def test_constructions_exit_3_when_unconverged(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["suite", "--tol", "1e-3"],
+    ["solve", "--tol", "1e-3"],
     ["solve", "--seed", "1"],
-    ["kantorovich", "--paper-radius"],
+    ["cutoff", "--paper-radius"],
 ])
 def test_commands_reject_flags_they_do_not_read(tmp_path, argv):
     env = _env_with_src()
@@ -412,16 +399,33 @@ def test_commands_reject_flags_they_do_not_read(tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def _documented_flags() -> dict:
+    """{command: flags}, read from the "Flags:" sentence of the cli docstring."""
+    text = obslat.cli.__doc__.split("Flags:", 1)[1].split("Any other flag", 1)[0]
+    documented = {}
+    for clause in " ".join(text.split()).split(";"):
+        commands, flags = re.split(r"\btakes?\b", clause)
+        for command in re.findall(r"\w+", commands.replace(" and ", " ")):
+            documented[command] = set(re.findall(r"--[a-z-]+", flags))
+    return documented
+
+
 def test_help_returns_zero(capsys):
-    assert main(["solve", "--help"]) == 0
-    assert "--tol" in capsys.readouterr().out
+    # each command's --help lists exactly the flags that the docstring documents
+    documented = _documented_flags()
+    assert sorted(documented) == sorted(name[4:] for name in dir(obslat.cli)
+                                        if name.startswith("cmd_"))
+    for command, flags in documented.items():
+        assert main([command, "--help"]) == 0
+        listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+        assert listed == flags, command
 
 
 def test_cutoff_certificate_tol_follows_solver_tol(tmp_path):
     # the default certificate tolerance is 10 * tol in every command
-    cfg = write_config(tmp_path, _grid_cutoff_config())
+    cfg = write_config(tmp_path, dict(_grid_cutoff_config(), solver={"tol": 1e-12}))
     out = tmp_path / "out"
-    assert main(["cutoff", "--config", cfg, "--out", str(out), "--tol", "1e-12"]) == 0
+    assert main(["cutoff", "--config", cfg, "--out", str(out)]) == 0
     certificate = json.loads((out / "certificate.json").read_text())
     assert certificate["tol"] == 1e-11
     assert certificate["pass"] is True
@@ -444,8 +448,6 @@ def test_suite_unknown_check(tmp_path):
 def test_suite_negative_seed(tmp_path):
     out = tmp_path / "out"
     assert main(["suite", "--seed", "-1", "--out", str(out)]) == 2
-    cfg = write_config(tmp_path, {"seed": -1, "checks": ["zmatrix"]})
-    assert main(["suite", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -460,29 +462,29 @@ def test_suite_single_check_deterministic(tmp_path):
 
 
 def test_suite_paper_radius_fails(tmp_path):
-    cfg = write_config(tmp_path, {"checks": ["cutoff"]})
+    cfg = write_config(tmp_path, {"checks": ["cutoff"], "paper_radius": True})
     out = tmp_path / "out"
-    assert main(["suite", "--config", cfg, "--out", str(out), "--paper-radius"]) == 1
+    assert main(["suite", "--config", cfg, "--out", str(out)]) == 1
     with open(out / "suite.csv", newline="") as fh:
         rows = {r[0]: r for r in csv.reader(fh)}
     assert rows["cutoff_phi_le_psi"][4] == "False"
     assert float(rows["cutoff_phi_le_psi"][2]) == pytest.approx(0.5)
 
 
-@pytest.mark.parametrize("golden, cfg, flags", [
-    ("suite_seed0.csv", {}, []),
-    ("suite_seed0_paper_radius_cutoff.csv", {"checks": ["cutoff"]}, ["--paper-radius"]),
+@pytest.mark.parametrize("golden, cfg", [
+    ("suite_seed0.csv", {}),
+    ("suite_seed0_paper_radius_cutoff.csv", {"checks": ["cutoff"], "paper_radius": True}),
 ], ids=["seed0", "seed0_paper_radius"])
-def test_suite_matches_golden(tmp_path, golden, cfg, flags):
+def test_suite_matches_golden(tmp_path, golden, cfg):
     """Seed-0 suite rows match the recorded suite.csv.
 
     The goldens are the suite.csv of ``obslat suite --seed 0`` and of the
-    cutoff check alone with ``--paper-radius``.  Names, counts, thresholds
-    and verdicts must match exactly; worst values to 1e-12 (relative or
-    absolute), so other BLAS builds still pass.
+    cutoff check alone with ``"paper_radius": true``.  Names, counts,
+    thresholds and verdicts must match exactly; worst values to 1e-12
+    (relative or absolute), so other BLAS builds still pass.
     """
     code = main(["suite", "--seed", "0", "--config", write_config(tmp_path, cfg),
-                 "--out", str(tmp_path), *flags])
+                 "--out", str(tmp_path)])
     with open(GOLDEN / golden, newline="") as fh:
         expected = list(csv.DictReader(fh))
     with open(tmp_path / "suite.csv", newline="") as fh:
@@ -522,7 +524,7 @@ SWEEP_BASES = {
         "energy": {"kind": "graph", "nodes": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]],
                    "dirichlet": [0]},
         "box": {"lo": 0.0, "hi": [1.0, 1.0]},
-        "solver": {"method": "newton", "tol": 1e-9, "max_iter": 100},
+        "solver": {"tol": 1e-9, "max_iter": 100},
         "certificate_tol": 1e-8,
     }),
     "solve_kernel": ("solve", {
@@ -539,7 +541,7 @@ SWEEP_BASES = {
         "graph": {"nodes": 5, "edges": _PATH5},
         "potential": [0.0, -0.1, 0.0, -0.1, 0.0], "t": 0.5,
     }),
-    "suite": ("suite", {"checks": ["zmatrix"], "seed": 0}),
+    "suite": ("suite", {"checks": ["zmatrix"]}),
 }
 SWEEP_VALUES = ["x", [], None, 10**400, -1, float("nan")]
 
@@ -656,7 +658,6 @@ _STRICT_CASES = [
     ("solve_fractional", ("energy", "n"), 8.7),
     ("solve_fractional", ("energy", "collar"), 2.9),
     ("cutoff", ("solver", "max_iter"), 100.5),
-    ("suite", ("seed",), 2.5),
     ("solve_graph", ("solver", "tol"), "1e-9"),
     ("solve_graph", ("certificate_tol",), "1e-8"),
     ("solve_graph", ("solver", "max_iter"), "100"),
@@ -677,7 +678,6 @@ _STRICT_CASES = [
     ("solve_fractional", ("solver",), {"max_iter": True}),
     ("solve_graph", ("box",), {"lo": False, "hi": True}),
     ("solve_graph", ("energy", "edges"), [[0, True, 1.0], [1, 2, 1.0]]),
-    ("suite", ("seed",), True),
 ]
 
 
@@ -701,15 +701,17 @@ def test_solve_refuses_overflowing_exterior_sum(tmp_path):
     assert not out.exists()
 
 
-def test_true_and_false_inside_strings_are_text(tmp_path):
-    # the rule counts true and false literals, and a string holds none; the
-    # string is a file path, the one free-text value of a config
-    matrix = tmp_path / 'true, "false\\" and \\"true".txt'
-    triplets = TRIDIAG_CONFIG["energy"]["triplets"]
-    matrix.write_text(f"3 {len(triplets)}\n" + "".join(f"{i} {j} {v}\n" for i, j, v in triplets))
-    cfg = dict(TRIDIAG_CONFIG, energy={"kind": "quadratic_file", "path": str(matrix)})
-    assert main(["solve", "--config", write_config(tmp_path, cfg),
-                 "--out", str(tmp_path / "out")]) == 0
+def test_true_and_false_inside_strings_are_text(tmp_path, capsys):
+    # the rule counts true and false literals, and a string holds none, with
+    # escaped quotes or not: each config fails on the value of its string
+    for kind in ("untrue", 'true, "false\\" and \\"true', "false\\"):
+        cfg = dict(TRIDIAG_CONFIG, energy={"kind": kind})
+        assert main(["solve", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"unknown energy kind {kind!r}" in capsys.readouterr().err
+    cfg = write_config(tmp_path, {"checks": ["true"]})
+    assert main(["suite", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "unknown checks: ['true']" in capsys.readouterr().err
 
 
 _UNKNOWN_KEY_CASES = [
@@ -722,6 +724,7 @@ _UNKNOWN_KEY_CASES = [
     ("cutoff", "cutoff", ("graph",), "weights"),
     ("kantorovich", "kantorovich", (), "tt"),
     ("suite", "suite", (), "sed"),
+    ("suite", "suite", (), "seed"),
 ]
 
 

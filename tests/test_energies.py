@@ -11,7 +11,6 @@ from obslat.energies import (
     PSD_DENSE_MAX_N,
     PSD_TOL,
     SYMMETRY_TOL,
-    Z_TOL,
     KernelEnergy,
     QuadraticEnergy,
     csr_block,
@@ -28,8 +27,10 @@ from obslat.errors import ConstructionError, DimensionMismatch, PreconditionErro
 from obslat.instances import (
     random_connected_edges,
     random_kernel_pair,
+    random_smooth_obstacles,
     random_submodular_quadratic,
 )
+from obslat.solvers import solve_newton
 
 TRIDIAG = [(0, 0, 2.0), (1, 1, 2.0), (2, 2, 2.0),
            (0, 1, -1.0), (1, 0, -1.0), (1, 2, -1.0), (2, 1, -1.0)]
@@ -275,7 +276,7 @@ def _reference_certificate(a):
     if not np.all(diag - radius >= -tol):
         if np.linalg.eigvalsh(a.toarray())[0] < -tol:
             return "matrix failed the positive-semidefiniteness check", None
-    return None, bool(offdiag.nnz == 0 or offdiag.data.max() <= Z_TOL)
+    return None, bool(offdiag.nnz == 0 or offdiag.data.max() <= 0.0)
 
 
 def _messy_csr(rng, dense, explicit_zeros=0):
@@ -391,20 +392,6 @@ def test_value_gradient_example():
     assert np.array_equal(energy.gradient(np.zeros(3)), np.zeros(3))
     with pytest.raises(DimensionMismatch):
         energy.value(np.zeros(4))
-
-
-def test_triplet_text_roundtrip(tmp_path):
-    energy = tridiag_energy()
-    text = ("3 7\n0 0 2.0\n0 1 -1.0\n1 0 -1.0\n1 1 2.0\n"
-            "1 2 -1.0\n2 1 -1.0\n2 2 2.0\n")
-    header = text.splitlines()[0].split()
-    assert header[0] == "3" and int(header[1]) == energy.a.nnz
-    back = QuadraticEnergy.from_triplet_text(text)
-    assert np.array_equal(back.a.toarray(), energy.a.toarray())
-    with pytest.raises(ConstructionError):
-        QuadraticEnergy.from_triplet_text("3 1\n0 0 1.0\n0 1 2.0\n")
-    with pytest.raises(ConstructionError):
-        QuadraticEnergy.from_triplet_text("")
 
 
 # ----------------------------------------------------------------- kernels
@@ -619,8 +606,6 @@ def test_kernel_model_hessian_large_weight_near_p_one():
 
 def test_kernel_validation():
     with pytest.raises(ConstructionError):
-        KernelEnergy(3, [(1, 0, 1.0)], [], 2.0)  # needs i < j
-    with pytest.raises(ConstructionError):
         KernelEnergy(3, [(0, 1, 0.0)], [], 2.0)
     with pytest.raises(ConstructionError):
         KernelEnergy(3, [], [(0, -1.0)], 2.0)
@@ -641,6 +626,31 @@ def test_kernel_validation():
     # each entry is finite, but their sum overflows: d_0 = inf used to be stored
     with pytest.raises(ConstructionError, match="index 0 sum to inf"):
         KernelEnergy(2, [(0, 1, 1.0)], [(0, 1e308), (0, 1e308)], 2.0)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_kernel_pair_orientation_is_free(p):
+    # (i, j) and (j, i) are one pair, as for graph edges; a pair with i > j
+    # used to be refused.  Flipping pairs keeps the value and the Hessian bit
+    # for bit and the minimizer; the gradient sums its terms in other bins
+    rng = np.random.default_rng(42)
+    energy = random_kernel_pair(rng, 12, p)
+    flip = rng.random(energy.w.size) < 0.5
+    pairs = [(j, i, w) if f else (i, j, w)
+             for i, j, w, f in zip(energy.i.tolist(), energy.j.tolist(), energy.w.tolist(), flip)]
+    flipped = KernelEnergy(energy.n, pairs, enumerate(energy.d.tolist()), p)
+    assert flip.any() and np.any(flipped.i > flipped.j)
+    u = rng.normal(size=energy.n)
+    assert _bits(flipped.value(u)) == _bits(energy.value(u))
+    h, hf = energy.hessian(u), flipped.hessian(u)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(hf, attr), getattr(h, attr)), attr
+    g, gf = energy.gradient(u), flipped.gradient(u)
+    assert np.all(np.abs(gf - g) <= 4 * np.spacing(np.abs(g))), gf - g
+    box = random_smooth_obstacles(rng, energy.n, force_contact="lower")
+    sol, sol_flipped = solve_newton(energy, box, tol=1e-10), solve_newton(flipped, box, tol=1e-10)
+    assert sol.converged and sol_flipped.converged
+    assert np.max(np.abs(sol_flipped.u - sol.u)) <= 1e-12
 
 
 def _bits(x) -> bytes:
@@ -813,6 +823,19 @@ def test_t_monotonicity_kernel_families():
             u, v = rng.normal(size=6), rng.normal(size=6)
             ok, mu = t_monotonicity_check(energy, u, v, tol=1e-10)
             assert ok, (p, mu)
+
+
+def test_z_matrix_violation_has_no_tolerance():
+    # c [[2, 1], [1, 2]] has submodularity defect +c at (e0, e1) at every
+    # scale; an absolute threshold of 1e-12 used to return None at c <= 1e-12
+    for c in (1e-12, 1e-13, 1e-300):
+        a = c * np.array([[2.0, 1.0], [1.0, 2.0]])
+        for matrix in (a, QuadraticEnergy(a)):
+            viol = z_matrix_violation(matrix)
+            assert viol is not None and (viol.i, viol.j, viol.entry) == (0, 1, c)
+        _, delta = submodularity_check(lambda x: 0.5 * float(x @ a @ x), viol.u, viol.v)
+        assert delta == pytest.approx(c, rel=1e-12)
+    assert z_matrix_violation(-1e-300 * np.ones((2, 2))) is None
 
 
 def test_z_matrix_violation():

@@ -71,6 +71,18 @@ def test_metric_validation():
                                     [5.0, 1.0, 0.0]]))
 
 
+def test_triangle_inequality_is_checked_through_every_point():
+    # 250 points on a line, every distance to point 4 scaled by 0.9:
+    # d(3, 5) = 2 > d(3, 4) + d(4, 5) = 1.8.  Above 200 points the check
+    # used to go through 200 sampled points, none of them 4, and accepted it
+    x = np.arange(250.0)
+    d = np.abs(x[:, None] - x[None, :])
+    d[4, :] *= 0.9
+    d[:, 4] *= 0.9
+    with pytest.raises(ConstructionError, match="through point 4"):
+        FiniteMetricSpace(d)
+
+
 def test_metric_symmetry_tolerance_is_relative():
     # Shortest paths with lengths near 1e3 differ from their transpose by
     # rounding far above 1e-12; that is not an asymmetric input.
