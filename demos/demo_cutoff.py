@@ -9,7 +9,6 @@ by the Lewy-Stampacchia inequality.
 import numpy as np
 
 from obslat import build_cutoff, cutoff_obstacles
-from obslat.errors import ObstacleOrderError
 from obslat.instances import grid_space, path_space
 
 side = 15
@@ -40,13 +39,14 @@ for i in range(side):
     row = omega.reshape(side, side)[i]
     print("  " + "".join(shades[min(int(v * (len(shades) - 1) + 0.5), 9)] for v in row))
 
-# The literal radius r^2 = D0^2/2 breaks the obstacle ordering at metric
-# midpoints; the 5-node path shows it immediately.
-try:
-    cutoff_obstacles(path_space(5), [2], [1, 2, 3], paper_radius=True)
-except ObstacleOrderError as err:
-    print(f"\nalternative radius r^2 = D0^2/2 on a 5-path: phi exceeds psi "
-          f"by {err.violation} at the midpoint (this is why the default is D0^2/4)")
+# The paper's literal radius r^2 = D0^2/2, twice the one used above, breaks
+# the obstacle ordering at metric midpoints; the 5-node path shows it at once.
+path, path_core, path_out = path_space(5), [2], [0, 4]
+_, _, path_r2 = cutoff_obstacles(path, path_core, [1, 2, 3])
+paper_phi = 1.0 - np.minimum(1.0, path.distance_to(path_core) ** 2 / (4.0 * path_r2))
+paper_psi = np.minimum(1.0, path.distance_to(path_out) ** 2 / (4.0 * path_r2))
+print(f"\npaper's radius r^2 = D0^2/2 on a 5-path: phi exceeds psi "
+      f"by {np.max(paper_phi - paper_psi)} at the midpoint (this is why r^2 = D0^2/4)")
 
 try:
     import matplotlib

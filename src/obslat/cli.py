@@ -24,8 +24,7 @@ Config schemas (JSON; a key not shown below exits 2; outputs sort keys, floats v
 solve/oracle::
 
     {"energy": <energy>, "box": {"lo": spec, "hi": spec},
-     "solver": {"tol": float, "max_iter": int},
-     "certificate_tol": float}
+     "solver": {"tol": float, "max_iter": int}}
 
 where <energy> is one of::
 
@@ -57,8 +56,7 @@ finite sum.  NaN or Infinity exits 2.
 cutoff::
 
     {"graph": {"nodes": int, "edges": [[i, j, w], ...]},
-     "core": [...], "region": [...], "paper_radius": bool,
-     "solver": {...}}
+     "core": [...], "region": [...], "solver": {...}}
 
 kantorovich::
 
@@ -71,18 +69,18 @@ below p = 2 a kernel gives it a model Hessian that floors ties (see
 residual at which the solve stops (default 1e-9), and "max_iter", the
 budget of Newton steps (each one Hessian solve or projected-gradient
 fallback step; default 1000); any other solver key exits 2.  oracle parses
-the same settings and uses "tol" only for the certificate.  The
-certificate tolerance is "certificate_tol", default 10 * tol.  tol and
-certificate_tol must be finite and >= 0, max_iter >= 0.
+the same settings and uses "tol" only for the certificate.  Every command
+certifies at tolerance 10 * tol.  tol must be finite and >= 0, max_iter >= 0.
 
 suite::
 
-    {"checks": [names...], "paper_radius": bool}
+    {"checks": [distinct names...]}
 
-The checks run in forked worker processes, one per CPU in the affinity
-mask; suite.csv and suite_summary.json do not depend on that count.
+The checks (default: all) run in forked worker processes, one per CPU in
+the affinity mask; suite.csv and suite_summary.json do not depend on that
+count.
 
-paper_radius and cc_regularize take only JSON true or false, and core,
+cc_regularize, the only flag key, takes only JSON true or false, and core,
 region and dirichlet only JSON arrays; "false" or "56" exits 2.  A number
 is a JSON number, never a string or a boolean: "0.1", "2" or true exits 2,
 as does true or false anywhere else.  Node indices (in edges, pairs,
@@ -90,7 +88,8 @@ triplets, exterior, core, region and dirichlet) and counts (n, nodes,
 collar, max_iter) are integers: a fraction such as 2.7 exits 2, where 2.0
 counts as 2.
 Removed routes exit 2: the flags --tol and --paper-radius, the solver key
-"method", the suite key "seed" and the energy kind "quadratic_file".
+"method", the suite key "seed", the keys "paper_radius" and
+"certificate_tol" and the energy kind "quadratic_file".
 
 Outputs are deterministic for a fixed config and seed: randomness comes
 only from numpy PCG64 generators seeded per check, reductions run in fixed
@@ -180,15 +179,14 @@ def _load_config(args, keys: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     _known(cfg, keys)
-    flags = [key for key in ("paper_radius", "cc_regularize") if key in cfg]
-    for key in flags:
-        if not isinstance(cfg[key], bool):
-            raise ConfigError(f"{key} must be true or false, got {cfg[key]!r}")
+    flag = cfg.get("cc_regularize", False)
+    if not isinstance(flag, bool):
+        raise ConfigError(f"cc_regularize must be true or false, got {flag!r}")
     # Python reads any other JSON true or false as the number 1 or 0; each
     # one is a literal of the text outside its strings
     bare = _JSON_STRING.sub("", text)
-    if bare.count("true") + bare.count("false") > len(flags):
-        raise ConfigError("JSON true or false outside paper_radius and cc_regularize: "
+    if bare.count("true") + bare.count("false") > ("cc_regularize" in cfg):
+        raise ConfigError("JSON true or false outside cc_regularize: "
                           "numbers, counts and indices take JSON numbers")
     return cfg
 
@@ -241,26 +239,21 @@ def _build_box(spec: dict, n: int) -> OrderInterval:
 
 
 def _solver_params(cfg: dict) -> dict:
-    """Solver settings; values no solve can honour are config errors.
-
-    ``certificate_tol`` is None when absent.
-    """
+    """Solver settings; values no solve can honour are config errors."""
     solver = _known(cfg.get("solver", {}), "tol max_iter")
-    cert_tol = cfg.get("certificate_tol")
     params = {
         "tol": as_real(solver.get("tol", 1e-9), "tol"),
         "max_iter": as_index(solver.get("max_iter", 1000), "max_iter"),
-        "certificate_tol": None if cert_tol is None else as_real(cert_tol, "certificate_tol"),
     }
     for name, value in params.items():
-        if value is not None and not 0 <= value < math.inf:
+        if not 0 <= value < math.inf:
             raise ConfigError(f"{name} = {value} must be finite and >= 0")
     return params
 
 
 def _cmd_solve(args, oracle: bool = False) -> int:
     with _parsing(args.command):
-        cfg = _load_config(args, "energy box solver certificate_tol")
+        cfg = _load_config(args, "energy box solver")
         energy = _build_energy(cfg["energy"])
         box = _build_box(cfg.get("box", {}), energy.n)
         params = _solver_params(cfg)
@@ -277,9 +270,7 @@ def _cmd_solve(args, oracle: bool = False) -> int:
         print(f"solver did not converge within budget (kkt residual "
               f"{solution.kkt_residual:.3e})", file=sys.stderr)
         return EXIT_SOLVER
-    cert_tol = params["certificate_tol"]
-    cert = ls_certificate(energy, box, solution,
-                          10.0 * params["tol"] if cert_tol is None else cert_tol)
+    cert = ls_certificate(energy, box, solution, 10.0 * params["tol"])
     _write_json(out / "certificate.json", certificate_report(energy, box, solution, cert))
     return EXIT_OK if cert.passed else EXIT_CERTIFICATE
 
@@ -307,27 +298,24 @@ def _write_construction(out: Path, name: str, fields: dict, space, box, solution
 
 def cmd_cutoff(args) -> int:
     with _parsing("cutoff"):
-        cfg = _load_config(args, "graph core region paper_radius solver certificate_tol")
+        cfg = _load_config(args, "graph core region solver")
         space = _build_space(cfg["graph"])
-        paper_radius = cfg.get("paper_radius", False)
         params = _solver_params(cfg)
         core = _index_list(cfg["core"], "core")
         region = _index_list(cfg["region"], "region")
         out = _out_dir(args)
-    cut = build_cutoff(space, core, region, tol=params["tol"], max_iter=params["max_iter"],
-                       paper_radius=paper_radius, cert_tol=params["certificate_tol"])
+    cut = build_cutoff(space, core, region, tol=params["tol"], max_iter=params["max_iter"])
     return _write_construction(out, "cutoff", {
         "omega": cut.solution.u.tolist(),
         "phi": cut.phi.tolist(),
         "psi": cut.psi.tolist(),
         "r2": cut.r2,
-        "paper_radius": paper_radius,
     }, space, OrderInterval(cut.phi, cut.psi), cut.solution, cut.certificate)
 
 
 def cmd_kantorovich(args) -> int:
     with _parsing("kantorovich"):
-        cfg = _load_config(args, "graph potential t cc_regularize solver certificate_tol")
+        cfg = _load_config(args, "graph potential t cc_regularize solver")
         space = _build_space(cfg["graph"])
         params = _solver_params(cfg)
         phi = as_vector(cfg["potential"], "potential")
@@ -336,7 +324,7 @@ def cmd_kantorovich(args) -> int:
         out = _out_dir(args)
     eta, pair, cert = kantorovich_regularize(
         space, phi, t, tol=params["tol"], max_iter=params["max_iter"],
-        cc_regularize=cc_regularize, cert_tol=params["certificate_tol"])
+        cc_regularize=cc_regularize)
     return _write_construction(out, "kantorovich", {
         "eta": eta.tolist(),
         "phi": pair.phi.tolist(),
@@ -351,17 +339,20 @@ def cmd_kantorovich(args) -> int:
 
 def cmd_suite(args) -> int:
     with _parsing("suite"):
-        cfg = _load_config(args, "checks paper_radius") if args.config else {}
+        cfg = _load_config(args, "checks") if args.config else {}
         if args.seed < 0:
             raise ConfigError(f"seed = {args.seed} must be >= 0")
-        checks = cfg.get("checks")
-        if checks is not None:
-            unknown = [c for c in checks if c not in CHECKS]
-            if unknown:
-                raise ConfigError(f"unknown checks: {unknown}")
-        paper_radius = cfg.get("paper_radius", False)
+        checks = cfg.get("checks", list(CHECKS))
+        if not isinstance(checks, list):
+            raise ConfigError(f"checks must be an array of check names, got {checks!r}")
+        unknown = [c for c in checks if not isinstance(c, str) or c not in CHECKS]
+        if unknown:
+            raise ConfigError(f"unknown checks: {unknown}")
+        repeated = sorted({c for c in checks if checks.count(c) > 1})
+        if repeated:
+            raise ConfigError(f"repeated checks: {repeated}")
         out = _out_dir(args)
-    rows, all_pass = run_suite(seed=args.seed, checks=checks, paper_radius=paper_radius)
+    rows, all_pass = run_suite(seed=args.seed, checks=checks)
     with open(out / "suite.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["check_name", "n_instances", "worst_value", "threshold", "pass"])
@@ -371,7 +362,6 @@ def cmd_suite(args) -> int:
     _write_json(out / "suite_summary.json", {
         "seed": args.seed,
         "generator": "numpy PCG64 seeded per check as [seed, crc32(check_name)]",
-        "paper_radius": paper_radius,
         "all_pass": all_pass,
         "n_rows": len(rows),
         "failed_checks": [r["check_name"] for r in rows if not r["pass"]],

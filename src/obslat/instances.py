@@ -88,13 +88,10 @@ def random_lower_obstacle_box(rng: np.random.Generator, n: int) -> OrderInterval
     return OrderInterval(lo, np.full(n, UNBOUNDED))
 
 
-def random_symmetric_matrix(rng: np.random.Generator, n: int,
-                            z_matrix: bool | None = None) -> np.ndarray:
+def random_symmetric_matrix(rng: np.random.Generator, n: int, z_matrix: bool) -> np.ndarray:
     """Dense random symmetric matrix; ``z_matrix=True`` forces off-diag <= 0."""
     a = rng.normal(size=(n, n))
     a = 0.5 * (a + a.T)
-    if z_matrix is None:
-        z_matrix = bool(rng.integers(0, 2))
     if z_matrix:
         off = ~np.eye(n, dtype=bool)
         a[off] = -np.abs(a[off])

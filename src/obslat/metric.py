@@ -240,10 +240,10 @@ def _c_transform_and_defect(space: FiniteMetricSpace, phi: np.ndarray):
     return phi_c, float(np.max(np.abs(c_transform(space, phi_c) - phi)))
 
 
-def is_c_concave(space: FiniteMetricSpace, phi, tol: float = CC_TOL) -> CheckResult:
-    """phi is c-concave iff phi^cc = phi (phi^cc >= phi always holds)."""
+def is_c_concave(space: FiniteMetricSpace, phi) -> CheckResult:
+    """phi is c-concave iff phi^cc = phi (phi^cc >= phi always holds), to CC_TOL."""
     _, defect = _c_transform_and_defect(space, as_vector(phi, "phi"))
-    return CheckResult(defect <= tol, defect)
+    return CheckResult(defect <= CC_TOL, defect)
 
 
 def _absorb_crossing(lo: np.ndarray, hi: np.ndarray, bound: float, message: str) -> np.ndarray:
@@ -258,8 +258,7 @@ def _absorb_crossing(lo: np.ndarray, hi: np.ndarray, bound: float, message: str)
     return np.maximum(hi, lo)
 
 
-def cutoff_obstacles(space: FiniteMetricSpace, core, region,
-                     paper_radius: bool = False):
+def cutoff_obstacles(space: FiniteMetricSpace, core, region):
     """Distance-profile obstacles for the cut-off construction.
 
     With r^2 = D0^2/4, D0 the distance from the core to the complement of the
@@ -274,10 +273,11 @@ def cutoff_obstacles(space: FiniteMetricSpace, core, region,
     equality at metric midpoints.  In floats the two sides round apart
     there, so phi may exceed psi by a few ulps; :func:`_absorb_crossing`
     lifts psi to phi where they cross by at most 4 eps, which leaves the
-    pins as they are.  ``paper_radius=True`` selects r^2 = D0^2/2 instead,
-    which admits phi > psi by O(1) at metric midpoints
-    (e.g. 0.5 on a 5-node path with core {2} and region {1,2,3}); a crossing
-    above 4 eps raises ObstacleOrderError carrying the offending obstacles.
+    pins as they are; a crossing above 4 eps raises ObstacleOrderError
+    carrying the offending obstacles.  The paper's literal radius
+    r^2 = D0^2/2 would need d(., core)^2 + d(., X \\ region)^2 >= D0^2,
+    which fails at metric midpoints, where the sum is D0^2/2: there phi
+    exceeds psi by 1/2 (as on a 5-node path with core {2} and region {1,2,3}).
 
     Returns (phi, psi, r2).
     """
@@ -294,12 +294,11 @@ def cutoff_obstacles(space: FiniteMetricSpace, core, region,
     d_core = space.distance_to(c_idx)
     d_out = space.distance_to(out_idx)
     d0 = float(np.min(d_core[out_idx]))
-    r2 = d0 * d0 / 2.0 if paper_radius else d0 * d0 / 4.0
+    r2 = d0 * d0 / 4.0
     phi = 1.0 - np.minimum(1.0, d_core ** 2 / (2.0 * r2))
     psi = np.minimum(1.0, d_out ** 2 / (2.0 * r2))
     psi = _absorb_crossing(phi, psi, 4.0 * np.finfo(float).eps,
-                           "cut-off obstacles violate phi <= psi"
-                           + (" (expected with the alternative radius)" if paper_radius else ""))
+                           "cut-off obstacles violate phi <= psi")
     return phi, psi, r2
 
 
@@ -311,14 +310,13 @@ def _require_graph_space(space) -> GraphSpace:
     return space
 
 
-def _certified_solve(space: GraphSpace, box: OrderInterval, tol: float,
-                     max_iter: int, cert_tol: float | None):
+def _certified_solve(space: GraphSpace, box: OrderInterval, tol: float, max_iter: int):
     energy = space.dirichlet_energy
     sol = solve_newton(energy, box, tol=tol, max_iter=max_iter)
     if not sol.converged:
         raise SolverError(f"Newton solve did not converge within {max_iter} steps "
                           f"(kkt residual {sol.kkt_residual:.3e})")
-    cert = ls_certificate(energy, box, sol, 10.0 * tol if cert_tol is None else cert_tol)
+    cert = ls_certificate(energy, box, sol, 10.0 * tol)
     if not cert.passed:
         raise CertificateError(
             f"Lewy-Stampacchia certificate failed (min slacks "
@@ -339,15 +337,13 @@ class Cutoff:
 
 
 def build_cutoff(space: GraphSpace, core, region, tol: float = 1e-9,
-                 max_iter: int = 1000, paper_radius: bool = False,
-                 cert_tol: float | None = None) -> Cutoff:
+                 max_iter: int = 1000) -> Cutoff:
     """Cut-off function with certified Laplacian bound, as a :class:`Cutoff`.
 
     Minimizes the graph Dirichlet energy over the obstacle interval from
     :func:`cutoff_obstacles` by :func:`solvers.solve_newton`.  Its Laplacian
     max-norm is bounded by ``certificate.obstacle_bound`` up to the
-    certificate tolerance ``cert_tol`` (default ``10 * tol``, as in ``obslat
-    solve``).  Raises ObstacleOrderError when the obstacles cross,
+    certificate tolerance ``10 * tol``, as in ``obslat solve``.  Raises ObstacleOrderError when the obstacles cross,
     SolverError when the solve does not converge and CertificateError when
     the certificate fails.  Neither the bound nor the pins need a check of
     their own.  A passing certificate puts grad E(u) between
@@ -358,8 +354,8 @@ def build_cutoff(space: GraphSpace, core, region, tol: float = 1e-9,
     ``clamp(u, box)``, which lands on them bit for bit.
     """
     space = _require_graph_space(space)
-    phi, psi, r2 = cutoff_obstacles(space, core, region, paper_radius=paper_radius)
-    sol, cert = _certified_solve(space, OrderInterval(phi, psi), tol, max_iter, cert_tol)
+    phi, psi, r2 = cutoff_obstacles(space, core, region)
+    sol, cert = _certified_solve(space, OrderInterval(phi, psi), tol, max_iter)
     return Cutoff(phi=phi, psi=psi, r2=r2, solution=sol, certificate=cert)
 
 
@@ -404,8 +400,7 @@ def _interpolation_bounds(space: FiniteMetricSpace, phi, t: float, cc_regularize
 
 
 def kantorovich_regularize(space: GraphSpace, phi, t: float, tol: float = 1e-9,
-                           max_iter: int = 1000, cc_regularize: bool = False,
-                           cert_tol: float | None = None):
+                           max_iter: int = 1000, cc_regularize: bool = False):
     """Regularized potential at interpolation time t in (0, 1).
 
     ``phi`` must be c-concave to CC_TOL (pass ``cc_regularize=True`` to use
@@ -416,7 +411,7 @@ def kantorovich_regularize(space: GraphSpace, phi, t: float, tol: float = 1e-9,
     functions.  This needs no check: solvers return ``clamp(u, box)``, so
     lo <= eta <= hi, and rounded subtraction is monotone, so there
     |eta - lo| <= hi - lo <= COINCIDENCE_TOL.
-    The certificate tolerance ``cert_tol`` defaults to ``10 * tol``.  Raises
+    The certificate tolerance is ``10 * tol``.  Raises
     PreconditionError (bad t, phi not c-concave), ObstacleOrderError (bounds
     crossed beyond rounding), SolverError (unconverged solve) and
     CertificateError (failed certificate).  Returns (eta, PotentialPair, certificate).
@@ -428,20 +423,19 @@ def kantorovich_regularize(space: GraphSpace, phi, t: float, tol: float = 1e-9,
                           "interpolation bounds crossed beyond rounding; metric invariant bug")
     pair = PotentialPair(phi=phi, phi_c=phi_c, t=float(t), lo=lo, hi=hi,
                          coincidence_set=np.flatnonzero(np.abs(hi - lo) <= COINCIDENCE_TOL))
-    sol, cert = _certified_solve(space, OrderInterval(lo, hi), tol, max_iter, cert_tol)
+    sol, cert = _certified_solve(space, OrderInterval(lo, hi), tol, max_iter)
     return sol.u, pair, cert
 
 
-def interpolation_duality_check(space: FiniteMetricSpace, phi, t: float,
-                                tol: float = 1e-12) -> CheckResult:
-    """Q_t(-phi) + Q_{1-t}(-phi^c) >= 0 everywhere, for c-concave phi.
+def interpolation_duality_check(space: FiniteMetricSpace, phi, t: float) -> CheckResult:
+    """Q_t(-phi) + Q_{1-t}(-phi^c) >= 0 everywhere, up to 1e-12, for c-concave phi.
 
     Holds on any metric space since d(y,z)^2 <= d(x,y)^2/t + d(x,z)^2/(1-t).
     Returns the minimum slack, the least hi - lo of the unabsorbed bounds.
     """
     _, _, lo, hi = _interpolation_bounds(space, phi, t)
     m = float(np.min(hi - lo))
-    return CheckResult(m >= -tol, m)
+    return CheckResult(m >= -1e-12, m)
 
 
 def coincidence_cc_report(space: FiniteMetricSpace, pair: PotentialPair,

@@ -303,7 +303,7 @@ def _cutoff_cases(rng: np.random.Generator) -> list:
     return cases
 
 
-def check_cutoff(seed: int, paper_radius: bool = False) -> list:
+def check_cutoff(seed: int) -> list:
     """Grade :func:`metric.build_cutoff` on the cut-off cases.
 
     An ObstacleOrderError adds its violation to ``cutoff_phi_le_psi``.  A
@@ -318,7 +318,7 @@ def check_cutoff(seed: int, paper_radius: bool = False) -> list:
     n_built = 0
     for space, core, region, _name in cases:
         try:
-            cut = build_cutoff(space, core, region, paper_radius=paper_radius)
+            cut = build_cutoff(space, core, region)
         except ObstacleOrderError as err:
             worst_order = max(worst_order, float(err.violation))
             continue
@@ -393,7 +393,7 @@ def check_maximum_principle(seed: int) -> list:
     return [_row("maximum_principle", 20, worst, 1e-9)]
 
 
-#: Registered checks in canonical order; cutoff takes the radius flag.
+#: Registered checks in canonical order; each takes only the seed.
 CHECKS = {
     "lattice": check_lattice_identities,
     "zmatrix": check_zmatrix_equivalence,
@@ -415,20 +415,17 @@ CHECKS = {
 def _run_check(task) -> list:
     """Rows of one check; an ObslatError becomes its ``<name>_error:<Type>`` row.
 
-    ``task`` is ``(name, seed, paper_radius)``: plain values, so that the
-    check is found by name in ``CHECKS`` of the process that runs it.
+    ``task`` is ``(name, seed)``: plain values, so that the check is found
+    by name in ``CHECKS`` of the process that runs it.
     """
-    name, seed, paper_radius = task
-    fn = CHECKS[name]
+    name, seed = task
     try:
-        if name == "cutoff":
-            return fn(seed, paper_radius=paper_radius)
-        return fn(seed)
+        return CHECKS[name](seed)
     except ObslatError as err:
         return [_row(f"{name}_error:{type(err).__name__}", 0, math.inf, 0.0)]
 
 
-def run_suite(seed: int = 0, checks=None, paper_radius: bool = False):
+def run_suite(seed: int = 0, checks=None):
     """Run the selected checks (all by default); returns (rows, all_pass).
 
     Rows come back sorted by check name.  An unknown check name raises
@@ -449,7 +446,7 @@ def run_suite(seed: int = 0, checks=None, paper_radius: bool = False):
     for name in selected:
         if name not in CHECKS:
             raise KeyError(f"unknown check {name!r}")
-    tasks = [(name, seed, paper_radius) for name in sorted(selected, key=list(CHECKS).index)]
+    tasks = [(name, seed) for name in sorted(selected, key=list(CHECKS).index)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(tasks))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():

@@ -11,11 +11,9 @@ is written:
 * cutoff_grid5x5.json -- obstacle formulas on a 5x5 grid, recomputed here
   from BFS distances with plain loops (no library code).
 
-The two suite goldens are the suite.csv of ``obslat suite --seed 0`` and of
-the cutoff check alone with ``"paper_radius": true``, the runs of
-``test_suite_matches_golden``.  They record the suite's own measurements, so
-the only check here is the exit code: every row passes in the first run, and
-the paper's radius fails in the second.
+The suite golden is the suite.csv of ``obslat suite --seed 0``, the run of
+``test_suite_matches_golden``.  It records the suite's own measurements, so
+the only check here is the exit code: every row passes.
 
 Run from the repository root:  PYTHONPATH=src python3 tests/golden/generate.py [OUT_DIR]
 OUT_DIR defaults to this directory; ``test_goldens_regenerate_byte_for_byte``
@@ -157,5 +155,3 @@ if __name__ == "__main__":
     cutoff_path11(out)
     cutoff_grid5x5(out)
     suite_csv(out, "suite_seed0.csv", {}, 0)
-    suite_csv(out, "suite_seed0_paper_radius_cutoff.csv",
-              {"checks": ["cutoff"], "paper_radius": True}, 1)

@@ -119,18 +119,11 @@ def test_solve_bad_schema(tmp_path):
     cfg5b = write_config(tmp_path, dict(TRIDIAG_CONFIG, solver={"omega": 1.2}),
                          "omega_only.json")
     assert main(["solve", "--config", cfg5b, "--out", str(tmp_path)]) == 2
-    cfg6 = write_config(tmp_path, {
-        "graph": {"nodes": 5, "edges": [[i, i + 1, 1.0] for i in range(4)]},
-        "core": [2], "region": [1, 2, 3], "certificate_tol": "abc",
-    }, "certificate_tol.json")
-    assert main(["cutoff", "--config", cfg6, "--out", str(tmp_path)]) == 2
     # solver settings that parse but no solve can honour
     for name, settings in [("tol_nan", {"solver": {"tol": float("nan")}}),
                            ("tol_negative", {"solver": {"tol": -1}}),
                            ("tol_overflow", {"solver": {"tol": 10**400}}),
-                           ("max_iter_negative", {"solver": {"max_iter": -3}}),
-                           ("certificate_tol_nan", {"certificate_tol": float("nan")}),
-                           ("certificate_tol_inf", {"certificate_tol": float("inf")})]:
+                           ("max_iter_negative", {"solver": {"max_iter": -3}})]:
         out = tmp_path / name
         cfg7 = write_config(tmp_path, dict(TRIDIAG_CONFIG, **settings), f"{name}.json")
         assert main(["solve", "--config", cfg7, "--out", str(out)]) == 2, name
@@ -319,8 +312,6 @@ def test_cutoff_command(tmp_path):
     omega = np.array(payload["omega"])
     assert omega[5] == 1.0
     assert np.all(omega[[0, 1, 9, 10]] == 0.0)
-    paper = write_config(tmp_path, dict(cfg, paper_radius=True), "paper_radius.json")
-    assert main(["cutoff", "--config", paper, "--out", str(out)]) == 4
 
 
 def test_kantorovich_command(tmp_path):
@@ -410,6 +401,36 @@ def _documented_flags() -> dict:
     return documented
 
 
+def _documented_keys() -> dict:
+    """{command: top-level config keys}, read from the schema blocks of the cli docstring."""
+    documented = {}
+    for names, block in re.findall(r"^([\w/]+)::\n\n((?:    .*\n)+)", obslat.cli.__doc__, re.M):
+        keys, depth = set(), 0
+        for token in re.findall(r'"\w+":|[][{}]', block):
+            if token in ("{", "["):
+                depth += 1
+            elif token in ("}", "]"):
+                depth -= 1
+            elif depth == 1:
+                keys.add(token[1:-2])
+        for command in names.split("/"):
+            documented[command] = keys
+    return documented
+
+
+def test_documented_config_keys_are_the_keys_each_command_reads(tmp_path, monkeypatch):
+    read = {}
+
+    def record(args, keys):
+        read[args.command] = set(keys.split())
+        raise obslat.cli.ConfigError("keys recorded")
+
+    monkeypatch.setattr(obslat.cli, "_load_config", record)
+    for command in _documented_flags():
+        assert main([command, "--config", "unread.json", "--out", str(tmp_path)]) == 2
+    assert read == _documented_keys()
+
+
 def test_help_returns_zero(capsys):
     # each command's --help lists exactly the flags that the docstring documents
     documented = _documented_flags()
@@ -422,7 +443,7 @@ def test_help_returns_zero(capsys):
 
 
 def test_cutoff_certificate_tol_follows_solver_tol(tmp_path):
-    # the default certificate tolerance is 10 * tol in every command
+    # the certificate tolerance is 10 * tol in every command
     cfg = write_config(tmp_path, dict(_grid_cutoff_config(), solver={"tol": 1e-12}))
     out = tmp_path / "out"
     assert main(["cutoff", "--config", cfg, "--out", str(out)]) == 0
@@ -445,6 +466,22 @@ def test_suite_unknown_check(tmp_path):
     assert main(["suite", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("checks, named", [
+    ({"zmatrix": 5}, "{'zmatrix': 5}"),
+    ("zmatrix", "'zmatrix'"),
+    (["zmatrix", "zmatrix"], "['zmatrix']"),
+    (["zmatrix", ["lattice"]], "[['lattice']]"),
+], ids=["object", "string", "repeated", "nested"])
+def test_suite_checks_take_only_an_array_of_distinct_names(tmp_path, capsys, checks, named):
+    # an object ran its keys and exited 0, a repeated name wrote its rows
+    # twice, and a string was read letter by letter
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"checks": checks})
+    assert main(["suite", "--config", cfg, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_suite_negative_seed(tmp_path):
     out = tmp_path / "out"
     assert main(["suite", "--seed", "-1", "--out", str(out)]) == 2
@@ -461,27 +498,13 @@ def test_suite_single_check_deterministic(tmp_path):
     assert summary["seed"] == 3 and summary["all_pass"] is True
 
 
-def test_suite_paper_radius_fails(tmp_path):
-    cfg = write_config(tmp_path, {"checks": ["cutoff"], "paper_radius": True})
-    out = tmp_path / "out"
-    assert main(["suite", "--config", cfg, "--out", str(out)]) == 1
-    with open(out / "suite.csv", newline="") as fh:
-        rows = {r[0]: r for r in csv.reader(fh)}
-    assert rows["cutoff_phi_le_psi"][4] == "False"
-    assert float(rows["cutoff_phi_le_psi"][2]) == pytest.approx(0.5)
-
-
-@pytest.mark.parametrize("golden, cfg", [
-    ("suite_seed0.csv", {}),
-    ("suite_seed0_paper_radius_cutoff.csv", {"checks": ["cutoff"], "paper_radius": True}),
-], ids=["seed0", "seed0_paper_radius"])
+@pytest.mark.parametrize("golden, cfg", [("suite_seed0.csv", {})], ids=["seed0"])
 def test_suite_matches_golden(tmp_path, golden, cfg):
     """Seed-0 suite rows match the recorded suite.csv.
 
-    The goldens are the suite.csv of ``obslat suite --seed 0`` and of the
-    cutoff check alone with ``"paper_radius": true``.  Names, counts,
-    thresholds and verdicts must match exactly; worst values to 1e-12
-    (relative or absolute), so other BLAS builds still pass.
+    The golden is the suite.csv of ``obslat suite --seed 0``.  Names,
+    counts, thresholds and verdicts must match exactly; worst values to
+    1e-12 (relative or absolute), so other BLAS builds still pass.
     """
     code = main(["suite", "--seed", "0", "--config", write_config(tmp_path, cfg),
                  "--out", str(tmp_path)])
@@ -525,7 +548,6 @@ SWEEP_BASES = {
                    "dirichlet": [0]},
         "box": {"lo": 0.0, "hi": [1.0, 1.0]},
         "solver": {"tol": 1e-9, "max_iter": 100},
-        "certificate_tol": 1e-8,
     }),
     "solve_kernel": ("solve", {
         "energy": {"kind": "kernel", "n": 3, "p": 3.0, "pairs": [[0, 1, 1.0], [1, 2, 1.0]],
@@ -534,7 +556,7 @@ SWEEP_BASES = {
     }),
     "cutoff": ("cutoff", {
         "graph": {"nodes": 5, "edges": _PATH5},
-        "core": [2], "region": [1, 2, 3], "paper_radius": False,
+        "core": [2], "region": [1, 2, 3],
         "solver": {"max_iter": 100},
     }),
     "kantorovich": ("kantorovich", {
@@ -590,12 +612,11 @@ def test_config_mutation_sweep_exits_with_documented_codes(tmp_path, base):
 
 
 @pytest.mark.parametrize("base, path, value", [
-    ("cutoff", ("paper_radius",), "false"),
     ("kantorovich", ("cc_regularize",), "false"),
     ("cutoff", ("core",), "2"),
     ("cutoff", ("region",), "123"),
     ("solve_graph", ("energy", "dirichlet"), "0"),
-], ids=["paper_radius", "cc_regularize", "core", "region", "dirichlet"])
+], ids=["cc_regularize", "core", "region", "dirichlet"])
 def test_flags_and_index_lists_take_only_json_booleans_and_arrays(tmp_path, base, path, value):
     # each string would pass as a flag under bool(...) or as indices when iterated
     command, cfg = SWEEP_BASES[base]
@@ -659,7 +680,6 @@ _STRICT_CASES = [
     ("solve_fractional", ("energy", "collar"), 2.9),
     ("cutoff", ("solver", "max_iter"), 100.5),
     ("solve_graph", ("solver", "tol"), "1e-9"),
-    ("solve_graph", ("certificate_tol",), "1e-8"),
     ("solve_graph", ("solver", "max_iter"), "100"),
     ("solve_fractional", ("energy", "h"), "0.125"),
     ("solve_fractional", ("energy", "s"), "0.5"),
@@ -716,15 +736,20 @@ def test_true_and_false_inside_strings_are_text(tmp_path, capsys):
 
 _UNKNOWN_KEY_CASES = [
     ("solve", "solve_graph", (), "certifcate_tol"),
+    ("solve", "solve_graph", (), "certificate_tol"),
     ("solve", "solve_graph", ("energy",), "colar"),
     ("solve", "solve_graph", ("box",), "hj"),
     ("solve", "solve_kernel", ("energy",), "collar"),
     ("oracle", "solve_graph", (), "solvr"),
     ("cutoff", "cutoff", (), "radius"),
+    ("cutoff", "cutoff", (), "certificate_tol"),
+    ("cutoff", "cutoff", (), "paper_radius"),
     ("cutoff", "cutoff", ("graph",), "weights"),
     ("kantorovich", "kantorovich", (), "tt"),
+    ("kantorovich", "kantorovich", (), "certificate_tol"),
     ("suite", "suite", (), "sed"),
     ("suite", "suite", (), "seed"),
+    ("suite", "suite", (), "paper_radius"),
 ]
 
 

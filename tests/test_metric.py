@@ -341,13 +341,18 @@ def test_cutoff_obstacles_path5():
     assert np.array_equal(psi, expected)
 
 
-def test_cutoff_paper_radius_discrepancy():
-    space = path_space(5)
-    with pytest.raises(ObstacleOrderError) as err:
-        cutoff_obstacles(space, [2], [1, 2, 3], paper_radius=True)
-    assert err.value.violation == pytest.approx(0.5)
-    assert err.value.lo[1] == pytest.approx(0.75)
-    assert err.value.hi[1] == pytest.approx(0.25)
+def test_cutoff_paper_radius_discrepancy(paper_radius_obstacles):
+    # the paper's radius r^2 = D0^2/2 crosses at the metric midpoints
+    phi, psi = paper_radius_obstacles(path_space(5), [2], [1, 2, 3])
+    assert np.max(phi - psi) == 0.5
+    assert phi[1] == 0.75 and psi[1] == 0.25
+    # it crosses on every cut-off case of the seed-0 suite, by 1/2 at most
+    crossings = []
+    for space, core, region, _ in obslat.suite._cutoff_cases(obslat.suite._rng(0, "cutoff")):
+        phi, psi = paper_radius_obstacles(space, core, region)
+        crossings.append(float(np.max(phi - psi)))
+    assert len(crossings) == 4 and min(crossings) > 0.0
+    assert max(crossings) == 0.5
 
 
 def test_cutoff_preconditions():
@@ -517,7 +522,7 @@ def test_interpolation_duality():
         cloud = random_planar_metric(rng, 10)
         phi = random_c_concave(rng, cloud, scale=0.4)
         t = float(rng.uniform(0.05, 0.95))
-        ok, slack = interpolation_duality_check(cloud, phi, t, tol=1e-12)
+        ok, slack = interpolation_duality_check(cloud, phi, t)
         assert ok, slack
     with pytest.raises(PreconditionError):
         interpolation_duality_check(space, [0.0, 10.0], 0.5)
