@@ -78,7 +78,8 @@ suite::
 
 The checks (default: all) run in forked worker processes, one per CPU in
 the affinity mask; suite.csv and suite_summary.json do not depend on that
-count.
+count.  ``run_suite`` refuses an unknown or repeated name, naming each,
+before any check runs (exit 2); suite creates --out only after the checks.
 
 cc_regularize, the only flag key, takes only JSON true or false, and core,
 region and dirichlet only JSON arrays; "false" or "56" exits 2.  A number
@@ -146,7 +147,7 @@ def _parsing(command: str):
     """Turn a failure to read any outside value into a ConfigError.
 
     Each command reads its config, converts every value (energy, box and
-    graph space included) and creates --out inside one such block; no solve,
+    graph space included) and creates --out inside such blocks; no solve,
     cut-off or Kantorovich construction, suite check or output write runs
     there.  Package errors pass unchanged: a well-formed value that the
     library rejects is invalid problem data.
@@ -345,14 +346,11 @@ def cmd_suite(args) -> int:
         checks = cfg.get("checks", list(CHECKS))
         if not isinstance(checks, list):
             raise ConfigError(f"checks must be an array of check names, got {checks!r}")
-        unknown = [c for c in checks if not isinstance(c, str) or c not in CHECKS]
-        if unknown:
-            raise ConfigError(f"unknown checks: {unknown}")
-        repeated = sorted({c for c in checks if checks.count(c) > 1})
-        if repeated:
-            raise ConfigError(f"repeated checks: {repeated}")
-        out = _out_dir(args)
+    # run_suite refuses an unknown or repeated name before any check runs,
+    # so a refused selection leaves no --out behind
     rows, all_pass = run_suite(seed=args.seed, checks=checks)
+    with _parsing("suite"):
+        out = _out_dir(args)
     with open(out / "suite.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["check_name", "n_instances", "worst_value", "threshold", "pass"])

@@ -12,6 +12,7 @@ any subset of checks is reproducible independently of the others.
 
 from __future__ import annotations
 
+import collections
 import math
 import multiprocessing
 import os
@@ -33,7 +34,9 @@ from .energies import (
     t_monotonicity_check,
     z_matrix_violation,
 )
-from .errors import CertificateError, ObslatError, ObstacleOrderError, SolverError
+from .errors import (
+    CertificateError, ObslatError, ObstacleOrderError, PreconditionError, SolverError,
+)
 from .lattice import OrderInterval, UNBOUNDED, join, meet, rk_join, rk_meet
 from .metric import (
     build_cutoff,
@@ -428,8 +431,9 @@ def _run_check(task) -> list:
 def run_suite(seed: int = 0, checks=None):
     """Run the selected checks (all by default); returns (rows, all_pass).
 
-    Rows come back sorted by check name.  An unknown check name raises
-    KeyError before any check runs.
+    Rows come back sorted by check name.  A selection naming an unknown
+    check, or one check twice, raises PreconditionError, naming each such
+    name, before any check runs.
 
     The checks share no state (each seeds its own generator), so they run
     in forked worker processes, one per CPU in the affinity mask and at most
@@ -443,9 +447,13 @@ def run_suite(seed: int = 0, checks=None):
     workers are terminated and joined on every exit.
     """
     selected = list(CHECKS) if checks is None else list(checks)
-    for name in selected:
-        if name not in CHECKS:
-            raise KeyError(f"unknown check {name!r}")
+    unknown = [c for c in selected if not (isinstance(c, str) and c in CHECKS)]
+    counts = collections.Counter(c for c in selected if isinstance(c, str) and c in CHECKS)
+    repeated = sorted(c for c, count in counts.items() if count > 1)
+    problems = [f"{what} checks: {names}"
+                for what, names in (("unknown", unknown), ("repeated", repeated)) if names]
+    if problems:
+        raise PreconditionError("; ".join(problems))
     tasks = [(name, seed) for name in sorted(selected, key=list(CHECKS).index)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(tasks))

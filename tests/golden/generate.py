@@ -13,13 +13,16 @@ is written:
 
 The suite golden is the suite.csv of ``obslat suite --seed 0``, the run of
 ``test_suite_matches_golden``.  It records the suite's own measurements, so
-the only check here is the exit code: every row passes.
+the only check here is the exit code: every row passes.  Each row whose
+worst_value differs from the committed golden is printed as
+``moved name: old -> new``.
 
 Run from the repository root:  PYTHONPATH=src python3 tests/golden/generate.py [OUT_DIR]
 OUT_DIR defaults to this directory; ``test_goldens_regenerate_byte_for_byte``
 regenerates into a temporary one and compares.
 """
 
+import csv
 import json
 import shutil
 import sys
@@ -139,7 +142,14 @@ def cutoff_grid5x5(out):
     })
 
 
+def worst_values(path):
+    """check_name -> worst_value, as the text of a suite.csv gives them."""
+    with open(path, newline="") as fh:
+        return {row["check_name"]: row["worst_value"] for row in csv.DictReader(fh)}
+
+
 def suite_csv(out, name, cfg, expected_code):
+    committed = worst_values(Path(__file__).parent / name)
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(cfg))
@@ -147,6 +157,10 @@ def suite_csv(out, name, cfg, expected_code):
         assert code == expected_code, f"{name}: suite exited {code}"
         shutil.copyfile(Path(tmp) / "suite.csv", out / name)
     print(f"wrote {name}")
+    for check, new in worst_values(out / name).items():
+        old = committed.get(check)
+        if old != new:
+            print(f"  moved {check}: {old} -> {new}")
 
 
 if __name__ == "__main__":

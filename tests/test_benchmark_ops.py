@@ -28,9 +28,9 @@ def test_smoke_ops_certify(tmp_path, name):
         assert (op.label, outcome.status, outcome.problems) == (op.label, "certified", [])
 
 
-def test_documented_stall_is_verified_as_stall():
-    # suite seed 25, instance 0, the last documented stall of projected
-    # gradient, certifies within the budget since its spectral step
+def test_former_stall_instance_certifies():
+    # suite seed 25, instance 0, which perfbench still lists as a stall of
+    # projected gradient, certifies within the budget since its spectral step
     energy, box = workloads._stall_instance(25, 0)
     outcome = workloads._check_library(energy, box, workloads.PG_TOL, True,
                                        workloads._pg_op(energy, box))

@@ -57,6 +57,18 @@ def tridiag_box():
     return OrderInterval([0.5, 1.0, 0.5], [10.0, 10.0, 10.0])
 
 
+def _factor_sides(monkeypatch) -> list:
+    """Names of the factor helpers, in call order, of Newton steps from now on."""
+    sides = []
+    for name in ("_factor_banded", "_factor_sparse"):
+        def spy(block, mu, name=name, real=getattr(obslat.solvers, name)):
+            sides.append(name)
+            return real(block, mu)
+
+        monkeypatch.setattr(obslat.solvers, name, spy)
+    return sides
+
+
 def test_psor_tridiag_instance(tridiag, tridiag_box):
     # KKT oracle: u = lo is stationary with multiplier Au = (0,1,0) >= 0 on
     # the fully lower-active set, so it is the minimizer.
@@ -197,12 +209,14 @@ def test_newton_solves_kernels_below_p_two():
 
 @pytest.mark.parametrize("n, s, p", [(32, 0.5, 1.5), (128, 0.5, 1.5), (64, 0.75, 1.8),
                                      (32, 0.25, 1.5)])
-def test_newton_steps_below_p_two_do_not_change_with_scale(n, s, p):
+def test_newton_steps_below_p_two_do_not_change_with_scale(monkeypatch, n, s, p):
     # obstacles lam (0.3 - 4 (x - 1/2)^2) at tol 1e-8 lam^(p-1): the tie
     # floor eps ||u||_inf scales with u, where an absolute floor of 1e-12
-    # took 311, 7 and 8 steps on the first case
+    # took 311, 7 and 8 steps on the first case; every kernel block is
+    # dense, and banded Cholesky factors it
     x = np.arange(1, n + 1) / (n + 1)
     energy = fractional_kernel_1d(n, 1.0 / (n + 1), s, p, collar=8)
+    sides = _factor_sides(monkeypatch)
     steps = []
     for lam in (1e-6, 1.0, 1e6):
         box = OrderInterval(lam * (0.3 - 4.0 * (x - 0.5) ** 2), np.full(n, UNBOUNDED))
@@ -210,6 +224,7 @@ def test_newton_steps_below_p_two_do_not_change_with_scale(n, s, p):
         assert sol.converged and ls_certificate(energy, box, sol, 1e-6 * lam ** (p - 1)).passed
         steps.append(sol.iterations)
     assert max(steps) - min(steps) <= 1, steps
+    assert sides and set(sides) == {"_factor_banded"}
 
 
 def test_overflowing_full_step_raises_in_newton_and_projected_gradient():
@@ -609,16 +624,52 @@ def test_newton_membrane_agrees_with_bounded_least_squares():
     assert np.array_equal(sol.active_upper, ref_upper)
 
 
+def test_newton_banded_and_superlu_sides_agree(monkeypatch):
+    # a 30 x 30 membrane: in natural numbering every free block has a band of
+    # 28 and banded Cholesky factors it; with the nodes scrambled the band
+    # spans the block and SuperLU factors it
+    side, n = 30, 900
+    perm = np.random.default_rng(5).permutation(n)
+    x = np.linspace(0.0, 1.0, side)
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    lo = (0.3 - 2.0 * ((xx - 0.5) ** 2 + (yy - 0.5) ** 2)).ravel()
+    sides = _factor_sides(monkeypatch)
+    answers = {}
+    for name, order, want in (("natural", np.arange(n), "_factor_banded"),
+                              ("scrambled", perm, "_factor_sparse")):
+        edges = [(int(order[i]), int(order[j]), w) for i, j, w in grid_edges(side, side)]
+        energy = graph_dirichlet(n, edges, order[grid_boundary(side, side)])
+        lo_nodes = np.empty(n)
+        lo_nodes[order] = lo
+        box = OrderInterval(lo_nodes[energy.free_nodes], lo_nodes[energy.free_nodes] + 0.4)
+        sides.clear()
+        sol = solve_newton(energy, box, tol=1e-12)
+        assert sol.converged and sides and set(sides) == {want}, name
+        assert ls_certificate(energy, box, sol, 1e-11).passed, name
+        # u, and active (-1 lower, 1 upper) on the grid's own node order
+        u, active = np.zeros(n), np.zeros(n, dtype=int)
+        u[energy.free_nodes] = sol.u
+        active[energy.free_nodes[sol.active_lower]] = -1
+        active[energy.free_nodes[sol.active_upper]] = 1
+        answers[name] = u[order], active[order]
+    assert np.max(np.abs(answers["natural"][0] - answers["scrambled"][0])) <= 1e-12
+    assert np.array_equal(answers["natural"][1], answers["scrambled"][1])
+    assert np.any(answers["natural"][1] == -1) and np.any(answers["natural"][1] == 1)
+
+
 def test_newton_singular_free_block_takes_shifted_steps():
     # full path Laplacian: constants span its kernel, and at the start
     # u = 0 nothing sits on a bound, so the free block is the whole matrix
     lap = np.diag([1.0, 2.0, 2.0, 2.0, 1.0]) - np.eye(5, k=1) - np.eye(5, k=-1)
     energy = QuadraticEnergy(lap, [1.0, 0.0, 0.0, 0.0, -1.0])
     box = OrderInterval(np.full(5, -10.0), np.full(5, 10.0))
-    assert obslat.solvers._factor_psd(energy.a.tocsc()) is None
-    # on the 5 x 5 grid the rounding leaves a last pivot of 1e-16, not 0
+    # on the 5 x 5 grid the rounding leaves a last pivot of 1e-16, not 0;
+    # both blocks are narrow, and both sides find them singular
     grid = grid_space(5, 5).dirichlet_energy
-    assert obslat.solvers._factor_psd(grid.a.tocsc()) is None
+    for a in (energy.a, grid.a):
+        band = obslat.solvers._narrow_band(a, np.ones(a.shape[0], dtype=bool))
+        assert band is not None and obslat.solvers._factor_banded(band, 0.0) is None
+        assert obslat.solvers._factor_sparse(a.tocsc(), 0.0) is None
     # the shifted solve is the Newton step on the range of the Laplacian
     u0, g0 = np.zeros(5), energy.gradient(np.zeros(5))
     d = obslat.solvers._newton_direction(energy, u0, g0, np.ones(5, dtype=bool))
@@ -642,6 +693,13 @@ def test_newton_zero_free_block_falls_back_to_gradient():
     sol = solve_newton(energy, box)
     assert sol.converged and sol.iterations == 1
     assert np.array_equal(sol.u, [0.0, 1.0])
+    # a p = 3 kernel on a path, all tied at u = 0: its zero block stores
+    # zeros, so it is narrow, and the banded side finds no direction either
+    kernel = KernelEnergy(3, [(0, 1, 1.0), (1, 2, 1.0)], [], 3.0)
+    u0 = np.zeros(3)
+    assert obslat.solvers._narrow_band(kernel.hessian(u0), np.ones(3, dtype=bool)) is not None
+    assert obslat.solvers._newton_direction(kernel, u0, np.array([1.0, 0.0, -1.0]),
+                                            np.ones(3, dtype=bool)) is None
 
 
 def _path_laplacian(n):

@@ -12,7 +12,7 @@ import os
 import pytest
 
 import obslat.suite
-from obslat.errors import SolverError
+from obslat.errors import PreconditionError, SolverError
 from obslat.suite import CHECKS, run_suite
 
 
@@ -59,6 +59,20 @@ def test_check_errors_in_workers(monkeypatch):
     with pytest.raises(RuntimeError, match="not a package error"):
         run_suite(0, ["lattice", "zmatrix", "scalar_sub2"])
     assert not multiprocessing.active_children()
-    # names are checked before any check runs
-    with pytest.raises(KeyError, match="no_such_check"):
-        run_suite(0, ["zmatrix", "no_such_check"])
+
+
+@pytest.mark.parametrize("checks, named", [
+    (["zmatrix", "no_such_check"], "unknown checks: ['no_such_check']"),
+    (["scalar_sub2", "scalar_sub2"], "repeated checks: ['scalar_sub2']"),
+    (["zmatrix", ["lattice"], "zmatrix"], "unknown checks: [['lattice']]; repeated checks: ['zmatrix']"),
+], ids=["unknown", "repeated", "both"])
+def test_selection_is_checked_before_any_check_runs(monkeypatch, checks, named):
+    # a repeated name ran its check once per mention and returned its rows twice
+    def refuse(seed):
+        raise AssertionError("a check ran")
+
+    for name in CHECKS:
+        monkeypatch.setitem(CHECKS, name, refuse)
+    with pytest.raises(PreconditionError) as err:
+        run_suite(0, checks)
+    assert str(err.value) == named
