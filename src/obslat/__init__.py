@@ -41,10 +41,6 @@ from .lattice import (
     OrderInterval,
     as_vector,
     clamp,
-    join,
-    meet,
-    rk_join,
-    rk_meet,
 )
 from .metric import (
     Cutoff,
@@ -108,15 +104,11 @@ __all__ = [
     "hopf_lax",
     "interpolation_duality_check",
     "is_c_concave",
-    "join",
     "kantorovich_regularize",
     "kkt_residual",
     "lipschitz_ratio",
     "ls_certificate",
     "maximum_principle_check",
-    "meet",
-    "rk_join",
-    "rk_meet",
     "run_suite",
     "scalar_submodularity_inequality",
     "solve_newton",

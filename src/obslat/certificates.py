@@ -8,7 +8,11 @@ obstacle and the positive part of the gradient at the lower obstacle,
     grad E(hi) ∧ 0  <=  grad E(u)  <=  grad E(lo) ∨ 0   componentwise.
 
 Written with the discrete Laplacian L = -grad E this is the familiar
-L(lo) ∧ 0 <= L(u) <= L(hi) ∨ 0.  The certificate stores both slack vectors
+L(lo) ∧ 0 <= L(u) <= L(hi) ∨ 0.  The ∧ and ∨ are the dual lattice's, and
+the dual of R^n under the Euclidean pairing is R^n in the componentwise
+order (the Riesz-Kantorovich sup of <l, z> + <m, x - z> over 0 <= z <= x
+sits at a vertex, where it is <l ∨ m, x>), so they are componentwise min
+and max with zero.  The certificate stores both slack vectors
 and passes when neither dips below -tol.  Gradients are always recomputed
 here from the energy, never read off the solver output, so the verdict is
 independent of solver internals.  Strictly free means lo < u < hi: solvers

@@ -90,7 +90,8 @@ collar, max_iter) are integers: a fraction such as 2.7 exits 2, where 2.0
 counts as 2.
 Removed routes exit 2: the flags --tol and --paper-radius, the solver key
 "method", the suite key "seed", the keys "paper_radius" and
-"certificate_tol" and the energy kind "quadratic_file".
+"certificate_tol", the energy kind "quadratic_file" and the suite check
+"lattice".
 
 Outputs are deterministic for a fixed config and seed: randomness comes
 only from numpy PCG64 generators seeded per check, reductions run in fixed

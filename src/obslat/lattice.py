@@ -1,9 +1,10 @@
-"""Componentwise lattice operations on finite real vectors.
+"""Finite real vectors in the componentwise order.
 
 A vector in R^n with the componentwise order is a vector lattice: meet and
-join are componentwise min and max, and the dual of R^n (under the Euclidean
-pairing) is again R^n with the componentwise order, so dual meets and joins
-can be evaluated directly via the Riesz-Kantorovich box optimization.
+join are componentwise min and max, which the library takes directly with
+``np.minimum`` and ``np.maximum``.  This module holds the input validators,
+the order interval [lo, hi] that is the feasible set of a solve, and the
+projection onto it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, DimensionMismatch, PreconditionError
+from .errors import ConstructionError, DimensionMismatch
 
 #: Magnitude at which an obstacle side is treated as absent (one-sided problem).
 UNBOUNDED = 1e30
@@ -62,18 +63,6 @@ def as_index_set(indices, n: int, name: str) -> list[int]:
     return out
 
 
-def meet(u, v) -> np.ndarray:
-    """Componentwise minimum u ∧ v."""
-    u = as_vector(u, "u")
-    return np.minimum(u, as_vector(v, "v", u.shape[0]))
-
-
-def join(u, v) -> np.ndarray:
-    """Componentwise maximum u ∨ v."""
-    u = as_vector(u, "u")
-    return np.maximum(u, as_vector(v, "v", u.shape[0]))
-
-
 @dataclass(frozen=True, eq=False)
 class OrderInterval:
     """Box [lo, hi] in the componentwise order; the feasible set of a solve.
@@ -115,27 +104,3 @@ class OrderInterval:
 def clamp(u, box: OrderInterval) -> np.ndarray:
     """Project u onto the box: componentwise median(lo, u, hi)."""
     return as_vector(u, "u", box.n).clip(box.lo, box.hi)
-
-
-def _rk_extremum(l, m, x, kind: str) -> float:
-    l = as_vector(l, "l")
-    m, x = as_vector(m, "m", l.shape[0]), as_vector(x, "x", l.shape[0])
-    if np.any(x < 0):
-        raise PreconditionError("Riesz-Kantorovich formula requires x >= 0 componentwise")
-    # The objective z -> <l,z> + <m,x-z> is linear, so its extremum over the
-    # box [0,x] is attained at a vertex: pick z_i in {0, x_i} componentwise.
-    if kind == "join":
-        z = np.where(l >= m, x, 0.0)
-    else:
-        z = np.where(l <= m, x, 0.0)
-    return float(l @ z + m @ (x - z))
-
-
-def rk_join(l, m, x) -> float:
-    """sup over z in [0,x] of <l,z> + <m,x-z>; equals <join(l,m), x>."""
-    return _rk_extremum(l, m, x, "join")
-
-
-def rk_meet(l, m, x) -> float:
-    """inf over z in [0,x] of <l,z> + <m,x-z>; equals <meet(l,m), x>."""
-    return _rk_extremum(l, m, x, "meet")

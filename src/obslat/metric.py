@@ -383,14 +383,16 @@ def _interpolation_bounds(space: FiniteMetricSpace, phi, t: float, cc_regularize
 
     t must lie in (0, 1); phi becomes phi^cc with ``cc_regularize``, else a defect
     above CC_TOL raises an error naming cc_regularize, also the CLI config key.
+    Regularizing takes two c-transforms: phi^c of the given phi, whose
+    c-transform is the returned phi (phi^ccc = phi^c, so phi^c is not redone).
     hi - lo is the duality slack bit for bit: b - (-a) == b + a.
     """
     if not 0.0 < t < 1.0:
         raise PreconditionError(f"interpolation time t = {t} must lie in (0, 1)")
     phi = as_vector(phi, "phi")
     if cc_regularize:
-        phi = c_transform(space, c_transform(space, phi))
         phi_c = c_transform(space, phi)
+        phi = c_transform(space, phi_c)
     else:
         phi_c, defect = _c_transform_and_defect(space, phi)
         if defect > CC_TOL:

@@ -39,7 +39,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .energies import QuadraticEnergy, csr_block, z_matrix_violation
+from .energies import QuadraticEnergy, z_matrix_violation
 from .errors import DimensionMismatch, PreconditionError, SolverError
 from .lattice import OrderInterval, as_vector, clamp
 
@@ -259,24 +259,25 @@ def solve_psor(energy: QuadraticEnergy, box: OrderInterval, tol: float = 1e-9,
     return _make_solution(energy, box, u_arr, sweeps, converged)
 
 
-def _narrow_band(h, free: np.ndarray):
-    """H_FF in upper band storage, or None where its band is not narrow.
+def _free_block(h, free: np.ndarray):
+    """H_FF in upper band storage where its band is narrow, else as a CSC matrix.
 
-    H_FF keeps the node order of the CSR matrix ``h``, which must hold no
-    duplicate entries (every energy's Hessian is canonical).  Narrow means
-    (bw + 1) m <= BAND_FILL_RATIO nnz(H_FF); the (bw + 1) x m array then
-    holds H_ij, i <= j, at [bw + i - j, j], LAPACK's layout.
+    One pass over the arrays of the CSR matrix ``h``, which must hold no
+    duplicate entries (every energy's Hessian is canonical); H_FF keeps its
+    node order.  Narrow means (bw + 1) m <= BAND_FILL_RATIO nnz(H_FF); the
+    (bw + 1) x m array then holds H_ij, i <= j, at [bw + i - j, j], LAPACK's
+    layout.  The CSC matrix has the arrays of ``csr_block(h, F, F).tocsc()``.
     """
     rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
     keep = free[rows] & free[h.indices]
     index = np.cumsum(free) - 1  # position of each free node in F
-    i, j = index[rows[keep]], index[h.indices[keep]]
+    i, j, v = index[rows[keep]], index[h.indices[keep]], h.data[keep]
     m, bw = int(index[-1]) + 1, int(np.max(np.abs(i - j), initial=0))
     if (bw + 1) * m > BAND_FILL_RATIO * i.size:
-        return None
+        return sp.csc_matrix((v, (i, j)), shape=(m, m))
     upper = i <= j
     ab = np.zeros((bw + 1, m))
-    ab[bw + i[upper] - j[upper], j[upper]] = h.data[keep][upper]
+    ab[bw + i[upper] - j[upper], j[upper]] = v[upper]
     return ab
 
 
@@ -334,12 +335,10 @@ def _newton_direction(energy, u: np.ndarray, g: np.ndarray, free: np.ndarray):
     """
     if not np.any(free):
         return None
-    h = energy.hessian(u)
-    block = _narrow_band(h, free)
-    if block is not None:
+    block = _free_block(energy.hessian(u), free)
+    if isinstance(block, np.ndarray):
         factor, diag = _factor_banded, block[-1]
     else:
-        block = (h if np.all(free) else csr_block(h, free, free)).tocsc()
         factor, diag = _factor_sparse, block.diagonal()
     solve = factor(block, 0.0)
     if solve is None:

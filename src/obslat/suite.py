@@ -37,7 +37,7 @@ from .energies import (
 from .errors import (
     CertificateError, ObslatError, ObstacleOrderError, PreconditionError, SolverError,
 )
-from .lattice import OrderInterval, UNBOUNDED, join, meet, rk_join, rk_meet
+from .lattice import OrderInterval, UNBOUNDED
 from .metric import (
     build_cutoff,
     c_transform,
@@ -63,31 +63,6 @@ def _row(name: str, n: int, worst: float, threshold: float) -> dict:
         "threshold": float(threshold),
         "pass": bool(worst <= threshold),
     }
-
-
-def check_lattice_identities(seed: int) -> list:
-    rng = _rng(seed, "lattice_identities")
-    # Riesz-Kantorovich formula against vertex enumeration (the sup of a
-    # linear functional over [0, x] sits at a vertex, so enumeration is exact).
-    # Absorption, decomposition and the nonexpansive clamp are exact in IEEE
-    # arithmetic, so they are left to the property tests of the lattice module.
-    worst_rk = 0.0
-    for _ in range(100):
-        n = int(rng.integers(1, 9))
-        l, m = rng.normal(size=n), rng.normal(size=n)
-        x = np.abs(rng.normal(size=n))
-        best_hi, best_lo = -math.inf, math.inf
-        for z in np.where((np.arange(1 << n)[:, None] >> np.arange(n)) & 1, x, 0.0):
-            val = float(l @ z + m @ (x - z))
-            best_hi, best_lo = max(best_hi, val), min(best_lo, val)
-        worst_rk = max(
-            worst_rk,
-            abs(rk_join(l, m, x) - best_hi),
-            abs(rk_meet(l, m, x) - best_lo),
-            abs(rk_join(l, m, x) - float(join(l, m) @ x)),
-            abs(rk_meet(l, m, x) - float(meet(l, m) @ x)),
-        )
-    return [_row("lattice_rk_formula", 100, worst_rk, 1e-9)]
 
 
 def check_zmatrix_equivalence(seed: int) -> list:
@@ -398,7 +373,6 @@ def check_maximum_principle(seed: int) -> list:
 
 #: Registered checks in canonical order; each takes only the seed.
 CHECKS = {
-    "lattice": check_lattice_identities,
     "zmatrix": check_zmatrix_equivalence,
     "t_monotonicity": check_t_monotonicity,
     "scalar_sub2": check_scalar_sub2,

@@ -15,7 +15,9 @@ The suite golden is the suite.csv of ``obslat suite --seed 0``, the run of
 ``test_suite_matches_golden``.  It records the suite's own measurements, so
 the only check here is the exit code: every row passes.  Each row whose
 worst_value differs from the committed golden is printed as
-``moved name: old -> new``.
+``moved name: old -> new``, a row only the golden has as
+``removed name (was old)`` and a row only the new run has as
+``added name: new``.
 
 Run from the repository root:  PYTHONPATH=src python3 tests/golden/generate.py [OUT_DIR]
 OUT_DIR defaults to this directory; ``test_goldens_regenerate_byte_for_byte``
@@ -157,9 +159,14 @@ def suite_csv(out, name, cfg, expected_code):
         assert code == expected_code, f"{name}: suite exited {code}"
         shutil.copyfile(Path(tmp) / "suite.csv", out / name)
     print(f"wrote {name}")
-    for check, new in worst_values(out / name).items():
-        old = committed.get(check)
-        if old != new:
+    fresh = worst_values(out / name)
+    for check in sorted(committed.keys() | fresh.keys()):
+        old, new = committed.get(check), fresh.get(check)
+        if new is None:
+            print(f"  removed {check} (was {old})")
+        elif old is None:
+            print(f"  added {check}: {new}")
+        elif old != new:
             print(f"  moved {check}: {old} -> {new}")
 
 

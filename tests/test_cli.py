@@ -471,10 +471,12 @@ def test_suite_unknown_check(tmp_path):
     ("zmatrix", "'zmatrix'"),
     (["zmatrix", "zmatrix"], "['zmatrix']"),
     (["zmatrix", ["lattice"]], "[['lattice']]"),
-], ids=["object", "string", "repeated", "nested"])
+    (["lattice"], "['lattice']"),
+], ids=["object", "string", "repeated", "nested", "removed"])
 def test_suite_checks_take_only_an_array_of_distinct_names(tmp_path, capsys, checks, named):
     # an object ran its keys and exited 0, a repeated name wrote its rows
-    # twice, and a string was read letter by letter
+    # twice, and a string was read letter by letter; "lattice" is a removed
+    # check, unknown like any other name
     out = tmp_path / "out"
     cfg = write_config(tmp_path, {"checks": checks})
     assert main(["suite", "--config", cfg, "--out", str(out)]) == 2
@@ -490,7 +492,7 @@ def test_suite_negative_seed(tmp_path):
 
 def test_suite_single_check_deterministic(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    cfg = write_config(tmp_path, {"checks": ["lattice", "zmatrix"]})
+    cfg = write_config(tmp_path, {"checks": ["scalar_sub2", "zmatrix"]})
     assert main(["suite", "--config", cfg, "--seed", "3", "--out", str(out1)]) == 0
     assert main(["suite", "--config", cfg, "--seed", "3", "--out", str(out2)]) == 0
     assert (out1 / "suite.csv").read_bytes() == (out2 / "suite.csv").read_bytes()

@@ -497,6 +497,17 @@ def test_kantorovich_rejects_non_c_concave():
         kantorovich_regularize(space, np.zeros(4), 1.0)
 
 
+def test_kantorovich_regularized_phi_is_the_c_transform_of_phi_c():
+    # regularizing computes phi^c once and phi = (phi^c)^c from it, so the
+    # pair holds a c-transform pair bit for bit
+    rng = np.random.default_rng(4)
+    for space in (path_space(9), grid_space(6, 6)):
+        raw = rng.uniform(-1.0, 1.0, space.n)
+        _, pair, cert = kantorovich_regularize(space, raw, 0.4, cc_regularize=True)
+        assert np.array_equal(pair.phi, c_transform(space, pair.phi_c))
+        assert cert.passed
+
+
 def test_kantorovich_line21_properties():
     rng = np.random.default_rng(11)
     space = path_space(21, weight=1.0 / 20.0)
@@ -582,9 +593,10 @@ def test_hopf_lax_calls_per_construction(tmp_path, monkeypatch):
     coincidence_cc_report(space, pair, eta)
     assert len(calls) == 8
     calls.clear()
-    # the CLI regularizes: phi^cc, then phi^c of the result, bounds, report
+    # the CLI regularizes: phi^c, then phi^cc from it (phi^c feeds the
+    # upper bound), the 2 bounds, and 4 for the report
     assert main(["kantorovich", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) == 9
+    assert len(calls) == 8
     calls.clear()
     assert interpolation_duality_check(space, phi, 0.5).passed
     assert len(calls) == 4

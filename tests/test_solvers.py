@@ -15,6 +15,7 @@ from obslat.certificates import ls_certificate
 from obslat.energies import (
     KernelEnergy,
     QuadraticEnergy,
+    csr_block,
     fractional_kernel_1d,
     graph_dirichlet,
     z_matrix_violation,
@@ -646,6 +647,15 @@ def test_newton_banded_and_superlu_sides_agree(monkeypatch):
         sol = solve_newton(energy, box, tol=1e-12)
         assert sol.converged and sides and set(sides) == {want}, name
         assert ls_certificate(energy, box, sol, 1e-11).passed, name
+        if name == "scrambled":
+            # the wide block is built in the same pass as its band: the
+            # arrays of csr_block(H, F, F).tocsc(), which SuperLU took before
+            free = np.zeros(energy.n, dtype=bool)
+            free[sol.free] = True
+            block = obslat.solvers._free_block(energy.a, free)
+            ref = csr_block(energy.a, free, free).tocsc()
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(block, attr), getattr(ref, attr)), attr
         # u, and active (-1 lower, 1 upper) on the grid's own node order
         u, active = np.zeros(n), np.zeros(n, dtype=int)
         u[energy.free_nodes] = sol.u
@@ -667,8 +677,8 @@ def test_newton_singular_free_block_takes_shifted_steps():
     # both blocks are narrow, and both sides find them singular
     grid = grid_space(5, 5).dirichlet_energy
     for a in (energy.a, grid.a):
-        band = obslat.solvers._narrow_band(a, np.ones(a.shape[0], dtype=bool))
-        assert band is not None and obslat.solvers._factor_banded(band, 0.0) is None
+        band = obslat.solvers._free_block(a, np.ones(a.shape[0], dtype=bool))
+        assert isinstance(band, np.ndarray) and obslat.solvers._factor_banded(band, 0.0) is None
         assert obslat.solvers._factor_sparse(a.tocsc(), 0.0) is None
     # the shifted solve is the Newton step on the range of the Laplacian
     u0, g0 = np.zeros(5), energy.gradient(np.zeros(5))
@@ -697,7 +707,8 @@ def test_newton_zero_free_block_falls_back_to_gradient():
     # zeros, so it is narrow, and the banded side finds no direction either
     kernel = KernelEnergy(3, [(0, 1, 1.0), (1, 2, 1.0)], [], 3.0)
     u0 = np.zeros(3)
-    assert obslat.solvers._narrow_band(kernel.hessian(u0), np.ones(3, dtype=bool)) is not None
+    assert isinstance(obslat.solvers._free_block(kernel.hessian(u0), np.ones(3, dtype=bool)),
+                      np.ndarray)
     assert obslat.solvers._newton_direction(kernel, u0, np.array([1.0, 0.0, -1.0]),
                                             np.ones(3, dtype=bool)) is None
 

@@ -46,10 +46,10 @@ def test_check_errors_in_workers(monkeypatch):
         raise SolverError("did not converge")
 
     monkeypatch.setitem(CHECKS, "zmatrix", unconverged)
-    rows, all_pass = run_suite(0, ["lattice", "zmatrix", "scalar_sub2"])
+    rows, all_pass = run_suite(0, ["maximum_principle", "zmatrix", "scalar_sub2"])
     assert not all_pass and not multiprocessing.active_children()
     assert [r["check_name"] for r in rows] == [
-        "lattice_rk_formula", "scalar_sub2", "zmatrix_error:SolverError"]
+        "maximum_principle", "scalar_sub2", "zmatrix_error:SolverError"]
     assert rows[-1]["n_instances"] == 0 and not rows[-1]["pass"]
 
     def broken(seed):
@@ -57,7 +57,7 @@ def test_check_errors_in_workers(monkeypatch):
 
     monkeypatch.setitem(CHECKS, "zmatrix", broken)
     with pytest.raises(RuntimeError, match="not a package error"):
-        run_suite(0, ["lattice", "zmatrix", "scalar_sub2"])
+        run_suite(0, ["maximum_principle", "zmatrix", "scalar_sub2"])
     assert not multiprocessing.active_children()
 
 
