@@ -253,7 +253,7 @@ def _solver_params(cfg: dict) -> dict:
     return params
 
 
-def _cmd_solve(args, oracle: bool = False) -> int:
+def _cmd_solve(args, oracle: bool) -> int:
     with _parsing(args.command):
         cfg = _load_config(args, "energy box solver")
         energy = _build_energy(cfg["energy"])

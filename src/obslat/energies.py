@@ -17,8 +17,7 @@ true of every graph Laplacian) or, failing that and only up to
 n = PSD_DENSE_MAX_N, by its smallest eigenvalue.
 
 :func:`validate_edges` is the one check of an (i, j, w) list, returned as
-arrays, :func:`laplacian` the one assembly of a weighted graph Laplacian and
-:func:`csr_block` the one extraction of a submatrix.
+arrays, and :func:`laplacian` the one assembly of a weighted graph Laplacian.
 
 Both expose ``evaluate``, ``value``, ``gradient`` and ``hessian``.
 ``evaluate(u)`` returns ``(E(u), gradient)``: the zero-argument
@@ -85,7 +84,10 @@ def validate_edges(nodes: int, edges) -> tuple:
     Returns read-only int64, int64 and float64 arrays of i, j and w in list
     order, each owning its data.
     """
-    rows = np.asarray(edges)
+    try:
+        rows = np.asarray(edges)
+    except ValueError:  # numpy refuses rows of unequal length
+        raise ConstructionError("edges must be (i, j, w) triples, got rows of unequal length") from None
     if rows.dtype.kind not in "biuf":
         raise ConstructionError(f"edges must hold numbers, got {rows.dtype} entries")
     rows = rows.astype(float, copy=False)
@@ -130,19 +132,6 @@ def laplacian(n: int, i, j, w, diag=None) -> sp.csr_matrix:
     cols = np.concatenate([np.column_stack([i, j, j, i]).ravel(), k])
     vals = np.concatenate([np.column_stack([w, w, -w, -w]).ravel(), d])
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def csr_block(a: sp.csr_matrix, row_mask: np.ndarray, col_mask: np.ndarray) -> sp.csr_matrix:
-    """``a[row_mask][:, col_mask]`` for boolean masks, with the same arrays.
-
-    One masked copy of the CSR arrays; entries keep their storage order.
-    """
-    keep = np.repeat(row_mask, np.diff(a.indptr)) & col_mask[a.indices]
-    kept = np.concatenate(([0], np.cumsum(keep)))[a.indptr]  # kept entries before each row
-    indptr = np.concatenate(([0], np.cumsum(np.diff(kept)[row_mask])))
-    new_col = np.cumsum(col_mask) - 1
-    return sp.csr_matrix((a.data[keep], new_col[a.indices[keep]], indptr),
-                         shape=(int(np.count_nonzero(row_mask)), int(np.count_nonzero(col_mask))))
 
 
 class QuadraticEnergy:
@@ -193,7 +182,7 @@ class QuadraticEnergy:
                 )
             if np.linalg.eigvalsh(a.toarray())[0] < -tol:
                 raise ConstructionError("matrix failed the positive-semidefiniteness check")
-        b = as_vector(np.zeros(self.n) if b is None else b, "b", self.n)
+        b = as_vector(np.zeros(self.n) if b is None else b, "b", self.n).copy()
         frozen = [b, a.data, a.indices, a.indptr]
         if coupling is not None:
             frozen += [coupling.data, coupling.indices, coupling.indptr]
@@ -207,8 +196,12 @@ class QuadraticEnergy:
 
     @classmethod
     def from_triplets(cls, n: int, triplets, b=None):
-        """Build from (i, j, value) entries; duplicate positions are summed."""
+        """Build from (i, j, value) rows, duplicates summed; a malformed row raises ConstructionError."""
         n = as_index(n, "n")
+        try:
+            triplets = [(i, j, v) for i, j, v in triplets]
+        except (TypeError, ValueError):  # not an iterable of three-entry rows
+            raise ConstructionError("triplets must be a list of (i, j, value) rows") from None
         rows, cols, vals = [], [], []
         for i, j, v in triplets:
             i, j = as_index(i, "triplet index"), as_index(j, "triplet index")
@@ -257,10 +250,9 @@ def assemble_dirichlet(nodes: int, clean_edges, dirichlet_set=()) -> QuadraticEn
     is_free[dirichlet] = False
     if not is_free.any():
         raise ConstructionError("dirichlet_set covers every node; nothing to solve for")
-    lap = laplacian(nodes, *clean_edges)
-    coupling = csr_block(lap, is_free, ~is_free) if dirichlet else None
-    return QuadraticEnergy(csr_block(lap, is_free, is_free), coupling=coupling,
-                           free_nodes=np.flatnonzero(is_free))
+    rows = laplacian(nodes, *clean_edges)[is_free]
+    coupling = rows[:, ~is_free] if dirichlet else None
+    return QuadraticEnergy(rows[:, is_free], coupling=coupling, free_nodes=np.flatnonzero(is_free))
 
 
 class KernelEnergy:
@@ -272,7 +264,8 @@ class KernelEnergy:
     below, :meth:`hessian` gives a model Hessian with a floor at ties.
     Each pair (i, j) is checked as an edge by :func:`validate_edges`, in
     either orientation (only the gradient's summation order sees it);
-    finite exterior entries for one index add up, to a finite d_i.
+    exterior rows are (i, d_i), and finite entries for one index add up, to
+    a finite d_i.  A malformed row of either raises ConstructionError.
     """
 
     def __init__(self, n: int, pairs, exterior, p: float):
@@ -284,6 +277,10 @@ class KernelEnergy:
             raise ConstructionError("n must be >= 1")
         self.i, self.j, self.w = validate_edges(self.n, pairs)
         d = [0.0] * self.n  # Python floats: a sum that overflows is inf, without a warning
+        try:
+            exterior = [(i, di) for i, di in exterior]
+        except (TypeError, ValueError):  # not an iterable of two-entry rows
+            raise ConstructionError("exterior must be a list of (i, d_i) rows") from None
         for i, di in exterior:
             i, di = as_index(i, "exterior index"), as_real(di, "exterior weight")
             if not 0 <= i < self.n:
@@ -291,13 +288,10 @@ class KernelEnergy:
             if not 0 <= di < np.inf:
                 raise ConstructionError(f"exterior weight d_{i} = {di} must be finite and >= 0")
             d[i] += di
-        d = np.array(d)
-        if not np.all(d < np.inf):
-            k = int(np.argmax(d == np.inf))
-            raise ConstructionError(f"exterior weights of index {k} sum to {d[k]}, not a finite d_{k}")
-        self.d = d
-        for arr in (self.i, self.j, self.w, self.d):
-            arr.setflags(write=False)
+            if d[i] == np.inf:
+                raise ConstructionError(f"exterior weights of index {i} sum to inf, not a finite d_{i}")
+        self.d = np.array(d)
+        self.d.setflags(write=False)  # validate_edges froze i, j and w
 
     def evaluate(self, u) -> tuple:
         """(E(u), gradient), whose ``gradient()`` reuses the pair differences."""
@@ -427,34 +421,20 @@ def fractional_kernel_1d(n: int, h: float, s: float, p: float, collar: int) -> K
     return KernelEnergy(n, pairs, enumerate((h * h * (left + right)).tolist()), p)
 
 
-def _value_fn(energy):
-    return energy.value if hasattr(energy, "value") else energy
-
-
-def _gradient_fn(energy):
-    return energy.gradient if hasattr(energy, "gradient") else energy
-
-
-def submodularity_check(energy, u, v, tol: float = 0.0) -> CheckResult:
-    """delta = E(u∧v) + E(u∨v) - E(u) - E(v); passes iff delta <= tol.
-
-    ``energy`` may be an energy object or a plain callable u -> E(u), which
-    allows probing quadratic forms that would fail PSD certification.
-    """
+def submodularity_check(f, u, v) -> CheckResult:
+    """delta = f(u∧v) + f(u∨v) - f(u) - f(v), f a callable u -> E(u); passes iff delta <= 0."""
     u = as_vector(u, "u")
     v = as_vector(v, "v", u.shape[0])
-    f = _value_fn(energy)
     delta = f(np.minimum(u, v)) + f(np.maximum(u, v)) - f(u) - f(v)
-    return CheckResult(bool(delta <= tol), float(delta))
+    return CheckResult(bool(delta <= 0.0), float(delta))
 
 
-def t_monotonicity_check(energy, u, v, tol: float = 0.0) -> CheckResult:
-    """mu = <grad E(u) - grad E(v), (u-v) ∨ 0>; passes iff mu >= -tol."""
+def t_monotonicity_check(g, u, v) -> CheckResult:
+    """mu = <g(u) - g(v), (u-v) ∨ 0>, g a callable u -> grad E(u); passes iff mu >= 0."""
     u = as_vector(u, "u")
     v = as_vector(v, "v", u.shape[0])
-    g = _gradient_fn(energy)
     mu = float((np.asarray(g(u)) - np.asarray(g(v))) @ np.maximum(u - v, 0.0))
-    return CheckResult(bool(mu >= -tol), mu)
+    return CheckResult(bool(mu >= 0.0), mu)
 
 
 class ZMatrixViolation(NamedTuple):

@@ -108,15 +108,13 @@ def random_planar_metric(rng: np.random.Generator, n: int) -> FiniteMetricSpace:
             return space
 
 
-def random_c_concave(rng: np.random.Generator, space: FiniteMetricSpace,
-                     scale: float = 0.3) -> np.ndarray:
+def random_c_concave(rng: np.random.Generator, space: FiniteMetricSpace, scale: float) -> np.ndarray:
     """Double c-transform of uniform noise; always exactly c-concave."""
     raw = rng.uniform(-scale, scale, size=space.n)
     return c_transform(space, c_transform(space, raw))
 
 
-def random_smooth_obstacles(rng: np.random.Generator, n: int,
-                            force_contact: str = "lower") -> OrderInterval:
+def random_smooth_obstacles(rng: np.random.Generator, n: int, force_contact: str) -> OrderInterval:
     """Smooth lower/upper profiles on the unit-interval grid (n interior points).
 
     The profiles are shifted so an unconstrained-at-zero energy must touch the
@@ -136,7 +134,7 @@ def random_smooth_obstacles(rng: np.random.Generator, n: int,
     return OrderInterval(lo + shift, hi + shift)
 
 
-def random_fractional_instance(rng: np.random.Generator, n_max: int = 40):
+def random_fractional_instance(rng: np.random.Generator, n_max: int):
     """Fractional kernel energy with random smooth obstacles; returns (E, box, s, p)."""
     n = int(rng.integers(8, n_max + 1))
     s = float(rng.choice([0.25, 0.5, 0.75]))

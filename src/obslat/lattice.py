@@ -74,8 +74,8 @@ class OrderInterval:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = as_vector(self.lo, "lo")
-        hi = as_vector(self.hi, "hi", lo.shape[0])
+        lo = as_vector(self.lo, "lo").copy()  # owned, so the caller's arrays stay theirs
+        hi = as_vector(self.hi, "hi", lo.shape[0]).copy()
         if np.any(lo > hi):
             i = int(np.argmax(lo - hi))
             raise ConstructionError(

@@ -73,23 +73,23 @@ SHIFT_RTOL = 1e-8
 #: A free Hessian block of m rows, nnz stored entries and bandwidth bw
 #: (largest |i - j| of an entry, in the energy's node order) is factored by
 #: banded Cholesky when its band storage (bw + 1) m is at most this many
-#: times nnz, by SuperLU otherwise.  Time of one Newton direction (block
-#: extraction, factorization, solve) on each side, all nodes free, natural
-#: order, one BLAS thread, best of a few, on a 2-vCPU Xeon VM:
+#: times nnz, by SuperLU otherwise.  Time of one Newton direction (one-pass
+#: block extraction, factorization, solve) on each side, all nodes free,
+#: natural order, one BLAS thread, best of a few, on a 2-vCPU Xeon VM:
 #:
 #:   block (m rows)              band/nnz   SuperLU    banded
-#:   grid 20^2 Dirichlet            4.4     1.35 ms   0.33 ms
-#:   grid 100^2                    20.4     31.2 ms   26.0 ms
-#:   grid 160^2                    32.4      108 ms    111 ms
-#:   grid 200^2                    40.4      207 ms    237 ms
-#:   grid 250^2                    50.4      402 ms    451 ms
-#:   dense kernel, m = 1024         1.0      188 ms   50.9 ms
-#:   random graph, m = 150         35.5     0.50 ms   0.18 ms
-#:   random graph, m = 250         59.8     0.97 ms   1.10 ms
-#:   random graph, m = 2000       498       14.5 ms    121 ms
+#:   grid 20^2 Dirichlet            4.4     0.96 ms   0.18 ms
+#:   grid 100^2                    20.4     23.3 ms   18.9 ms
+#:   grid 160^2                    32.4     74.5 ms   83.0 ms
+#:   grid 200^2                    40.4      152 ms    157 ms
+#:   grid 250^2                    50.4      245 ms    299 ms
+#:   dense kernel, m = 1024         1.0      168 ms   52.6 ms
+#:   random graph, m = 150         34.0     0.50 ms   0.22 ms
+#:   random graph, m = 250         58.2     0.74 ms   0.48 ms
+#:   random graph, m = 2000       497       10.2 ms   96.6 ms
 #:
 #: (random graph: 1.5 m random edges plus 0.1 I.)  Grids cross over near
-#: 35, random graphs near 55.  The rule also caps the band array at this
+#: 30, random graphs near 65.  The rule also caps the band array at this
 #: many floats per stored entry; at large m only SuperLU fits in memory.
 BAND_FILL_RATIO = 40
 
@@ -266,7 +266,7 @@ def _free_block(h, free: np.ndarray):
     duplicate entries (every energy's Hessian is canonical); H_FF keeps its
     node order.  Narrow means (bw + 1) m <= BAND_FILL_RATIO nnz(H_FF); the
     (bw + 1) x m array then holds H_ij, i <= j, at [bw + i - j, j], LAPACK's
-    layout.  The CSC matrix has the arrays of ``csr_block(h, F, F).tocsc()``.
+    layout.  The CSC matrix has the arrays of ``h[F][:, F].tocsc()``.
     """
     rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
     keep = free[rows] & free[h.indices]

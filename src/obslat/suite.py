@@ -95,7 +95,7 @@ def check_t_monotonicity(seed: int) -> list:
             n = int(rng.integers(2, 12))
             energy = inst.random_kernel_pair(rng, n, p=2.0 if kind == 1 else 3.0)
         u, v = rng.normal(size=n), rng.normal(size=n)
-        _, mu = t_monotonicity_check(energy, u, v)
+        _, mu = t_monotonicity_check(energy.gradient, u, v)
         worst = max(worst, -mu)
     return [_row("t_monotonicity", 300, worst, 1e-10)]
 

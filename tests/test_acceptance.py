@@ -119,8 +119,8 @@ def test_c04_t_monotonicity():
             n = int(rng.integers(2, 12))
             energy = random_kernel_pair(rng, n, p=2.0 if family == 1 else 3.0)
         u, v = rng.normal(size=n), rng.normal(size=n)
-        ok, mu = t_monotonicity_check(energy, u, v, tol=1e-10)
-        assert ok, (family, mu)
+        _, mu = t_monotonicity_check(energy.gradient, u, v)
+        assert mu >= -1e-10, (family, mu)
         worst = min(worst, mu)
     print(f"ACCEPTANCE 4 PASS: 1000/1000 pairs, min mu {worst:.3e}")
 

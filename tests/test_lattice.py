@@ -65,6 +65,17 @@ def test_interval_validation():
     assert not box.lo[0] <= 1.5 <= box.hi[0]
 
 
+def test_interval_owns_its_bounds():
+    lo = np.zeros(3)
+    OrderInterval(lo, np.ones(3))
+    lo[0] = -1.0  # the caller's array stays writable
+    base = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    box = OrderInterval(base[0], base[1])
+    base[0, 0] = 5.0  # and writing to it leaves the box as it was checked
+    assert box.lo.tolist() == [0.0, 0.0, 0.0] and box.hi.tolist() == [1.0, 1.0, 1.0]
+    assert not box.lo.flags.writeable and not box.hi.flags.writeable
+
+
 def test_index_sets_take_integers_only():
     assert as_index_set([3, 1.0, np.int64(1), np.float64(0.0), True], 4, "core") == [0, 1, 3]
     for bad in (2.5, "2", np.nan, np.inf, None, np.float64(-0.5)):

@@ -322,7 +322,7 @@ def test_is_c_concave(two_points):
     assert not is_c_concave(two_points, [0.0, 10.0]).passed
     rng = np.random.default_rng(9)
     space = random_planar_metric(rng, 12)
-    phi = random_c_concave(rng, space)
+    phi = random_c_concave(rng, space, scale=0.3)
     assert is_c_concave(space, phi).passed
     # phi^cc >= phi for arbitrary phi
     raw = rng.normal(size=12)

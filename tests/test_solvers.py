@@ -15,7 +15,6 @@ from obslat.certificates import ls_certificate
 from obslat.energies import (
     KernelEnergy,
     QuadraticEnergy,
-    csr_block,
     fractional_kernel_1d,
     graph_dirichlet,
     z_matrix_violation,
@@ -648,12 +647,12 @@ def test_newton_banded_and_superlu_sides_agree(monkeypatch):
         assert sol.converged and sides and set(sides) == {want}, name
         assert ls_certificate(energy, box, sol, 1e-11).passed, name
         if name == "scrambled":
-            # the wide block is built in the same pass as its band: the
-            # arrays of csr_block(H, F, F).tocsc(), which SuperLU took before
+            # the wide block is built in the same pass as its band, with
+            # the arrays of scipy's H[F][:, F].tocsc()
             free = np.zeros(energy.n, dtype=bool)
             free[sol.free] = True
             block = obslat.solvers._free_block(energy.a, free)
-            ref = csr_block(energy.a, free, free).tocsc()
+            ref = energy.a[free][:, free].tocsc()
             for attr in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(block, attr), getattr(ref, attr)), attr
         # u, and active (-1 lower, 1 upper) on the grid's own node order
